@@ -44,6 +44,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::api::{JraAnswer, JraSpec, PlannedQuery, Service};
+use crate::server::RequestCounters;
 use crate::store::Snapshot;
 use crate::telemetry::trace::{FinishedTrace, Trace};
 use crate::telemetry::{Counter, Gauge, Histogram};
@@ -114,15 +115,12 @@ struct FrontMetrics {
     inflight: Arc<Gauge>,
     queued: Arc<Gauge>,
     op_jra: Arc<Histogram>,
-    /// Per-op `requests_total` counters, pre-resolved so the protocol
-    /// dispatch never takes the registry lock per request.
-    requests: [(&'static str, Arc<Counter>); 6],
+    requests: RequestCounters,
 }
 
 impl FrontMetrics {
     fn new(service: &Service) -> Self {
         let t = service.telemetry();
-        let req = |op: &str| t.counter(&format!("requests_total{{op=\"{op}\"}}"));
         FrontMetrics {
             connections: t.counter("frontend_connections_total"),
             rejected: t.counter("frontend_rejected_total"),
@@ -132,14 +130,7 @@ impl FrontMetrics {
             inflight: t.gauge("frontend_inflight"),
             queued: t.gauge("frontend_queued"),
             op_jra: t.histogram("op_latency_seconds{op=\"jra\"}"),
-            requests: [
-                ("jra", req("jra")),
-                ("batch", req("batch")),
-                ("update", req("update")),
-                ("assign", req("assign")),
-                ("stats", req("stats")),
-                ("metrics", req("metrics")),
-            ],
+            requests: RequestCounters::new(t),
         }
     }
 }
@@ -240,13 +231,10 @@ impl Frontend {
         self.met.connections.inc();
     }
 
-    /// Count one dispatched protocol request in `requests_total{op=…}`.
-    /// Only known ops count — series names are a fixed whitelist, so
-    /// attacker-controlled op strings can never mint registry entries.
-    pub(crate) fn count_request(&self, op: &str) {
-        if let Some((_, c)) = self.met.requests.iter().find(|(name, _)| *name == op) {
-            c.inc();
-        }
+    /// The wire layer's `requests_total` counters in this front-end's
+    /// registry.
+    pub(crate) fn requests(&self) -> &RequestCounters {
+        &self.met.requests
     }
 
     /// Snapshot the front-end counters (reads the registry series; the

@@ -2,7 +2,7 @@
 //! environment has no registry access (no `serde`).
 //!
 //! Covers exactly what newline-delimited request/response framing needs:
-//! a [`Json`] value tree, a strict recursive-descent parser, and a
+//! a [`Json`] value tree, a strict depth-bounded recursive-descent parser, and a
 //! deterministic writer. Objects preserve insertion order (they are
 //! association lists, not maps), and numbers round-trip through Rust's
 //! shortest-representation `f64` formatting — so a response serialised
@@ -144,10 +144,16 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so without a bound one line of `[`s overflows the stack and
+/// aborts the process; protocol requests nest four levels deep.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse one JSON value from `text`, requiring nothing but whitespace after
-/// it. Errors are human-readable with a byte offset.
+/// it. Errors are human-readable with a byte offset; nesting deeper than
+/// [`MAX_DEPTH`] is an error, not a stack overflow.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -160,6 +166,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -197,8 +205,18 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -270,11 +288,16 @@ impl Parser<'_> {
                     ));
                 }
                 Some(_) => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // A run of plain characters, copied whole: it ends at an
+                    // ASCII byte of a `&str`, so it is valid UTF-8 and each
+                    // byte is checked once.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -428,6 +451,16 @@ mod tests {
         ] {
             assert!(parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_recursing_past_the_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past any stack: an error, never an overflow.
+        assert!(parse(&"[{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -43,8 +43,10 @@
 //!    auto-batcher that collects concurrent `jra` requests admitted at
 //!    the same epoch into one [`JraBatch`] — a pure perf transform, since
 //!    batched answers are bit-identical to one-at-a-time solves. The
-//!    result cache is LRU-bounded ([`ServeOptions::cache_cap`]). See
-//!    `src/README.md` for the migration guide and tuning flags.
+//!    result cache is LRU-bounded ([`ServeOptions::cache_cap`]). The same
+//!    wire layer serves the sharding [`Router`] (`wgrap serve --router`,
+//!    see [`shard`]) through the [`Backend`] trait. See `src/README.md`
+//!    for the migration guide and tuning flags.
 //!
 //! ```
 //! use wgrap_core::prelude::*;
@@ -97,11 +99,10 @@ pub use api::{
 pub use batch::{JraBatch, JraQuery, QueryPaper};
 pub use durable::{DurabilityStats, DurableOptions, FsyncPolicy, RecoveryInfo};
 pub use frontend::{Frontend, FrontendCounters, FrontendOptions, JraOutcome};
-pub use server::{serve_connection, serve_metrics, serve_multi, serve_stdio, serve_tcp};
-pub use shard::{
-    serve_router_connection, serve_router_tcp, Router, RouterOptions, ShardPlan, ShardedCraAnswer,
-    ShardedStore,
+pub use server::{
+    serve_connection, serve_metrics, serve_multi, serve_stdio, serve_tcp, Backend, Protocol,
 };
+pub use shard::{Link, Router, ShardPlan};
 pub use store::{PendingUpdate, Snapshot, StoreStats, Update, VersionedStore};
 pub use telemetry::{MetricsSnapshot, Telemetry};
 pub use wgrap_core::error::{Error, Result};

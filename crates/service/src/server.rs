@@ -1,15 +1,20 @@
-//! The `wgrap serve` front-end: newline-delimited JSON over stdin/stdout or
-//! `std::net` TCP.
+//! The `wgrap serve` wire layer: newline-delimited JSON over stdin/stdout or
+//! `std::net` TCP, in front of either a local [`Frontend`] or the sharding
+//! [`Router`](crate::shard::Router).
 //!
 //! One request per line, one response line per request, in request order —
 //! offline-friendly (no TLS, no HTTP, no registry dependencies), trivially
 //! scriptable (`wgrap serve inst.wgrap < requests.ndjson`), and
 //! deterministic: the same request stream against the same instance
-//! produces byte-identical responses, which the golden-file CI smoke tests
+//! produces byte-identical responses, which the golden-file smoke tests
 //! rely on (one golden per protocol version, shared by rayon on/off).
 //!
-//! Every op is a thin JSON skin over the typed
-//! [`api`](crate::api) layer: requests parse into a
+//! This module is the only copy of the protocol's framing: the line loop
+//! and its bounds, the TCP accept loop, `"v"` negotiation, the error and
+//! `"busy"` shapes, `requests_total` counting and the `metrics` op. The
+//! five data ops (`jra`, `batch`, `update`, `assign`, `stats`) dispatch to
+//! a [`Backend`]. For a [`Frontend`] each is a thin JSON skin over the
+//! typed [`api`](crate::api) layer: requests parse into a
 //! [`SolveRequest`], plan and execute through [`Service`](crate::api::Service), and the
 //! [`Outcome`](crate::api::Outcome) renders in the wire shape of the requested protocol
 //! version. The server owns **no** solving or defaulting logic of its own.
@@ -52,6 +57,13 @@
 //! [`Outcome::diag`](crate::api::Outcome) instead; `stats` exposes timings only
 //! on request).
 //!
+//! # Input bounds
+//!
+//! A request line longer than [`MAX_LINE_BYTES`] is answered with an error
+//! and skipped without buffering the rest of it, and JSON nested deeper
+//! than [`json::MAX_DEPTH`] fails to parse. Either way the reply is a
+//! plain `{"ok":false,...}` and the session continues.
+//!
 //! # Concurrency
 //!
 //! Connections share one [`Frontend`] over the internally synchronized
@@ -72,56 +84,138 @@ use crate::frontend::{Frontend, JraOutcome};
 use crate::json::{self, Json};
 use crate::store::Update;
 use crate::telemetry::trace::FinishedTrace;
+use crate::telemetry::{Counter, Telemetry};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::sync::{mpsc, Arc};
 use wgrap_core::engine::{spec, PruningPolicy};
 use wgrap_core::jra::JraResult;
 use wgrap_core::topic::TopicVector;
 
+/// Longest request line the wire layer buffers, in bytes.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// The protocol version a request speaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Protocol {
+    /// No `"v"` member, or `"v":1`: the original reply shapes, byte for byte.
+    V1,
+    /// `"v":2`: diagnostics, the `metrics` op and v2-only members.
+    V2,
+}
+
+/// What serves the five data ops behind the wire layer: a local
+/// [`Frontend`], or the [`Router`](crate::shard::Router) over shards. Each
+/// op returns its reply, or an error message the wire layer renders.
+pub trait Backend: Send + Sync {
+    /// The registry `metrics` reports and `--metrics-listen` serves.
+    fn telemetry(&self) -> &Arc<Telemetry>;
+    /// The `requests_total` counters, resolved in that registry.
+    fn request_counters(&self) -> &RequestCounters;
+    /// Count one served session.
+    fn note_connection(&self) {}
+    /// `jra`: one query.
+    fn jra(&self, request: &Json, proto: Protocol) -> Result<Json, String>;
+    /// `batch`: many queries at one epoch.
+    fn batch(&self, request: &Json, proto: Protocol) -> Result<Json, String>;
+    /// `update`: one update batch.
+    fn update(&self, request: &Json, proto: Protocol) -> Result<Json, String>;
+    /// `assign`: a full CRA run.
+    fn assign(&self, request: &Json, proto: Protocol) -> Result<Json, String>;
+    /// `stats`: instance shape and serving counters.
+    fn stats(&self, request: &Json, proto: Protocol) -> Result<Json, String>;
+}
+
+/// Per-op `requests_total{op=…}` counters, resolved once so dispatch never
+/// takes the registry lock. Only these ops count: the names are a fixed
+/// whitelist, so client-chosen op strings can never mint registry series.
+pub struct RequestCounters([Arc<Counter>; 6]);
+
+impl RequestCounters {
+    const OPS: [&'static str; 6] = ["jra", "batch", "update", "assign", "stats", "metrics"];
+
+    /// Resolve the counters in `telemetry`.
+    pub(crate) fn new(telemetry: &Telemetry) -> Self {
+        Self(Self::OPS.map(|op| telemetry.counter(&format!("requests_total{{op=\"{op}\"}}"))))
+    }
+
+    fn count(&self, op: &str) {
+        if let Some(i) = Self::OPS.iter().position(|&known| known == op) {
+            self.0[i].inc();
+        }
+    }
+}
+
+/// The one request-line loop. Hands each non-blank line to `f`, or an
+/// error message for a line that is longer than [`MAX_LINE_BYTES`] (the
+/// rest of it is skipped unbuffered) or not UTF-8.
+fn for_each_line<R: BufRead>(
+    mut input: R,
+    mut f: impl FnMut(Result<&str, String>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let read = input.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf)?;
+        if read == 0 {
+            return Ok(());
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if read > MAX_LINE_BYTES {
+            input.skip_until(b'\n')?;
+            f(Err(format!("request line longer than {MAX_LINE_BYTES} bytes")))?;
+            continue;
+        }
+        match std::str::from_utf8(&buf) {
+            Err(_) => f(Err("request line is not UTF-8".into()))?,
+            Ok(line) if line.trim().is_empty() => {}
+            Ok(line) => f(Ok(line))?,
+        }
+    }
+}
+
 /// Run a request/response session: one JSON request per input line, one
 /// JSON response per line on `out`, until EOF. Malformed lines produce an
 /// `{"ok":false,...}` response and the session continues.
-pub fn serve_connection<R: BufRead, W: Write>(
-    frontend: &Frontend,
+pub fn serve_connection<B: Backend + ?Sized, R: BufRead, W: Write>(
+    backend: &B,
     input: R,
     mut out: W,
 ) -> io::Result<()> {
-    frontend.note_connection();
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = handle_line(frontend, &line);
+    backend.note_connection();
+    for_each_line(input, |line| {
+        let response = match line {
+            Ok(line) => handle_line(backend, line),
+            Err(message) => error_reply(Protocol::V1, &message),
+        };
         writeln!(out, "{response}")?;
-        out.flush()?;
-    }
-    Ok(())
+        out.flush()
+    })
 }
 
 /// Serve a single session over stdin/stdout (the piping mode).
-pub fn serve_stdio(frontend: &Frontend) -> io::Result<()> {
+pub fn serve_stdio<B: Backend + ?Sized>(backend: &B) -> io::Result<()> {
     let stdin = io::stdin();
     let stdout = io::stdout();
-    serve_connection(frontend, stdin.lock(), stdout.lock())
+    serve_connection(backend, stdin.lock(), stdout.lock())
 }
 
 /// Accept TCP connections forever, one thread per connection, all sharing
-/// the front-end (updates from any connection are visible to all at the
+/// the backend (updates from any connection are visible to all at the
 /// next epoch; admission bounds apply across all connections). The
 /// listener is bound by the caller so tests can pick port 0.
-pub fn serve_tcp(listener: TcpListener, frontend: Arc<Frontend>) -> io::Result<()> {
+pub fn serve_tcp<B: Backend + 'static>(listener: TcpListener, backend: Arc<B>) -> io::Result<()> {
     loop {
         let (socket, _) = listener.accept()?;
-        let frontend = Arc::clone(&frontend);
+        let backend = Arc::clone(&backend);
         std::thread::spawn(move || {
             let reader = BufReader::new(match socket.try_clone() {
                 Ok(s) => s,
                 Err(_) => return,
             });
-            let _ = serve_connection(&frontend, reader, socket);
+            let _ = serve_connection(backend.as_ref(), reader, socket);
         });
     }
 }
@@ -132,10 +226,7 @@ pub fn serve_tcp(listener: TcpListener, frontend: Arc<Frontend>) -> io::Result<(
 /// read the request line, drain the headers, answer `GET /metrics` (or
 /// `GET /`) with [`MetricsSnapshot::to_prometheus`](crate::telemetry::MetricsSnapshot::to_prometheus)
 /// and anything else with a 404, then close. Loops accepting forever.
-pub fn serve_metrics(
-    listener: TcpListener,
-    telemetry: Arc<crate::telemetry::Telemetry>,
-) -> io::Result<()> {
+pub fn serve_metrics(listener: TcpListener, telemetry: Arc<Telemetry>) -> io::Result<()> {
     loop {
         let (socket, _) = listener.accept()?;
         let telemetry = Arc::clone(&telemetry);
@@ -145,10 +236,7 @@ pub fn serve_metrics(
     }
 }
 
-fn serve_metrics_once(
-    mut socket: std::net::TcpStream,
-    telemetry: &crate::telemetry::Telemetry,
-) -> io::Result<()> {
+fn serve_metrics_once(mut socket: std::net::TcpStream, telemetry: &Telemetry) -> io::Result<()> {
     let mut reader = BufReader::new(socket.try_clone()?);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
@@ -189,7 +277,7 @@ enum MultiMsg {
 
 /// The deterministic multi-session harness behind `wgrap serve --multi`:
 /// replay an interleaved N-client session from one input stream, with a
-/// real thread per client hitting the shared front-end concurrently.
+/// real thread per client hitting the shared backend concurrently.
 ///
 /// Input format, one line each:
 ///
@@ -207,20 +295,19 @@ enum MultiMsg {
 /// deterministic regardless of thread scheduling, because each
 /// connection's responses depend only on its own request order and the
 /// barrier-delimited epoch (coalescing never changes response bytes).
-pub fn serve_multi<R: BufRead, W: Write>(
-    frontend: &Arc<Frontend>,
+pub fn serve_multi<B: Backend + 'static, R: BufRead, W: Write>(
+    backend: &Arc<B>,
     input: R,
     mut out: W,
 ) -> io::Result<()> {
     type Conn = (mpsc::Sender<MultiMsg>, std::thread::JoinHandle<Vec<String>>);
     let mut order: Vec<String> = Vec::new();
     let mut conns: HashMap<String, Conn> = HashMap::new();
-    for line in input.lines() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
+    for_each_line(input, |line| {
+        let trimmed = match line {
+            Ok(line) => line.trim(),
+            Err(message) => return writeln!(out, "#error\t{message}"),
+        };
         if trimmed == "#sync" {
             let (ack_tx, ack_rx) = mpsc::channel();
             for cid in &order {
@@ -229,28 +316,27 @@ pub fn serve_multi<R: BufRead, W: Write>(
             drop(ack_tx);
             // Drained when every connection dropped its clone.
             while ack_rx.recv().is_ok() {}
-            continue;
+            return Ok(());
         }
         if trimmed.starts_with('#') {
-            continue;
+            return Ok(());
         }
         let Some((cid, payload)) = trimmed.split_once(char::is_whitespace) else {
-            writeln!(out, "#error\tline needs '<cid> <request>': {trimmed}")?;
-            continue;
+            return writeln!(out, "#error\tline needs '<cid> <request>': {trimmed}");
         };
         let payload = payload.trim().to_string();
         let tx = match conns.get(cid) {
             Some((tx, _)) => tx.clone(),
             None => {
                 let (tx, rx) = mpsc::channel::<MultiMsg>();
-                let frontend = Arc::clone(frontend);
+                let backend = Arc::clone(backend);
                 let handle = std::thread::spawn(move || {
-                    frontend.note_connection();
+                    backend.note_connection();
                     let mut responses = Vec::new();
                     for msg in rx {
                         match msg {
                             MultiMsg::Line(l) => {
-                                responses.push(handle_line(&frontend, &l).to_string())
+                                responses.push(handle_line(backend.as_ref(), &l).to_string())
                             }
                             MultiMsg::Sync(ack) => drop(ack),
                         }
@@ -263,7 +349,8 @@ pub fn serve_multi<R: BufRead, W: Write>(
             }
         };
         let _ = tx.send(MultiMsg::Line(payload));
-    }
+        Ok(())
+    })?;
     for cid in &order {
         let (tx, handle) = conns.remove(cid).expect("order tracks conns");
         drop(tx);
@@ -276,45 +363,92 @@ pub fn serve_multi<R: BufRead, W: Write>(
     out.flush()
 }
 
-/// The protocol version a request speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Protocol {
-    V1,
-    V2,
-}
-
 /// Handle one request line and render the response (never panics on bad
 /// input — every error becomes an `{"ok":false,...}` response).
-pub fn handle_line(frontend: &Frontend, line: &str) -> Json {
+pub fn handle_line<B: Backend + ?Sized>(backend: &B, line: &str) -> Json {
     let request = match json::parse(line) {
         Ok(v) => v,
-        Err(e) => return error_response(&format!("bad JSON: {e}")),
+        Err(e) => return error_reply(Protocol::V1, &format!("bad JSON: {e}")),
     };
     let proto = match request.get("v") {
         None => Protocol::V1,
         Some(v) => match v.as_usize() {
             Some(1) => Protocol::V1,
             Some(2) => Protocol::V2,
-            _ => return error_response("unsupported protocol version (valid: 1, 2)"),
+            _ => return error_reply(Protocol::V1, "unsupported protocol version (valid: 1, 2)"),
         },
     };
     let Some(op) = request.get("op").and_then(Json::as_str) else {
-        return versioned_error(proto, "missing \"op\"");
+        return error_reply(proto, "missing \"op\"");
     };
-    frontend.count_request(op);
+    backend.request_counters().count(op);
     let result = match op {
-        "jra" => handle_jra_single(frontend, &request, proto),
-        "batch" => handle_batch(frontend, &request, proto),
-        "update" => handle_update(frontend, &request, proto),
-        "assign" => handle_assign(frontend, &request, proto),
-        "stats" => handle_stats(frontend, &request, proto),
-        "metrics" => handle_metrics(frontend, &request, proto),
+        "jra" => backend.jra(&request, proto),
+        "batch" => backend.batch(&request, proto),
+        "update" => backend.update(&request, proto),
+        "assign" => backend.assign(&request, proto),
+        "stats" => backend.stats(&request, proto),
+        "metrics" => metrics(backend.telemetry(), &request, proto),
         other => Err(format!("unknown op '{other}'")),
     };
-    match result {
-        Ok(v) => v,
-        Err(e) => versioned_error(proto, &e),
+    result.unwrap_or_else(|e| error_reply(proto, &e))
+}
+
+/// The members every reply opens with: `"ok"`, then `"v":2` under v2.
+pub(crate) fn reply_head(ok: bool, proto: Protocol) -> Vec<(&'static str, Json)> {
+    let mut members = vec![("ok", Json::Bool(ok))];
+    if proto == Protocol::V2 {
+        members.push(("v", Json::Num(2.0)));
     }
+    members
+}
+
+/// The `{"ok":false,...,"error":…}` reply for a request that failed.
+/// Per-entry `batch` errors use the v1 shape at either version.
+pub(crate) fn error_reply(proto: Protocol, message: &str) -> Json {
+    let mut members = reply_head(false, proto);
+    members.push(("error", Json::Str(message.into())));
+    Json::obj(members)
+}
+
+/// The structured admission-control rejection: `"busy":true` marks it as
+/// retryable (the request was never queued or solved), distinct from the
+/// plain `"error"` shape that means the request itself was bad.
+fn busy_response(proto: Protocol) -> Json {
+    let mut members = reply_head(false, proto);
+    members.push(("busy", Json::Bool(true)));
+    members.push(("error", Json::Str("busy: server at capacity, retry later".into())));
+    Json::obj(members)
+}
+
+/// The v2 `metrics` op: a full registry snapshot. The default shape is
+/// deterministic for a fixed session (counters, gauges, histogram
+/// *counts* — golden-tested, rayon on or off); `"timings":true` adds
+/// wall-clock quantiles and `"slow":true` the slow-query log, both
+/// non-deterministic and never golden-diffed. Bypasses admission like
+/// `stats`: observability must work on a saturated server.
+fn metrics(telemetry: &Telemetry, request: &Json, proto: Protocol) -> Result<Json, String> {
+    if proto != Protocol::V2 {
+        return Err("\"metrics\" requires protocol v2 (send \"v\":2)".into());
+    }
+    let timings = request.get("timings").and_then(Json::as_bool) == Some(true);
+    let mut obj = vec![
+        ("ok".to_string(), Json::Bool(true)),
+        ("v".to_string(), Json::Num(2.0)),
+        ("op".to_string(), Json::Str("metrics".into())),
+    ];
+    let Json::Obj(body) = telemetry.snapshot().to_json(timings) else {
+        unreachable!("snapshot renders an object")
+    };
+    obj.extend(body);
+    if request.get("slow").and_then(Json::as_bool) == Some(true) {
+        let slow = telemetry.traces().slow();
+        obj.push((
+            "slow".to_string(),
+            Json::Arr(slow.iter().map(|t| t.to_json(timings)).collect()),
+        ));
+    }
+    Ok(Json::Obj(obj))
 }
 
 /// The opt-in `"trace":true` member (v2 only): the request's span tree,
@@ -330,34 +464,6 @@ fn trace_member(
     }
     let timings = request.get("timings").and_then(Json::as_bool) == Some(true);
     trace.map(|t| ("trace", t.to_json(timings)))
-}
-
-fn error_response(message: &str) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(message.into()))])
-}
-
-fn versioned_error(proto: Protocol, message: &str) -> Json {
-    match proto {
-        Protocol::V1 => error_response(message),
-        Protocol::V2 => Json::obj([
-            ("ok", Json::Bool(false)),
-            ("v", Json::Num(2.0)),
-            ("error", Json::Str(message.into())),
-        ]),
-    }
-}
-
-/// The structured admission-control rejection: `"busy":true` marks it as
-/// retryable (the request was never queued or solved), distinct from the
-/// plain `"error"` shape that means the request itself was bad.
-fn busy_response(proto: Protocol) -> Json {
-    let mut members = vec![("ok", Json::Bool(false))];
-    if proto == Protocol::V2 {
-        members.push(("v", Json::Num(2.0)));
-    }
-    members.push(("busy", Json::Bool(true)));
-    members.push(("error", Json::Str("busy: server at capacity, retry later".into())));
-    Json::obj(members)
 }
 
 fn request_pruning(request: &Json) -> Result<Option<PruningPolicy>, String> {
@@ -469,107 +575,6 @@ fn v2_diag_members(
     members
 }
 
-/// A single `jra`: routed through the front-end coalescer, so concurrent
-/// requests at one epoch solve as one batch. Response bytes are identical
-/// to the direct path — the batch contract guarantees it.
-fn handle_jra_single(frontend: &Frontend, request: &Json, proto: Protocol) -> Result<Json, String> {
-    let pruning = request_pruning(request)?;
-    let spec = parse_jra_spec(request, pruning)?;
-    let (snapshot, answer, loss_bound, trace) = match frontend.jra(&spec) {
-        JraOutcome::Busy => return Ok(busy_response(proto)),
-        JraOutcome::Done { snapshot, answer, loss_bound, trace } => {
-            (snapshot, answer, loss_bound, trace)
-        }
-    };
-    let answer = answer?;
-    let names = |r: usize| snapshot.instance().reviewer_name(r);
-    let mut members = vec![("ok", Json::Bool(true))];
-    if proto == Protocol::V2 {
-        members.push(("v", Json::Num(2.0)));
-    }
-    members.push(("op", Json::Str("jra".into())));
-    members.push(("epoch", Json::Num(snapshot.epoch() as f64)));
-    if proto == Protocol::V2 {
-        members.extend(v2_diag_members(answer.cache, Some(&answer.key), loss_bound));
-    }
-    members.push(("results", render_results(&names, &answer.results)));
-    members.extend(trace_member(request, proto, Some(&trace)));
-    Ok(Json::obj(members))
-}
-
-/// An explicit `batch`: already a coalesced unit, so it skips the
-/// auto-batcher and takes one direct solve slot (admission still applies —
-/// a saturated server answers `"busy"`).
-fn handle_batch(frontend: &Frontend, request: &Json, proto: Protocol) -> Result<Json, String> {
-    let pruning = request_pruning(request)?;
-    // Per-entry failure independence holds at parse time too: a malformed
-    // batch entry gets its own error entry while its neighbours still run.
-    // `slots` maps each positional entry to its parsed spec or parse error.
-    let mut specs: Vec<JraSpec> = Vec::new();
-    let mut slots: Vec<Result<usize, String>> = Vec::new();
-    let queries =
-        request.get("queries").and_then(Json::as_arr).ok_or("\"queries\" must be an array")?;
-    for q in queries {
-        match parse_jra_spec(q, pruning) {
-            Ok(spec) => {
-                slots.push(Ok(specs.len()));
-                specs.push(spec);
-            }
-            Err(e) => slots.push(Err(e)),
-        }
-    }
-
-    let Some(_permit) = frontend.permit() else {
-        return Ok(busy_response(proto));
-    };
-    let service = frontend.service();
-    let plan = service.plan(&SolveRequest::JraBatch(specs));
-    let snapshot = Arc::clone(&plan.snapshot);
-    let outcome = service.execute_plan(plan).map_err(|e| e.to_string())?;
-    let Answer::Jra(answers) = &outcome.answer else { unreachable!("jra request, jra answer") };
-    let names = |r: usize| snapshot.instance().reviewer_name(r);
-
-    let entry = |slot: &Result<usize, String>| -> Result<&JraAnswer, String> {
-        match slot {
-            Ok(i) => answers[*i].as_ref().map_err(Clone::clone),
-            Err(e) => Err(e.clone()),
-        }
-    };
-    let results: Vec<Json> = slots
-        .iter()
-        .map(|slot| match entry(slot) {
-            Err(e) => match proto {
-                Protocol::V1 => error_response(&e),
-                Protocol::V2 => Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(e))]),
-            },
-            Ok(answer) => {
-                let mut members = vec![("ok", Json::Bool(true))];
-                if proto == Protocol::V2 {
-                    members.extend(v2_diag_members(answer.cache, Some(&answer.key), None));
-                }
-                members.push(("results", render_results(&names, &answer.results)));
-                Json::obj(members)
-            }
-        })
-        .collect();
-    let mut members = vec![("ok", Json::Bool(true))];
-    if proto == Protocol::V2 {
-        members.push(("v", Json::Num(2.0)));
-    }
-    members.push(("op", Json::Str("batch".into())));
-    members.push(("epoch", Json::Num(snapshot.epoch() as f64)));
-    if proto == Protocol::V2 {
-        members.extend(v2_diag_members(
-            outcome.diag.cache,
-            outcome.diag.key.as_ref(),
-            outcome.diag.loss_bound,
-        ));
-    }
-    members.push(("results", Json::Arr(results)));
-    members.extend(trace_member(request, proto, outcome.trace.as_deref()));
-    Ok(Json::obj(members))
-}
-
 fn parse_update(value: &Json) -> Result<Update, String> {
     let kind = value.get("kind").and_then(Json::as_str).ok_or("update needs a \"kind\"")?;
     let name = match value.get("name") {
@@ -612,234 +617,305 @@ fn parse_update(value: &Json) -> Result<Update, String> {
     }
 }
 
-/// `update` bypasses admission entirely: the write path must never queue
-/// behind reads (the store's build/publish split keeps it cheap), and a
-/// saturated server still has to accept updates.
-fn handle_update(frontend: &Frontend, request: &Json, proto: Protocol) -> Result<Json, String> {
-    let items =
-        request.get("updates").and_then(Json::as_arr).ok_or("\"updates\" must be an array")?;
-    let updates: Vec<Update> = items.iter().map(parse_update).collect::<Result<_, _>>()?;
-    // Group-commit bracket: concurrent update requests open overlapping
-    // fsync waves, so under `--fsync batch` one fsync covers the whole
-    // admission burst instead of running per batch. No-op without
-    // durability or under other policies.
-    let wave = frontend.service().store().durability().map(|d| d.begin_wave());
-    let outcome =
-        frontend.service().execute(&SolveRequest::Update(updates)).map_err(|e| e.to_string())?;
-    drop(wave);
-    let Answer::Update(answer) = &outcome.answer else { unreachable!("update answer") };
-    let mut members = vec![("ok", Json::Bool(true))];
-    if proto == Protocol::V2 {
-        members.push(("v", Json::Num(2.0)));
+/// The local backend: every op plans and executes through the front-end's
+/// [`Service`](crate::api::Service).
+impl Backend for Frontend {
+    fn telemetry(&self) -> &Arc<Telemetry> {
+        self.service().telemetry()
     }
-    members.extend([
-        ("op", Json::Str("update".into())),
-        ("epoch", Json::Num(outcome.diag.epoch as f64)),
-        ("applied", Json::Num(answer.applied as f64)),
-        ("papers", Json::Num(answer.papers as f64)),
-        ("reviewers", Json::Num(answer.reviewers as f64)),
-    ]);
-    members.extend(trace_member(request, proto, outcome.trace.as_deref()));
-    Ok(Json::obj(members))
-}
 
-/// A full CRA `assign` is the heavyweight consumer: it takes one direct
-/// solve slot under admission control, like an explicit `batch`.
-fn handle_assign(frontend: &Frontend, request: &Json, proto: Protocol) -> Result<Json, String> {
-    let pruning = request_pruning(request)?;
-    let method = match request.get("method") {
-        None => None,
-        Some(v) => {
-            let label = v.as_str().ok_or("\"method\" must be a string")?;
-            Some(spec::method_by_label(label).map_err(|e| e.to_string())?)
+    fn request_counters(&self) -> &RequestCounters {
+        self.requests()
+    }
+
+    fn note_connection(&self) {
+        Frontend::note_connection(self)
+    }
+
+    /// A single `jra`: routed through the front-end coalescer, so concurrent
+    /// requests at one epoch solve as one batch. Response bytes are identical
+    /// to the direct path — the batch contract guarantees it.
+    fn jra(&self, request: &Json, proto: Protocol) -> Result<Json, String> {
+        let pruning = request_pruning(request)?;
+        let spec = parse_jra_spec(request, pruning)?;
+        let (snapshot, answer, loss_bound, trace) = match Frontend::jra(self, &spec) {
+            JraOutcome::Busy => return Ok(busy_response(proto)),
+            JraOutcome::Done { snapshot, answer, loss_bound, trace } => {
+                (snapshot, answer, loss_bound, trace)
+            }
+        };
+        let answer = answer?;
+        let names = |r: usize| snapshot.instance().reviewer_name(r);
+        let mut members = reply_head(true, proto);
+        members.push(("op", Json::Str("jra".into())));
+        members.push(("epoch", Json::Num(snapshot.epoch() as f64)));
+        if proto == Protocol::V2 {
+            members.extend(v2_diag_members(answer.cache, Some(&answer.key), loss_bound));
         }
-    };
-    let Some(_permit) = frontend.permit() else {
-        return Ok(busy_response(proto));
-    };
-    let outcome = frontend
-        .service()
-        .execute(&SolveRequest::Cra { method, pruning, seed: None })
-        .map_err(|e| e.to_string())?;
-    let Answer::Cra(answer) = &outcome.answer else { unreachable!("cra answer") };
-    let groups: Vec<Json> = (0..answer.assignment.num_papers())
-        .map(|p| Json::nums(answer.assignment.group(p).iter().map(|&r| r as f64)))
-        .collect();
-    let mut members = vec![("ok", Json::Bool(true))];
-    if proto == Protocol::V2 {
-        members.push(("v", Json::Num(2.0)));
+        members.push(("results", render_results(&names, &answer.results)));
+        members.extend(trace_member(request, proto, Some(&trace)));
+        Ok(Json::obj(members))
     }
-    members.extend([
-        ("op", Json::Str("assign".into())),
-        ("epoch", Json::Num(outcome.diag.epoch as f64)),
-    ]);
-    if proto == Protocol::V2 {
-        members.extend(v2_diag_members(
-            outcome.diag.cache,
-            outcome.diag.key.as_ref(),
-            outcome.diag.loss_bound,
-        ));
-    }
-    members.extend([
-        ("method", Json::Str(answer.method.label().into())),
-        ("coverage", Json::Num(answer.coverage)),
-        ("groups", Json::Arr(groups)),
-    ]);
-    members.extend(trace_member(request, proto, outcome.trace.as_deref()));
-    Ok(Json::obj(members))
-}
 
-/// `stats` bypasses admission: observability must work precisely when the
-/// server is saturated and everything else answers `"busy"`.
-fn handle_stats(frontend: &Frontend, request: &Json, proto: Protocol) -> Result<Json, String> {
-    let outcome = frontend.service().execute(&SolveRequest::Stats).map_err(|e| e.to_string())?;
-    let Answer::Stats(stats) = &outcome.answer else { unreachable!("stats answer") };
-    let mut members = vec![("ok", Json::Bool(true))];
-    if proto == Protocol::V2 {
-        members.push(("v", Json::Num(2.0)));
+    /// An explicit `batch`: already a coalesced unit, so it skips the
+    /// auto-batcher and takes one direct solve slot (admission still applies —
+    /// a saturated server answers `"busy"`).
+    fn batch(&self, request: &Json, proto: Protocol) -> Result<Json, String> {
+        let pruning = request_pruning(request)?;
+        // Per-entry failure independence holds at parse time too: a malformed
+        // batch entry gets its own error entry while its neighbours still run.
+        // `slots` maps each positional entry to its parsed spec or parse error.
+        let mut specs: Vec<JraSpec> = Vec::new();
+        let mut slots: Vec<Result<usize, String>> = Vec::new();
+        let queries =
+            request.get("queries").and_then(Json::as_arr).ok_or("\"queries\" must be an array")?;
+        for q in queries {
+            match parse_jra_spec(q, pruning) {
+                Ok(spec) => {
+                    slots.push(Ok(specs.len()));
+                    specs.push(spec);
+                }
+                Err(e) => slots.push(Err(e)),
+            }
+        }
+
+        let Some(_permit) = self.permit() else {
+            return Ok(busy_response(proto));
+        };
+        let service = self.service();
+        let plan = service.plan(&SolveRequest::JraBatch(specs));
+        let snapshot = Arc::clone(&plan.snapshot);
+        let outcome = service.execute_plan(plan).map_err(|e| e.to_string())?;
+        let Answer::Jra(answers) = &outcome.answer else { unreachable!("jra request, jra answer") };
+        let names = |r: usize| snapshot.instance().reviewer_name(r);
+
+        let entry = |slot: &Result<usize, String>| -> Result<&JraAnswer, String> {
+            match slot {
+                Ok(i) => answers[*i].as_ref().map_err(Clone::clone),
+                Err(e) => Err(e.clone()),
+            }
+        };
+        let results: Vec<Json> = slots
+            .iter()
+            .map(|slot| match entry(slot) {
+                Err(e) => error_reply(Protocol::V1, &e),
+                Ok(answer) => {
+                    let mut members = vec![("ok", Json::Bool(true))];
+                    if proto == Protocol::V2 {
+                        members.extend(v2_diag_members(answer.cache, Some(&answer.key), None));
+                    }
+                    members.push(("results", render_results(&names, &answer.results)));
+                    Json::obj(members)
+                }
+            })
+            .collect();
+        let mut members = reply_head(true, proto);
+        members.push(("op", Json::Str("batch".into())));
+        members.push(("epoch", Json::Num(snapshot.epoch() as f64)));
+        if proto == Protocol::V2 {
+            members.extend(v2_diag_members(
+                outcome.diag.cache,
+                outcome.diag.key.as_ref(),
+                outcome.diag.loss_bound,
+            ));
+        }
+        members.push(("results", Json::Arr(results)));
+        members.extend(trace_member(request, proto, outcome.trace.as_deref()));
+        Ok(Json::obj(members))
     }
-    members.extend([
-        ("op", Json::Str("stats".into())),
-        ("epoch", Json::Num(outcome.diag.epoch as f64)),
-        ("papers", Json::Num(stats.papers as f64)),
-        ("reviewers", Json::Num(stats.reviewers as f64)),
-        ("topics", Json::Num(stats.topics as f64)),
-        ("delta_p", Json::Num(stats.delta_p as f64)),
-        ("delta_r", Json::Num(stats.delta_r as f64)),
-        ("scoring", Json::Str(stats.scoring.label().into())),
-    ]);
-    if let Some(s) = stats.support {
-        members.push((
-            "candidate_support",
-            Json::obj([
-                ("min", Json::Num(s.min as f64)),
-                ("p25", Json::Num(s.p25 as f64)),
-                ("median", Json::Num(s.median as f64)),
-                ("p75", Json::Num(s.p75 as f64)),
-                ("max", Json::Num(s.max as f64)),
-            ]),
-        ));
+
+    /// `update` bypasses admission entirely: the write path must never queue
+    /// behind reads (the store's build/publish split keeps it cheap), and a
+    /// saturated server still has to accept updates.
+    fn update(&self, request: &Json, proto: Protocol) -> Result<Json, String> {
+        let items =
+            request.get("updates").and_then(Json::as_arr).ok_or("\"updates\" must be an array")?;
+        let updates: Vec<Update> = items.iter().map(parse_update).collect::<Result<_, _>>()?;
+        // Group-commit bracket: concurrent update requests open overlapping
+        // fsync waves, so under `--fsync batch` one fsync covers the whole
+        // admission burst instead of running per batch. No-op without
+        // durability or under other policies.
+        let wave = self.service().store().durability().map(|d| d.begin_wave());
+        let outcome =
+            self.service().execute(&SolveRequest::Update(updates)).map_err(|e| e.to_string())?;
+        drop(wave);
+        let Answer::Update(answer) = &outcome.answer else { unreachable!("update answer") };
+        let mut members = reply_head(true, proto);
+        members.extend([
+            ("op", Json::Str("update".into())),
+            ("epoch", Json::Num(outcome.diag.epoch as f64)),
+            ("applied", Json::Num(answer.applied as f64)),
+            ("papers", Json::Num(answer.papers as f64)),
+            ("reviewers", Json::Num(answer.reviewers as f64)),
+        ]);
+        members.extend(trace_member(request, proto, outcome.trace.as_deref()));
+        Ok(Json::obj(members))
     }
-    if proto == Protocol::V2 {
-        members.push((
-            "cache",
-            Json::obj([
-                ("size", Json::Num(stats.cache.size as f64)),
-                ("cap", Json::Num(stats.cache.capacity as f64)),
-                ("hits", Json::Num(stats.cache.hits as f64)),
-                ("misses", Json::Num(stats.cache.misses as f64)),
-                ("evictions", Json::Num(stats.cache.evictions as f64)),
-            ]),
-        ));
-        // Front-end counters: deterministic for a sequential session
-        // (each single jra drains as its own batch of 1); golden
-        // multi-client sessions read v1 stats instead, since batch
-        // grouping under real concurrency depends on arrival order.
-        let front = frontend.counters();
-        members.push((
-            "frontend",
-            Json::obj([
-                ("connections", Json::Num(front.connections as f64)),
-                ("queued", Json::Num(front.queued as f64)),
-                ("rejected", Json::Num(front.rejected as f64)),
-                ("batches", Json::Num(front.batches as f64)),
-                ("batched_requests", Json::Num(front.batched_requests as f64)),
-                ("max_batch", Json::Num(front.max_batch as f64)),
-            ]),
-        ));
-        // Page counters and snapshot bytes are deterministic (derived from
-        // update contents, never wall clocks), so unlike `timings` they are
-        // safe in golden sessions and emitted unconditionally.
-        members.push((
-            "store",
-            Json::obj([
-                ("batches", Json::Num(stats.store.batches as f64)),
-                ("updates", Json::Num(stats.store.updates as f64)),
-                ("pages_cloned", Json::Num(stats.store.total_pages_cloned as f64)),
-                ("pages_shared", Json::Num(stats.store.total_pages_shared as f64)),
-                ("last_pages_cloned", Json::Num(stats.store.last_pages_cloned as f64)),
-                ("last_pages_shared", Json::Num(stats.store.last_pages_shared as f64)),
-                ("snapshot_bytes", Json::Num(stats.store.last_snapshot_bytes as f64)),
-                ("peak_snapshot_bytes", Json::Num(stats.store.peak_snapshot_bytes as f64)),
-            ]),
-        ));
-        // Durability counters (bytes, frames, epochs — never wall clocks)
-        // are deterministic for a fixed session, but the section only
-        // exists when a `--data-dir` is configured: durability-off sessions
-        // stay byte-identical to their pre-durability goldens.
-        if let Some(d) = &stats.durability {
+
+    /// A full CRA `assign` is the heavyweight consumer: it takes one direct
+    /// solve slot under admission control, like an explicit `batch`.
+    fn assign(&self, request: &Json, proto: Protocol) -> Result<Json, String> {
+        let pruning = request_pruning(request)?;
+        let method = match request.get("method") {
+            None => None,
+            Some(v) => {
+                let label = v.as_str().ok_or("\"method\" must be a string")?;
+                Some(spec::method_by_label(label).map_err(|e| e.to_string())?)
+            }
+        };
+        let Some(_permit) = self.permit() else {
+            return Ok(busy_response(proto));
+        };
+        let outcome = self
+            .service()
+            .execute(&SolveRequest::Cra { method, pruning, seed: None })
+            .map_err(|e| e.to_string())?;
+        let Answer::Cra(answer) = &outcome.answer else { unreachable!("cra answer") };
+        let groups: Vec<Json> = (0..answer.assignment.num_papers())
+            .map(|p| Json::nums(answer.assignment.group(p).iter().map(|&r| r as f64)))
+            .collect();
+        let mut members = reply_head(true, proto);
+        members.extend([
+            ("op", Json::Str("assign".into())),
+            ("epoch", Json::Num(outcome.diag.epoch as f64)),
+        ]);
+        if proto == Protocol::V2 {
+            members.extend(v2_diag_members(
+                outcome.diag.cache,
+                outcome.diag.key.as_ref(),
+                outcome.diag.loss_bound,
+            ));
+        }
+        members.extend([
+            ("method", Json::Str(answer.method.label().into())),
+            ("coverage", Json::Num(answer.coverage)),
+            ("groups", Json::Arr(groups)),
+        ]);
+        members.extend(trace_member(request, proto, outcome.trace.as_deref()));
+        Ok(Json::obj(members))
+    }
+
+    /// `stats` bypasses admission: observability must work precisely when the
+    /// server is saturated and everything else answers `"busy"`.
+    fn stats(&self, request: &Json, proto: Protocol) -> Result<Json, String> {
+        let outcome = self.service().execute(&SolveRequest::Stats).map_err(|e| e.to_string())?;
+        let Answer::Stats(stats) = &outcome.answer else { unreachable!("stats answer") };
+        let mut members = reply_head(true, proto);
+        members.extend([
+            ("op", Json::Str("stats".into())),
+            ("epoch", Json::Num(outcome.diag.epoch as f64)),
+            ("papers", Json::Num(stats.papers as f64)),
+            ("reviewers", Json::Num(stats.reviewers as f64)),
+            ("topics", Json::Num(stats.topics as f64)),
+            ("delta_p", Json::Num(stats.delta_p as f64)),
+            ("delta_r", Json::Num(stats.delta_r as f64)),
+            ("scoring", Json::Str(stats.scoring.label().into())),
+        ]);
+        if let Some(s) = stats.support {
             members.push((
-                "durability",
+                "candidate_support",
                 Json::obj([
-                    ("wal_bytes", Json::Num(d.wal_bytes as f64)),
-                    ("wal_frames", Json::Num(d.wal_frames as f64)),
-                    ("fsyncs", Json::Num(d.fsyncs as f64)),
-                    ("last_fsync_epoch", Json::Num(d.last_fsync_epoch as f64)),
-                    ("checkpoints", Json::Num(d.checkpoints as f64)),
-                    ("last_checkpoint_epoch", Json::Num(d.last_checkpoint_epoch as f64)),
-                    ("fsync_policy", Json::Str(d.fsync_policy.label().into())),
-                    ("checkpoint_every", Json::Num(d.checkpoint_every as f64)),
-                    (
-                        "recovered",
-                        Json::obj([
-                            ("epochs", Json::Num(d.recovered.epochs as f64)),
-                            ("frames_replayed", Json::Num(d.recovered.frames_replayed as f64)),
-                            (
-                                "truncated_tail_bytes",
-                                Json::Num(d.recovered.truncated_tail_bytes as f64),
-                            ),
-                        ]),
-                    ),
+                    ("min", Json::Num(s.min as f64)),
+                    ("p25", Json::Num(s.p25 as f64)),
+                    ("median", Json::Num(s.median as f64)),
+                    ("p75", Json::Num(s.p75 as f64)),
+                    ("max", Json::Num(s.max as f64)),
                 ]),
             ));
         }
-        // Wall-clock timings are non-deterministic, so they are opt-in:
-        // golden sessions never request them.
-        if request.get("timings").and_then(Json::as_bool) == Some(true) {
+        if proto == Protocol::V2 {
             members.push((
-                "timings",
+                "cache",
                 Json::obj([
-                    ("last_build_us", Json::Num(stats.store.last_build.as_micros() as f64)),
-                    ("total_build_us", Json::Num(stats.store.total_build.as_micros() as f64)),
-                    ("last_publish_us", Json::Num(stats.store.last_publish.as_micros() as f64)),
-                    ("total_publish_us", Json::Num(stats.store.total_publish.as_micros() as f64)),
+                    ("size", Json::Num(stats.cache.size as f64)),
+                    ("cap", Json::Num(stats.cache.capacity as f64)),
+                    ("hits", Json::Num(stats.cache.hits as f64)),
+                    ("misses", Json::Num(stats.cache.misses as f64)),
+                    ("evictions", Json::Num(stats.cache.evictions as f64)),
                 ]),
             ));
+            // Front-end counters: deterministic for a sequential session
+            // (each single jra drains as its own batch of 1); golden
+            // multi-client sessions read v1 stats instead, since batch
+            // grouping under real concurrency depends on arrival order.
+            let front = self.counters();
+            members.push((
+                "frontend",
+                Json::obj([
+                    ("connections", Json::Num(front.connections as f64)),
+                    ("queued", Json::Num(front.queued as f64)),
+                    ("rejected", Json::Num(front.rejected as f64)),
+                    ("batches", Json::Num(front.batches as f64)),
+                    ("batched_requests", Json::Num(front.batched_requests as f64)),
+                    ("max_batch", Json::Num(front.max_batch as f64)),
+                ]),
+            ));
+            // Page counters and snapshot bytes are deterministic (derived from
+            // update contents, never wall clocks), so unlike `timings` they are
+            // safe in golden sessions and emitted unconditionally.
+            members.push((
+                "store",
+                Json::obj([
+                    ("batches", Json::Num(stats.store.batches as f64)),
+                    ("updates", Json::Num(stats.store.updates as f64)),
+                    ("pages_cloned", Json::Num(stats.store.total_pages_cloned as f64)),
+                    ("pages_shared", Json::Num(stats.store.total_pages_shared as f64)),
+                    ("last_pages_cloned", Json::Num(stats.store.last_pages_cloned as f64)),
+                    ("last_pages_shared", Json::Num(stats.store.last_pages_shared as f64)),
+                    ("snapshot_bytes", Json::Num(stats.store.last_snapshot_bytes as f64)),
+                    ("peak_snapshot_bytes", Json::Num(stats.store.peak_snapshot_bytes as f64)),
+                ]),
+            ));
+            // Durability counters (bytes, frames, epochs — never wall clocks)
+            // are deterministic for a fixed session, but the section only
+            // exists when a `--data-dir` is configured: durability-off sessions
+            // stay byte-identical to their pre-durability goldens.
+            if let Some(d) = &stats.durability {
+                members.push((
+                    "durability",
+                    Json::obj([
+                        ("wal_bytes", Json::Num(d.wal_bytes as f64)),
+                        ("wal_frames", Json::Num(d.wal_frames as f64)),
+                        ("fsyncs", Json::Num(d.fsyncs as f64)),
+                        ("last_fsync_epoch", Json::Num(d.last_fsync_epoch as f64)),
+                        ("checkpoints", Json::Num(d.checkpoints as f64)),
+                        ("last_checkpoint_epoch", Json::Num(d.last_checkpoint_epoch as f64)),
+                        ("fsync_policy", Json::Str(d.fsync_policy.label().into())),
+                        ("checkpoint_every", Json::Num(d.checkpoint_every as f64)),
+                        (
+                            "recovered",
+                            Json::obj([
+                                ("epochs", Json::Num(d.recovered.epochs as f64)),
+                                ("frames_replayed", Json::Num(d.recovered.frames_replayed as f64)),
+                                (
+                                    "truncated_tail_bytes",
+                                    Json::Num(d.recovered.truncated_tail_bytes as f64),
+                                ),
+                            ]),
+                        ),
+                    ]),
+                ));
+            }
+            // Wall-clock timings are non-deterministic, so they are opt-in:
+            // golden sessions never request them.
+            if request.get("timings").and_then(Json::as_bool) == Some(true) {
+                members.push((
+                    "timings",
+                    Json::obj([
+                        ("last_build_us", Json::Num(stats.store.last_build.as_micros() as f64)),
+                        ("total_build_us", Json::Num(stats.store.total_build.as_micros() as f64)),
+                        ("last_publish_us", Json::Num(stats.store.last_publish.as_micros() as f64)),
+                        (
+                            "total_publish_us",
+                            Json::Num(stats.store.total_publish.as_micros() as f64),
+                        ),
+                    ]),
+                ));
+            }
         }
+        members.extend(trace_member(request, proto, outcome.trace.as_deref()));
+        Ok(Json::obj(members))
     }
-    members.extend(trace_member(request, proto, outcome.trace.as_deref()));
-    Ok(Json::obj(members))
-}
-
-/// The v2 `metrics` op: a full registry snapshot. The default shape is
-/// deterministic for a fixed session (counters, gauges, histogram
-/// *counts* — golden-tested, rayon on or off); `"timings":true` adds
-/// wall-clock quantiles and `"slow":true` the slow-query log, both
-/// non-deterministic and never golden-diffed. Bypasses admission like
-/// `stats`: observability must work on a saturated server.
-fn handle_metrics(frontend: &Frontend, request: &Json, proto: Protocol) -> Result<Json, String> {
-    if proto != Protocol::V2 {
-        return Err("\"metrics\" requires protocol v2 (send \"v\":2)".into());
-    }
-    let timings = request.get("timings").and_then(Json::as_bool) == Some(true);
-    let telemetry = frontend.service().telemetry();
-    let mut obj = vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("v".to_string(), Json::Num(2.0)),
-        ("op".to_string(), Json::Str("metrics".into())),
-    ];
-    let Json::Obj(body) = telemetry.snapshot().to_json(timings) else {
-        unreachable!("snapshot renders an object")
-    };
-    obj.extend(body);
-    if request.get("slow").and_then(Json::as_bool) == Some(true) {
-        let slow = telemetry.traces().slow();
-        obj.push((
-            "slow".to_string(),
-            Json::Arr(slow.iter().map(|t| t.to_json(timings)).collect()),
-        ));
-    }
-    Ok(Json::Obj(obj))
 }
 
 #[cfg(test)]
@@ -1000,6 +1076,48 @@ coi alice p-17
         assert!(lines[1].contains("unknown op"));
         assert!(lines[2].contains("\"ok\":true"));
         assert!(lines[3].contains("\"ok\":true"));
+    }
+
+    /// Replies to a raw byte session, one string per line.
+    fn session(frontend: &Frontend, input: &[u8]) -> Vec<String> {
+        let mut out = Vec::new();
+        serve_connection(frontend, input, &mut out).unwrap();
+        String::from_utf8(out).unwrap().lines().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn deeply_nested_line_is_an_error_not_a_stack_overflow() {
+        // One line of 200 000 `[` used to overflow the parser's stack and
+        // abort the process, taking every connection with it.
+        let input = format!("{}\n{{\"op\":\"stats\"}}\n", "[".repeat(200_000));
+        let lines = session(&test_service(), input.as_bytes());
+        assert_eq!(lines.len(), 2);
+        assert!(
+            lines[0].starts_with(r#"{"ok":false,"error":"bad JSON: nesting deeper than 64"#),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[1].contains("\"ok\":true"), "{}", lines[1]);
+    }
+
+    #[test]
+    fn overlong_and_non_utf8_lines_are_skipped_with_errors() {
+        let padded = |len: usize| {
+            let head = r#"{"op":"stats","pad":""#;
+            format!("{head}{}\"}}\n", "x".repeat(len - head.len() - 2))
+        };
+        let mut input = padded(MAX_LINE_BYTES).into_bytes();
+        input.extend(padded(MAX_LINE_BYTES + 1).into_bytes());
+        input.extend(b"\xff\n{\"op\":\"stats\"}\n");
+        let lines = session(&test_service(), &input);
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("\"ok\":true"), "a line of exactly the limit is served");
+        assert_eq!(
+            lines[1],
+            format!(r#"{{"ok":false,"error":"request line longer than {MAX_LINE_BYTES} bytes"}}"#)
+        );
+        assert_eq!(lines[2], r#"{"ok":false,"error":"request line is not UTF-8"}"#);
+        assert!(lines[3].contains("\"ok\":true"), "{}", lines[3]);
     }
 
     #[test]
@@ -1196,7 +1314,7 @@ a {\"op\":\"stats\"}
                 // Accept exactly one connection for the test.
                 let (socket, _) = listener.accept().unwrap();
                 let reader = BufReader::new(socket.try_clone().unwrap());
-                serve_connection(&service, reader, socket).unwrap();
+                serve_connection(service.as_ref(), reader, socket).unwrap();
             })
         };
         let mut client = std::net::TcpStream::connect(addr).unwrap();

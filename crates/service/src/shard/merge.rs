@@ -1,27 +1,8 @@
-//! Gather kernels for the scatter side of sharded execution: merging
-//! per-shard top-k result lists in the unsharded tie-break order, and the
-//! cross-shard capacity-reconciliation pass CRA needs because per-shard
-//! solves only see their own slice of each reviewer's load.
+//! The cross-shard capacity-reconciliation pass the router's `assign`
+//! needs, because per-shard CRA solves only see their own slice of each
+//! reviewer's load.
 
 use crate::{Error, Result};
-use wgrap_core::jra::JraResult;
-
-/// Merge per-shard top-k result lists (each already sorted the way
-/// [`bba`](wgrap_core::jra::bba)'s bounded heap emits them: descending
-/// score under `total_cmp`) into one global top-k.
-///
-/// Tie-breaking is **bit-identical to the unsharded path**: the merge is
-/// exactly a stable descending sort of the concatenation in part order,
-/// which is the order `TopK::into_sorted` produces when one heap sees the
-/// same groups in that sequence — equal-scored groups keep their
-/// earlier-part-first order, and scores are compared with `total_cmp`, so
-/// `-0.0`/`0.0` and NaN payloads order the same way they do inside the
-/// solver's heap.
-pub fn merge_top_k(parts: &[Vec<JraResult>], k: usize) -> Vec<JraResult> {
-    let mut all: Vec<&JraResult> = parts.iter().flatten().collect();
-    all.sort_by(|a, b| b.score.total_cmp(&a.score));
-    all.into_iter().take(k).cloned().collect()
-}
 
 /// Rebalance reviewer load after per-shard CRA solves: each shard
 /// enforced `δr` against its own papers only, so a reviewer popular on
@@ -97,25 +78,6 @@ pub fn reconcile_capacity(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn res(score: f64, group: &[usize]) -> JraResult {
-        JraResult { group: group.to_vec(), score, nodes: 1 }
-    }
-
-    #[test]
-    fn merge_matches_stable_concat_sort() {
-        let parts = vec![
-            vec![res(0.9, &[0]), res(0.5, &[1])],
-            vec![res(0.9, &[2]), res(0.7, &[3]), res(0.1, &[4])],
-            vec![res(0.5, &[5])],
-        ];
-        let merged = merge_top_k(&parts, 4);
-        // Equal scores keep part order: [0] before [2], [1] before [5].
-        let groups: Vec<&[usize]> = merged.iter().map(|r| r.group.as_slice()).collect();
-        assert_eq!(groups, vec![&[0][..], &[2], &[3], &[1]]);
-        assert_eq!(merge_top_k(&parts, 0).len(), 0);
-        assert_eq!(merge_top_k(&parts, 99).len(), 6);
-    }
 
     #[test]
     fn reconcile_moves_overload_to_spare_capacity() {

@@ -1,6 +1,5 @@
-//! Shard-by-paper scale-out: a [`ShardedStore`] over per-shard
-//! [`VersionedStore`](crate::store::VersionedStore)s, and a scatter-gather
-//! NDJSON [`Router`] for multi-process deployments.
+//! Shard-by-paper scale-out: one scatter-gather [`Router`] in front of
+//! shards that are each a plain server over a slice of the papers.
 //!
 //! # Why papers are the shard key
 //!
@@ -13,37 +12,24 @@
 //! sub-instance: the same reviewers, a slice of the papers, the same
 //! `δp`/`δr`. Because a JRA query targets exactly one paper, routing it to
 //! the owning shard reproduces the unsharded solve *bit for bit* — same
-//! candidate row, same forbidden mask, same branch-and-bound trace — which
-//! is the property the shard proptests pin down.
-//!
-//! # Lockstep epochs
-//!
-//! An admitted [`Update`](crate::store::Update) batch is split by paper
-//! range (paper additions go to the last shard, reviewer changes broadcast
-//! to all) and applied under a two-phase prepare/publish: every affected
-//! shard's copy-on-write build runs first (each holding its store's
-//! builder gate), and only when **all** builds succeed are they published,
-//! in shard order, under one global epoch. Any build failure drops every
-//! pending build — no shard ever publishes a batch another shard rejected.
+//! candidate row, same forbidden mask, same branch-and-bound trace — so
+//! the router forwards request lines and returns the shard's reply bytes.
 //!
 //! # Module map
 //!
-//! * [`plan`] — [`ShardPlan`]: contiguous paper ranges, update splitting,
-//!   sub-instance construction.
-//! * [`store`] — [`ShardedStore`]: lockstep apply, scatter-gather JRA,
-//!   CRA with cross-shard capacity reconciliation.
-//! * [`merge`] — gather kernels: top-k merging with the unsharded
-//!   tie-break order, and the capacity-reconciliation pass.
-//! * [`router`] — [`Router`]: the `wgrap serve --router` front-end that
-//!   speaks NDJSON v1/v2 upstream and fans out to shard processes over
-//!   TCP, degrading to structured `"shard_down"` errors when a downstream
-//!   is unreachable.
+//! * [`plan`] — [`ShardPlan`]: contiguous paper ranges and sub-instance
+//!   construction (`wgrap shard` writes one file per range).
+//! * [`router`] — [`Router`]: the [`Backend`](crate::server::Backend)
+//!   behind `wgrap serve --router`. Its shards are [`Link`]s: shard
+//!   processes over TCP, or in-process front-ends called through the same
+//!   wire layer. An unreachable shard degrades to a structured
+//!   `"shard_down"` error.
+//! * [`merge`] — the cross-shard capacity-reconciliation pass behind
+//!   the router's `assign`.
 
 pub mod merge;
 pub mod plan;
 pub mod router;
-pub mod store;
 
 pub use plan::ShardPlan;
-pub use router::{serve_router_connection, serve_router_tcp, Router, RouterOptions};
-pub use store::{ShardedCraAnswer, ShardedStore};
+pub use router::{Link, Router};

@@ -1,17 +1,14 @@
 //! [`ShardPlan`]: the partition of papers into contiguous shard ranges,
-//! plus the two derived splits everything else builds on — splitting an
-//! [`Update`] batch into per-shard sub-batches and splitting an
-//! [`Instance`] into per-shard sub-instances.
+//! and the split of an [`Instance`] into per-shard sub-instances.
 //!
 //! Contiguity is the invariant that keeps global ↔ local paper-id
 //! translation a subtraction: shard `s` owns the half-open range
 //! `[start(s), end(s))` of global ids, and global id `p` maps to local id
 //! `p - start(s)` on its owning shard. Appending papers preserves it for
 //! free: a freshly added paper takes the next global id, which is the end
-//! of the **last** shard's range — so `AddPaper` updates always route
+//! of the **last** shard's range — so `add_paper` updates always route
 //! there and the plan just grows its last bound.
 
-use crate::store::Update;
 use crate::{Error, Result};
 use std::ops::Range;
 use wgrap_core::prelude::Instance;
@@ -92,28 +89,6 @@ impl ShardPlan {
     /// **last** shard's range (global ids are assigned at the end).
     pub fn note_papers_added(&mut self, added: usize) {
         *self.ends.last_mut().expect("a plan has at least one shard") += added;
-    }
-
-    /// Split an update batch into per-shard sub-batches, order preserved
-    /// within each: `AddPaper` routes to the last shard (the new global id
-    /// lands at the end of its range), every reviewer-side update
-    /// broadcasts to all shards (the pool is replicated).
-    pub fn split_updates(&self, updates: &[Update]) -> Vec<Vec<Update>> {
-        let mut split: Vec<Vec<Update>> = vec![Vec::new(); self.num_shards()];
-        let last = self.num_shards() - 1;
-        for update in updates {
-            match update {
-                Update::AddPaper { .. } => split[last].push(update.clone()),
-                Update::AddReviewer { .. }
-                | Update::RetireReviewer { .. }
-                | Update::PatchScores { .. } => {
-                    for sub in &mut split {
-                        sub.push(update.clone());
-                    }
-                }
-            }
-        }
-        split
     }
 
     /// Split `inst` into one sub-instance per shard: the shard's paper
@@ -210,22 +185,6 @@ mod tests {
         assert_eq!(plan.num_papers(), 8);
         assert_eq!(plan.range(2), 4..8);
         assert_eq!(plan.locate(7), Some((2, 3)));
-    }
-
-    #[test]
-    fn updates_split_by_kind() {
-        let plan = ShardPlan::balanced(6, 3).unwrap();
-        let updates = [
-            Update::AddPaper { name: None, topics: tv(&[1.0]), coi: vec![] },
-            Update::PatchScores { reviewer: 0, expertise: tv(&[0.5]) },
-            Update::AddPaper { name: None, topics: tv(&[0.3]), coi: vec![] },
-        ];
-        let split = plan.split_updates(&updates);
-        assert_eq!(split.iter().map(Vec::len).collect::<Vec<_>>(), vec![1, 1, 3]);
-        // Order preserved on the last shard: paper, patch, paper.
-        assert!(matches!(split[2][0], Update::AddPaper { .. }));
-        assert!(matches!(split[2][1], Update::PatchScores { .. }));
-        assert!(matches!(split[2][2], Update::AddPaper { .. }));
     }
 
     #[test]

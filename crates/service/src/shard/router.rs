@@ -1,7 +1,11 @@
-//! [`Router`]: the `wgrap serve --router` front-end. Speaks the existing
-//! NDJSON v1/v2 protocol upstream and fans requests out to shard
-//! processes (each a plain `wgrap serve --listen` over its sub-instance)
-//! downstream, merging answers into one aggregated response.
+//! [`Router`]: the sharding [`Backend`] behind `wgrap serve --router`. The
+//! shared wire layer ([`crate::server`]) parses and counts each request and
+//! hands the five data ops here; the router fans them out to its shards and
+//! merges the answers. A shard is a [`Link`]: a shard process (a plain
+//! `wgrap serve --listen` over its sub-instance) or an in-process
+//! [`Frontend`] called through the same [`handle_line`]. Requests travel
+//! down as protocol lines and routed answers come back verbatim, so a
+//! shard's `key`, `cache` and reviewer names reach the client unchanged.
 //!
 //! # Routing
 //!
@@ -17,20 +21,21 @@
 //!   no single downstream outcome to report).
 //! * `update` splits by kind — `add_paper` to the last shard, reviewer
 //!   updates broadcast — after replaying the unsharded global capacity
-//!   check. The **last shard applies first**: it is the only shard whose
-//!   failures are shard-specific (its sub-batch carries the `add_paper`
-//!   entries), so a rejection there aborts the fan-out before any other
-//!   shard diverges; the remaining failure modes are common to all shards
-//!   (the broadcast entries are identical), which keeps replicas in
-//!   agreement without a cross-process two-phase commit.
+//!   check. One router-wide gate holds from that check through the
+//!   fan-out to the plan/reviewer-count/epoch bump, so concurrent batches
+//!   reach every shard in the same order and every shard hands out the
+//!   same reviewer ids. The **last shard applies first**: it is the only
+//!   shard whose failures are shard-specific (its sub-batch carries the
+//!   `add_paper` entries), so a rejection there aborts the fan-out before
+//!   any other shard diverges; the remaining failure modes are common to
+//!   all shards (the broadcast entries are identical).
 //! * `assign` runs per-shard CRA solves, concatenates the groups in shard
 //!   order, then runs the cross-shard
 //!   [capacity-reconciliation pass](crate::shard::merge::reconcile_capacity)
 //!   with `δp = 1` JRA requests to the owning shards as the substitute
 //!   oracle. The response adds a `swaps` member; `coverage` is the sum of
-//!   the per-shard solver coverages (the router holds no scores, so it
-//!   cannot re-score after swaps — the in-process
-//!   [`ShardedStore`](crate::shard::ShardedStore) does).
+//!   the per-shard solver coverages *before* the swaps (the router holds
+//!   no scores, so it cannot re-score the reconciled groups).
 //! * `stats` aggregates (papers sum across shards, shared members from
 //!   the first reachable shard) and, under v2, appends the `"shards"`
 //!   section: per shard its paper `range`, `epoch`, `papers`, downstream
@@ -42,52 +47,38 @@
 //! A downstream that cannot be reached (after one reconnect attempt)
 //! yields a structured `{"ok":false,"shard":N,"error":"shard_down: shard
 //! N unreachable"}` response — never a hang. Reads against live shards
-//! keep working; `batch` degrades per entry. Startup is strict: every
-//! shard must answer the initial `stats` probe, because the shard plan is
-//! built from the reported paper counts.
+//! keep working; `batch` degrades per entry. A shard that dies in the
+//! middle of an `update` fan-out leaves the shards before it applied:
+//! there is no rollback, which would need a prepare/commit wire op.
+//! Startup is strict: every shard must answer the initial `stats` probe,
+//! because the shard plan is built from the reported paper counts.
 
+use crate::frontend::Frontend;
 use crate::json::{self, Json};
+use crate::server::{error_reply, handle_line, reply_head, Backend, Protocol, RequestCounters};
 use crate::shard::{merge, ShardPlan};
 use crate::telemetry::{Counter, Gauge, Telemetry};
 use crate::{Error, Result};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The fixed request-counter whitelist (mirrors the front-end's): only
-/// known ops mint `requests_total{op=…}` series, so attacker-controlled
-/// op strings can never grow the registry.
-const COUNTED_OPS: [&str; 6] = ["jra", "batch", "update", "assign", "stats", "metrics"];
-
-/// Upstream protocol version of one request (mirrors the server's
-/// private negotiation: no `"v"` means v1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Proto {
-    V1,
-    V2,
+/// How the router reaches one shard.
+pub enum Link {
+    /// A shard process serving `--listen` at this `HOST:PORT`, over one
+    /// persistent connection.
+    Tcp(String),
+    /// An in-process shard, called through the same wire layer a shard
+    /// process runs.
+    Local(Arc<Frontend>),
 }
 
-/// Router configuration.
-#[derive(Debug, Clone)]
-pub struct RouterOptions {
-    /// Record telemetry (the `wgrap_shard_*` series and per-op request
-    /// counters). `false` swaps in a no-op registry.
-    pub telemetry: bool,
-}
-
-impl Default for RouterOptions {
-    fn default() -> Self {
-        Self { telemetry: true }
-    }
-}
-
-/// One downstream shard: its address, the persistent connection, and its
-/// telemetry series.
-#[derive(Debug)]
+/// One downstream shard: its link, the persistent connection of a TCP
+/// link, and its telemetry series.
 struct ShardConn {
-    addr: String,
+    link: Link,
     conn: Mutex<Option<BufReader<TcpStream>>>,
     /// Requests the router sent (or tried to send) to this shard.
     requests: Arc<Counter>,
@@ -100,11 +91,18 @@ struct ShardConn {
 }
 
 impl ShardConn {
-    /// One request/response round trip on the persistent connection, with
-    /// a single reconnect attempt when the connection is stale (the shard
-    /// may have restarted since the last request).
+    /// One request/response round trip. A TCP link uses its persistent
+    /// connection, with a single reconnect attempt when the connection is
+    /// stale (the shard may have restarted since the last request).
     fn request(&self, line: &str) -> io::Result<String> {
         self.requests.inc();
+        let addr = match &self.link {
+            Link::Tcp(addr) => addr,
+            Link::Local(frontend) => {
+                self.up.set(1);
+                return Ok(handle_line(frontend.as_ref(), line).to_string());
+            }
+        };
         fn round_trip(conn: &mut BufReader<TcpStream>, line: &str) -> io::Result<String> {
             let stream = conn.get_mut();
             stream.write_all(line.as_bytes())?;
@@ -129,7 +127,7 @@ impl ShardConn {
                 Err(_) => *guard = None,
             }
         }
-        let fresh = TcpStream::connect(&self.addr)
+        let fresh = TcpStream::connect(addr)
             .map(BufReader::new)
             .and_then(|mut conn| round_trip(&mut conn, line).map(|r| (conn, r)));
         match fresh {
@@ -147,10 +145,9 @@ impl ShardConn {
     }
 }
 
-/// The scatter-gather front-end over N shard processes. Internally
-/// synchronized (`&self` everywhere) — share it behind an `Arc` across
-/// connection threads, like a [`Frontend`](crate::frontend::Frontend).
-#[derive(Debug)]
+/// The scatter-gather [`Backend`] over N shards. Internally synchronized
+/// (`&self` everywhere) — share it behind an `Arc` across connection
+/// threads, like a [`Frontend`].
 pub struct Router {
     shards: Vec<ShardConn>,
     plan: Mutex<ShardPlan>,
@@ -162,7 +159,12 @@ pub struct Router {
     /// The router's global epoch: update requests routed successfully.
     /// Matches an unsharded store's epoch for the same session.
     epoch: AtomicU64,
+    /// Held by one `update` from its capacity check through the fan-out to
+    /// the bookkeeping, so concurrent batches reach every shard in the same
+    /// order and pass the capacity check one after another.
+    update_gate: Mutex<()>,
     telemetry: Arc<Telemetry>,
+    requests: RequestCounters,
     started: Instant,
 }
 
@@ -172,17 +174,16 @@ impl Router {
     /// global paper order). Startup is strict — an unreachable shard or
     /// one whose reviewer pool / `δ` parameters disagree with shard 0 is
     /// an error.
-    pub fn connect(addrs: &[String], options: RouterOptions) -> Result<Self> {
-        if addrs.is_empty() {
+    pub fn connect(links: Vec<Link>) -> Result<Self> {
+        if links.is_empty() {
             return Err(Error::InvalidInstance("need at least one shard address".into()));
         }
-        let telemetry =
-            Arc::new(if options.telemetry { Telemetry::new() } else { Telemetry::disabled() });
-        let shards: Vec<ShardConn> = addrs
-            .iter()
+        let telemetry = Arc::new(Telemetry::new());
+        let shards: Vec<ShardConn> = links
+            .into_iter()
             .enumerate()
-            .map(|(s, addr)| ShardConn {
-                addr: addr.clone(),
+            .map(|(s, link)| ShardConn {
+                link,
                 conn: Mutex::new(None),
                 requests: telemetry.counter(&format!("shard_requests_total{{shard=\"{s}\"}}")),
                 downs: telemetry.counter(&format!("shard_down_total{{shard=\"{s}\"}}")),
@@ -194,7 +195,8 @@ impl Router {
         let mut pool = None;
         for (s, shard) in shards.iter().enumerate() {
             let response = shard.request(r#"{"v":2,"op":"stats"}"#).map_err(|e| {
-                Error::Io(format!("shard {s} ({}) unreachable at startup: {e}", shard.addr))
+                let Link::Tcp(addr) = &shard.link else { unreachable!("local shards answer") };
+                Error::Io(format!("shard {s} ({addr}) unreachable at startup: {e}"))
             })?;
             let stats = json::parse(&response)
                 .map_err(|e| Error::Io(format!("shard {s}: bad stats response: {e}")))?;
@@ -225,16 +227,11 @@ impl Router {
             delta_p,
             delta_r,
             epoch: AtomicU64::new(0),
+            update_gate: Mutex::new(()),
+            requests: RequestCounters::new(&telemetry),
             telemetry,
             started: Instant::now(),
         })
-    }
-
-    /// The router's telemetry registry (the CLI serves it on
-    /// `--metrics-listen`, where the shard series appear as
-    /// `wgrap_shard_*`).
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
     }
 
     /// Number of downstream shards.
@@ -242,60 +239,50 @@ impl Router {
         self.shards.len()
     }
 
-    /// Handle one request line and render the aggregated response (never
-    /// panics on bad input — every error becomes an `{"ok":false,...}`
-    /// response, every unreachable shard a structured `shard_down`).
-    pub fn handle_line(&self, line: &str) -> Json {
-        let request = match json::parse(line) {
-            Ok(v) => v,
-            Err(e) => return error_response(&format!("bad JSON: {e}")),
-        };
-        let proto = match request.get("v") {
-            None => Proto::V1,
-            Some(v) => match v.as_usize() {
-                Some(1) => Proto::V1,
-                Some(2) => Proto::V2,
-                _ => return error_response("unsupported protocol version (valid: 1, 2)"),
-            },
-        };
-        let Some(op) = request.get("op").and_then(Json::as_str) else {
-            return versioned_error(proto, "missing \"op\"");
-        };
-        if COUNTED_OPS.contains(&op) {
-            self.telemetry.counter(&format!("requests_total{{op=\"{op}\"}}")).inc();
-        }
-        let result = match op {
-            "jra" => self.route_jra(&request, proto),
-            "batch" => self.route_batch(&request, proto),
-            "update" => self.route_update(&request, proto),
-            "assign" => self.route_assign(&request, proto),
-            "stats" => self.route_stats(&request, proto),
-            "metrics" => self.route_metrics(&request, proto),
-            other => Err(format!("unknown op '{other}'")),
-        };
-        match result {
-            Ok(v) => v,
-            Err(e) => versioned_error(proto, &e),
-        }
-    }
-
     /// Forward `line` to shard `s` and parse its response; an unreachable
     /// shard becomes the structured `shard_down` response.
-    fn forward(&self, s: usize, line: &str, proto: Proto) -> Json {
+    fn forward(&self, s: usize, line: &str, proto: Protocol) -> Json {
         match self.shards[s].request(line) {
             Ok(response) => match json::parse(&response) {
                 Ok(v) => v,
-                Err(e) => versioned_error(proto, &format!("shard {s}: bad response JSON: {e}")),
+                Err(e) => error_reply(proto, &format!("shard {s}: bad response JSON: {e}")),
             },
             Err(_) => shard_down_response(proto, s),
         }
     }
 
+    /// Send `line` to shard `s` and return its successful reply: `Ok(None)`
+    /// when the shard is unreachable, `Err` with the shard's own message
+    /// when it answered with an error.
+    fn request_ok(&self, s: usize, line: &str) -> std::result::Result<Option<Json>, String> {
+        let Ok(response) = self.shards[s].request(line) else {
+            return Ok(None);
+        };
+        let response =
+            json::parse(&response).map_err(|e| format!("shard {s}: bad response JSON: {e}"))?;
+        if response.get("ok").and_then(Json::as_bool) == Some(true) {
+            return Ok(Some(response));
+        }
+        Err(response.get("error").and_then(Json::as_str).unwrap_or("malformed shard error").into())
+    }
+
     fn plan(&self) -> ShardPlan {
         self.plan.lock().expect("router plan lock").clone()
     }
+}
 
-    fn route_jra(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
+impl Backend for Router {
+    /// The router's own registry (the CLI serves it on `--metrics-listen`,
+    /// where the shard series appear as `wgrap_shard_*`).
+    fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
+    }
+
+    fn request_counters(&self) -> &RequestCounters {
+        &self.requests
+    }
+
+    fn jra(&self, request: &Json, proto: Protocol) -> std::result::Result<Json, String> {
         let plan = self.plan();
         if let Some(p) = request.get("paper_id").and_then(Json::as_usize) {
             let Some((s, local)) = plan.locate(p) else {
@@ -311,35 +298,17 @@ impl Router {
             return Ok(self.forward(s, &forwarded.to_string(), proto));
         }
         if let Some(name) = request.get("paper_name").and_then(Json::as_str) {
-            // Scatter in shard order; the owning shard answers, the others
-            // report the name as unknown. A non-"unknown paper" error from
-            // the owning shard (bad delta_p, infeasible, …) wins over the
-            // unknown-name noise from the rest.
+            // Scatter in shard order, stopping at the owning shard's answer.
             let line = request.to_string();
-            let unknown = format!("unknown paper '{name}'");
-            let mut real_error = None;
-            let mut fallback = None;
-            for s in 0..plan.num_shards() {
-                let response = self.forward(s, &line, proto);
-                if response.get("ok").and_then(Json::as_bool) == Some(true) {
-                    return Ok(response);
-                }
-                let is_unknown =
-                    response.get("error").and_then(Json::as_str) == Some(unknown.as_str());
-                if !is_unknown && real_error.is_none() {
-                    real_error = Some(response);
-                } else if fallback.is_none() {
-                    fallback = Some(response);
-                }
-            }
-            return Ok(real_error.or(fallback).expect("at least one shard"));
+            let replies = (0..plan.num_shards()).map(|s| self.forward(s, &line, proto));
+            return Ok(pick_scattered(replies, name));
         }
         // Ad-hoc vectors (and malformed requests, which shard 0 rejects
         // with the standard error) go to shard 0.
         Ok(self.forward(0, &request.to_string(), proto))
     }
 
-    fn route_batch(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
+    fn batch(&self, request: &Json, proto: Protocol) -> std::result::Result<Json, String> {
         let plan = self.plan();
         let queries =
             request.get("queries").and_then(Json::as_arr).ok_or("\"queries\" must be an array")?;
@@ -401,7 +370,7 @@ impl Router {
                 continue;
             }
             let mut members = Vec::new();
-            if proto == Proto::V2 {
+            if proto == Protocol::V2 {
                 members.push(("v", Json::Num(2.0)));
             }
             members.push(("op", Json::Str("batch".into())));
@@ -409,19 +378,9 @@ impl Router {
                 members.push(("pruning", pruning.clone()));
             }
             members.push(("queries", Json::Arr(sub)));
-            match self.shards[s].request(&Json::obj(members).to_string()) {
-                Err(_) => answers.push(ShardAnswer::Down),
-                Ok(response) => {
-                    let response = json::parse(&response)
-                        .map_err(|e| format!("shard {s}: bad response JSON: {e}"))?;
-                    if response.get("ok").and_then(Json::as_bool) != Some(true) {
-                        let message = response
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("malformed shard error")
-                            .to_string();
-                        return Err(message);
-                    }
+            match self.request_ok(s, &Json::obj(members).to_string())? {
+                None => answers.push(ShardAnswer::Down),
+                Some(response) => {
                     let results = response
                         .get("results")
                         .and_then(Json::as_arr)
@@ -431,56 +390,34 @@ impl Router {
             }
         }
         // Gather positionally.
+        let entry = |shard: usize, index: usize| match &answers[shard] {
+            ShardAnswer::Results(entries) => entries[index].clone(),
+            ShardAnswer::Down => shard_down_response(Protocol::V1, shard),
+            ShardAnswer::Unused => unreachable!("every slot's shard got a sub-batch"),
+        };
         let results: Vec<Json> = slots
             .into_iter()
             .map(|slot| match slot {
-                Slot::Failed(message) => entry_error(&message),
-                Slot::Routed { shard, index } => match &answers[shard] {
-                    ShardAnswer::Results(entries) => entries[index].clone(),
-                    ShardAnswer::Down => shard_down_entry(shard),
-                    ShardAnswer::Unused => unreachable!("routed entries fill their sub-batch"),
-                },
-                Slot::Scatter { indexes, name } => {
-                    let unknown = format!("unknown paper '{name}'");
-                    let mut real_error = None;
-                    let mut fallback = None;
-                    for (shard, &index) in indexes.iter().enumerate() {
-                        let entry = match &answers[shard] {
-                            ShardAnswer::Results(entries) => entries[index].clone(),
-                            ShardAnswer::Down => shard_down_entry(shard),
-                            ShardAnswer::Unused => {
-                                unreachable!("scatter entries fill every sub-batch")
-                            }
-                        };
-                        if entry.get("ok").and_then(Json::as_bool) == Some(true) {
-                            return entry;
-                        }
-                        let is_unknown =
-                            entry.get("error").and_then(Json::as_str) == Some(unknown.as_str());
-                        if !is_unknown && real_error.is_none() {
-                            real_error = Some(entry);
-                        } else if fallback.is_none() {
-                            fallback = Some(entry);
-                        }
-                    }
-                    real_error.or(fallback).expect("at least one shard")
-                }
+                Slot::Failed(message) => error_reply(Protocol::V1, &message),
+                Slot::Routed { shard, index } => entry(shard, index),
+                Slot::Scatter { indexes, name } => pick_scattered(
+                    indexes.iter().enumerate().map(|(shard, &index)| entry(shard, index)),
+                    &name,
+                ),
             })
             .collect();
-        let mut members = vec![("ok", Json::Bool(true))];
-        if proto == Proto::V2 {
-            members.push(("v", Json::Num(2.0)));
-        }
+        let mut members = reply_head(true, proto);
         members.push(("op", Json::Str("batch".into())));
         members.push(("epoch", Json::Num(self.epoch.load(Ordering::Acquire) as f64)));
         members.push(("results", Json::Arr(results)));
         Ok(Json::obj(members))
     }
 
-    fn route_update(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
-        let plan = self.plan();
+    fn update(&self, request: &Json, proto: Protocol) -> std::result::Result<Json, String> {
         let items =
             request.get("updates").and_then(Json::as_arr).ok_or("\"updates\" must be an array")?;
+        let _gate = self.update_gate.lock().expect("router update gate");
+        let plan = self.plan();
         let kind_of = |entry: &Json| -> Option<String> {
             entry.get("kind").and_then(Json::as_str).map(str::to_string)
         };
@@ -533,18 +470,8 @@ impl Router {
                 ("op", Json::Str("update".into())),
                 ("updates", Json::Arr(std::mem::take(&mut subs[s]))),
             ]);
-            let response = match self.shards[s].request(&body.to_string()) {
-                Err(_) => return Ok(shard_down_response(proto, s)),
-                Ok(r) => {
-                    json::parse(&r).map_err(|e| format!("shard {s}: bad response JSON: {e}"))?
-                }
-            };
-            if response.get("ok").and_then(Json::as_bool) != Some(true) {
-                return Err(response
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("malformed shard error")
-                    .to_string());
+            if self.request_ok(s, &body.to_string())?.is_none() {
+                return Ok(shard_down_response(proto, s));
             }
         }
         let added_papers =
@@ -560,10 +487,7 @@ impl Router {
         } else {
             self.epoch.fetch_add(1, Ordering::AcqRel) + 1
         };
-        let mut members = vec![("ok", Json::Bool(true))];
-        if proto == Proto::V2 {
-            members.push(("v", Json::Num(2.0)));
-        }
+        let mut members = reply_head(true, proto);
         members.extend([
             ("op", Json::Str("update".into())),
             ("epoch", Json::Num(epoch as f64)),
@@ -574,10 +498,10 @@ impl Router {
         Ok(Json::obj(members))
     }
 
-    fn route_assign(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
+    fn assign(&self, request: &Json, proto: Protocol) -> std::result::Result<Json, String> {
         let plan = self.plan();
         let mut body = Vec::new();
-        if proto == Proto::V2 {
+        if proto == Protocol::V2 {
             body.push(("v", Json::Num(2.0)));
         }
         body.push(("op", Json::Str("assign".into())));
@@ -594,19 +518,9 @@ impl Router {
             if plan.range(s).is_empty() {
                 continue;
             }
-            let response = match self.shards[s].request(&line) {
-                Err(_) => return Ok(shard_down_response(proto, s)),
-                Ok(r) => {
-                    json::parse(&r).map_err(|e| format!("shard {s}: bad response JSON: {e}"))?
-                }
+            let Some(response) = self.request_ok(s, &line)? else {
+                return Ok(shard_down_response(proto, s));
             };
-            if response.get("ok").and_then(Json::as_bool) != Some(true) {
-                return Err(response
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("malformed shard error")
-                    .to_string());
-            }
             coverage += response
                 .get("coverage")
                 .and_then(Json::as_f64)
@@ -642,18 +556,12 @@ impl Router {
                 if let Some(pruning) = &pruning {
                     oracle.push(("pruning", pruning.clone()));
                 }
-                let response = self.shards[s]
-                    .request(&Json::obj(oracle).to_string())
-                    .map_err(|_| Error::Infeasible(format!("shard_down: shard {s} unreachable")))?;
-                let response = json::parse(&response)
-                    .map_err(|e| Error::Infeasible(format!("shard {s}: bad response JSON: {e}")))?;
-                if response.get("ok").and_then(Json::as_bool) != Some(true) {
-                    let message = response
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("malformed shard error");
-                    return Err(Error::Infeasible(message.to_string()));
-                }
+                let response = self
+                    .request_ok(s, &Json::obj(oracle).to_string())
+                    .map_err(Error::Infeasible)?
+                    .ok_or_else(|| {
+                        Error::Infeasible(format!("shard_down: shard {s} unreachable"))
+                    })?;
                 response
                     .get("results")
                     .and_then(Json::as_arr)
@@ -675,10 +583,7 @@ impl Router {
         })?;
         let group_json: Vec<Json> =
             groups.iter().map(|g| Json::nums(g.iter().map(|&r| r as f64))).collect();
-        let mut members = vec![("ok", Json::Bool(true))];
-        if proto == Proto::V2 {
-            members.push(("v", Json::Num(2.0)));
-        }
+        let mut members = reply_head(true, proto);
         members.extend([
             ("op", Json::Str("assign".into())),
             ("epoch", Json::Num(self.epoch.load(Ordering::Acquire) as f64)),
@@ -690,7 +595,7 @@ impl Router {
         Ok(Json::obj(members))
     }
 
-    fn route_stats(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
+    fn stats(&self, request: &Json, proto: Protocol) -> std::result::Result<Json, String> {
         let plan = self.plan();
         let timings = request.get("timings").and_then(Json::as_bool) == Some(true);
         let mut shard_entries = Vec::with_capacity(plan.num_shards());
@@ -744,10 +649,7 @@ impl Router {
         let Some(shared) = shared else {
             return Err("shard_down: all shards unreachable".into());
         };
-        let mut members = vec![("ok", Json::Bool(true))];
-        if proto == Proto::V2 {
-            members.push(("v", Json::Num(2.0)));
-        }
+        let mut members = reply_head(true, proto);
         members.extend([
             ("op", Json::Str("stats".into())),
             ("epoch", Json::Num(self.epoch.load(Ordering::Acquire) as f64)),
@@ -758,78 +660,44 @@ impl Router {
                 members.push((key, v.clone()));
             }
         }
-        if proto == Proto::V2 {
+        if proto == Protocol::V2 {
             members.push(("shards", Json::Arr(shard_entries)));
         }
         Ok(Json::obj(members))
-    }
-
-    fn route_metrics(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
-        if proto != Proto::V2 {
-            return Err("\"metrics\" requires protocol v2 (send \"v\":2)".into());
-        }
-        let timings = request.get("timings").and_then(Json::as_bool) == Some(true);
-        let mut obj = vec![
-            ("ok".to_string(), Json::Bool(true)),
-            ("v".to_string(), Json::Num(2.0)),
-            ("op".to_string(), Json::Str("metrics".into())),
-        ];
-        let Json::Obj(body) = self.telemetry.snapshot().to_json(timings) else {
-            unreachable!("snapshot renders an object")
-        };
-        obj.extend(body);
-        if request.get("slow").and_then(Json::as_bool) == Some(true) {
-            let slow = self.telemetry.traces().slow();
-            obj.push((
-                "slow".to_string(),
-                Json::Arr(slow.iter().map(|t| t.to_json(timings)).collect()),
-            ));
-        }
-        Ok(Json::Obj(obj))
-    }
-}
-
-fn error_response(message: &str) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(message.into()))])
-}
-
-fn versioned_error(proto: Proto, message: &str) -> Json {
-    match proto {
-        Proto::V1 => error_response(message),
-        Proto::V2 => Json::obj([
-            ("ok", Json::Bool(false)),
-            ("v", Json::Num(2.0)),
-            ("error", Json::Str(message.into())),
-        ]),
     }
 }
 
 /// The structured degraded-mode response: the shard exists in the plan
 /// but cannot be reached. `"shard"` tells the operator which process to
 /// look at; the error string is deterministic (no OS error text), so
-/// degradation cases can be golden-tested.
-fn shard_down_response(proto: Proto, s: usize) -> Json {
-    let mut members = vec![("ok", Json::Bool(false))];
-    if proto == Proto::V2 {
-        members.push(("v", Json::Num(2.0)));
-    }
+/// degradation cases can be golden-tested. Per-entry `batch` errors take
+/// the v1 shape, like every per-entry error.
+fn shard_down_response(proto: Protocol, s: usize) -> Json {
+    let mut members = reply_head(false, proto);
     members.push(("shard", Json::Num(s as f64)));
     members.push(("error", Json::Str(format!("shard_down: shard {s} unreachable"))));
     Json::obj(members)
 }
 
-/// Per-entry `batch` variant of [`shard_down_response`] (no `"v"`, like
-/// every per-entry error).
-fn shard_down_entry(s: usize) -> Json {
-    Json::obj([
-        ("ok", Json::Bool(false)),
-        ("shard", Json::Num(s as f64)),
-        ("error", Json::Str(format!("shard_down: shard {s} unreachable"))),
-    ])
-}
-
-fn entry_error(message: &str) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(message.into()))])
+/// Pick the reply to a by-name query scattered across the shards, in shard
+/// order: the first success (the owning shard's answer); else the first
+/// error that is not "unknown paper" (the owning shard's real failure —
+/// bad `delta_p`, infeasible, …); else the first reply. Stops consuming
+/// `replies` at the first success.
+fn pick_scattered(replies: impl IntoIterator<Item = Json>, name: &str) -> Json {
+    let unknown = format!("unknown paper '{name}'");
+    let (mut real_error, mut fallback) = (None, None);
+    for reply in replies {
+        if reply.get("ok").and_then(Json::as_bool) == Some(true) {
+            return reply;
+        }
+        if reply.get("error").and_then(Json::as_str) != Some(unknown.as_str()) {
+            real_error = real_error.or(Some(reply));
+        } else {
+            fallback = fallback.or(Some(reply));
+        }
+    }
+    real_error.or(fallback).expect("at least one shard")
 }
 
 /// Replace an existing member's value in a JSON object (no-op when the
@@ -842,50 +710,12 @@ fn set_member(obj: &mut Json, key: &str, value: Json) {
     }
 }
 
-/// Run a request/response session against the router: one JSON request
-/// per input line, one JSON response per line on `out`, until EOF —
-/// the router-side mirror of
-/// [`serve_connection`](crate::server::serve_connection).
-pub fn serve_router_connection<R: BufRead, W: Write>(
-    router: &Router,
-    input: R,
-    mut out: W,
-) -> io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = router.handle_line(&line);
-        writeln!(out, "{response}")?;
-        out.flush()?;
-    }
-    Ok(())
-}
-
-/// Accept TCP connections forever, one thread per connection, all sharing
-/// the router (downstream connections are per-shard and internally
-/// locked). The listener is bound by the caller so tests can pick port 0.
-pub fn serve_router_tcp(listener: TcpListener, router: Arc<Router>) -> io::Result<()> {
-    loop {
-        let (socket, _) = listener.accept()?;
-        let router = Arc::clone(&router);
-        std::thread::spawn(move || {
-            let reader = BufReader::new(match socket.try_clone() {
-                Ok(s) => s,
-                Err(_) => return,
-            });
-            let _ = serve_router_connection(&router, reader, socket);
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::Service;
-    use crate::frontend::Frontend;
-    use crate::server::{handle_line, serve_tcp};
+    use crate::server::serve_tcp;
+    use std::net::TcpListener;
     use wgrap_core::prelude::{Instance, Scoring};
     use wgrap_core::topic::TopicVector;
 
@@ -914,43 +744,43 @@ mod tests {
         inst
     }
 
-    fn shard_frontend(sub: Instance) -> Arc<Frontend> {
+    /// An unsharded server over `inst`.
+    fn frontend(inst: Instance) -> Arc<Frontend> {
         Arc::new(Frontend::with_defaults(Arc::new(Service::new(
-            sub,
+            inst,
             Scoring::WeightedCoverage,
             42,
         ))))
     }
 
-    /// Launch one in-process shard server per sub-instance; returns their
-    /// addresses.
-    fn spawn_shards(inst: &Instance, n: usize) -> Vec<String> {
+    /// One in-process shard per range of a balanced `n`-way plan.
+    fn local_shards(inst: &Instance, n: usize) -> Vec<Arc<Frontend>> {
         let plan = ShardPlan::balanced(inst.num_papers(), n).unwrap();
-        plan.split_instance(inst)
-            .unwrap()
-            .into_iter()
-            .map(|sub| {
-                let frontend = shard_frontend(sub);
-                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-                let addr = listener.local_addr().unwrap().to_string();
-                std::thread::spawn(move || {
-                    let _ = serve_tcp(listener, frontend);
-                });
-                addr
-            })
-            .collect()
+        plan.split_instance(inst).unwrap().into_iter().map(frontend).collect()
     }
 
-    fn unsharded() -> Frontend {
-        Frontend::with_defaults(Arc::new(Service::new(instance(), Scoring::WeightedCoverage, 42)))
+    fn router(shards: &[Arc<Frontend>]) -> Router {
+        Router::connect(shards.iter().map(|f| Link::Local(Arc::clone(f))).collect()).unwrap()
+    }
+
+    fn reply(backend: &impl Backend, line: &str) -> String {
+        handle_line(backend, line).to_string()
+    }
+
+    fn epochs(shards: &[Arc<Frontend>]) -> Vec<u64> {
+        shards.iter().map(|f| f.service().snapshot().epoch()).collect()
+    }
+
+    fn ok(v: &Json) -> bool {
+        v.get("ok").and_then(Json::as_bool) == Some(true)
     }
 
     #[test]
     fn routed_requests_match_the_unsharded_server() {
         let inst = instance();
-        let addrs = spawn_shards(&inst, 3);
-        let router = Router::connect(&addrs, RouterOptions::default()).unwrap();
-        let reference = unsharded();
+        let router = router(&local_shards(&inst, 3));
+        let reference = frontend(inst);
+        let reference = reference.as_ref();
         // jra by global id / name / ad-hoc vector — byte-identical v1
         // responses (epoch 0 everywhere pre-update).
         for line in [
@@ -963,48 +793,37 @@ mod tests {
             r#"{"op":"batch","queries":[{"paper_id":5},{"paper_id":0},{"paper_id":99},{"paper_name":"paper-2"}]}"#,
             r#"{"op":"nope"}"#,
         ] {
-            let got = router.handle_line(line).to_string();
-            let want = handle_line(&reference, line).to_string();
-            assert_eq!(got, want, "router diverged on {line}");
+            assert_eq!(reply(&router, line), reply(reference, line), "router diverged on {line}");
         }
         // v1 stats matches the unsharded response member for member, minus
         // candidate_support (per-shard supports cannot be aggregated).
-        let got = router.handle_line(r#"{"op":"stats"}"#).to_string();
-        let mut want = handle_line(&reference, r#"{"op":"stats"}"#);
+        let mut want = handle_line(reference, r#"{"op":"stats"}"#);
         if let Json::Obj(members) = &mut want {
             members.retain(|(k, _)| k != "candidate_support");
         }
-        assert_eq!(got, want.to_string());
+        assert_eq!(reply(&router, r#"{"op":"stats"}"#), want.to_string());
         // Broadcast update: router and unsharded agree on the response and
         // on subsequent reads.
         let update = r#"{"op":"update","updates":[{"kind":"add_reviewer","name":"eve","expertise":[0.5,0.5,0.0]}]}"#;
-        assert_eq!(
-            router.handle_line(update).to_string(),
-            handle_line(&reference, update).to_string()
-        );
+        assert_eq!(reply(&router, update), reply(reference, update));
         let query = r#"{"op":"jra","paper_id":3}"#;
-        assert_eq!(
-            router.handle_line(query).to_string(),
-            handle_line(&reference, query).to_string()
-        );
+        assert_eq!(reply(&router, query), reply(reference, query));
         // add_paper routes to the last shard; the new paper is queryable
         // by its global id and the global capacity bookkeeping holds.
         let add = r#"{"op":"update","updates":[{"kind":"add_paper","name":"p-new","topics":[0.2,0.6,0.2]}]}"#;
-        assert_eq!(router.handle_line(add).to_string(), handle_line(&reference, add).to_string());
+        assert_eq!(reply(&router, add), reply(reference, add));
         let query = r#"{"op":"jra","paper_name":"p-new"}"#;
         assert_eq!(
-            router.handle_line(query).get("results").map(Json::to_string),
-            handle_line(&reference, query).get("results").map(Json::to_string),
+            handle_line(&router, query).get("results").map(Json::to_string),
+            handle_line(reference, query).get("results").map(Json::to_string),
         );
     }
 
     #[test]
     fn v2_stats_carries_the_shards_section() {
-        let inst = instance();
-        let addrs = spawn_shards(&inst, 3);
-        let router = Router::connect(&addrs, RouterOptions::default()).unwrap();
-        let stats = router.handle_line(r#"{"v":2,"op":"stats"}"#);
-        assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+        let router = router(&local_shards(&instance(), 3));
+        let stats = handle_line(&router, r#"{"v":2,"op":"stats"}"#);
+        assert!(ok(&stats), "{stats}");
         assert_eq!(stats.get("papers").and_then(Json::as_usize), Some(6));
         let shards = stats.get("shards").and_then(Json::as_arr).unwrap();
         assert_eq!(shards.len(), 3);
@@ -1015,8 +834,7 @@ mod tests {
             assert!(entry.get("requests").and_then(Json::as_usize).unwrap() >= 1);
         }
         // v1 stats never grows the section.
-        let v1 = router.handle_line(r#"{"op":"stats"}"#);
-        assert!(v1.get("shards").is_none());
+        assert!(handle_line(&router, r#"{"op":"stats"}"#).get("shards").is_none());
         // The registry carries the wgrap_shard_* series.
         let prom = router.telemetry().snapshot().to_prometheus();
         assert!(prom.contains("wgrap_shard_up{shard=\"0\"}"), "{prom}");
@@ -1025,11 +843,9 @@ mod tests {
 
     #[test]
     fn assign_aggregates_and_reconciles() {
-        let inst = instance();
-        let addrs = spawn_shards(&inst, 2);
-        let router = Router::connect(&addrs, RouterOptions::default()).unwrap();
-        let v = router.handle_line(r#"{"v":2,"op":"assign","method":"greedy"}"#);
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v}");
+        let router = router(&local_shards(&instance(), 2));
+        let v = handle_line(&router, r#"{"v":2,"op":"assign","method":"greedy"}"#);
+        assert!(ok(&v), "{v}");
         let groups = v.get("groups").and_then(Json::as_arr).unwrap();
         assert_eq!(groups.len(), 6);
         let mut loads = vec![0usize; 4];
@@ -1046,6 +862,134 @@ mod tests {
     }
 
     #[test]
+    fn assign_reconciles_reviewer_load_across_shards() {
+        // δr = 1 with one reviewer dominating every paper: per-shard CRA
+        // keeps them to one paper per shard, but globally they exceed δr
+        // until the reconciliation pass swaps them out.
+        let papers = vec![tv(&[1.0, 0.0]), tv(&[0.9, 0.1]), tv(&[0.8, 0.2]), tv(&[0.7, 0.3])];
+        let reviewers = vec![
+            tv(&[1.0, 0.0]), // dominates on the first topic
+            tv(&[0.4, 0.6]),
+            tv(&[0.3, 0.7]),
+            tv(&[0.2, 0.8]),
+        ];
+        let inst = Instance::new(papers, reviewers, 1, 1).unwrap();
+        let router = router(&local_shards(&inst, 2));
+        let v = handle_line(&router, r#"{"op":"assign","method":"greedy"}"#);
+        assert!(ok(&v), "{v}");
+        assert!(v.get("swaps").and_then(Json::as_usize).unwrap() >= 1, "{v}");
+        let mut loads = [0usize; 4];
+        for group in v.get("groups").and_then(Json::as_arr).unwrap() {
+            let group = group.as_arr().unwrap();
+            assert_eq!(group.len(), 1);
+            loads[group[0].as_usize().unwrap()] += 1;
+        }
+        assert!(loads.iter().all(|&l| l <= 1), "loads {loads:?}");
+    }
+
+    #[test]
+    fn lockstep_apply_touches_exactly_the_affected_shards() {
+        let shards = local_shards(&instance(), 3);
+        let router = router(&shards);
+        // Reviewer updates broadcast: every shard advances.
+        let add_reviewer =
+            r#"{"op":"update","updates":[{"kind":"add_reviewer","expertise":[0.2,0.2,0.6]}]}"#;
+        assert!(ok(&handle_line(&router, add_reviewer)));
+        assert_eq!(epochs(&shards), [1, 1, 1]);
+        // add_paper routes to the last shard only.
+        let add_paper =
+            r#"{"op":"update","updates":[{"kind":"add_paper","topics":[0.0,1.0,0.0]}]}"#;
+        let v = handle_line(&router, add_paper);
+        assert_eq!(
+            (v.get("epoch"), v.get("papers")),
+            (Some(&Json::Num(2.0)), Some(&Json::Num(7.0)))
+        );
+        assert_eq!(epochs(&shards), [1, 1, 2]);
+        // The new paper answers queries with its global id.
+        assert!(ok(&handle_line(&router, r#"{"op":"jra","paper_id":6}"#)));
+        // Empty batches are a no-op.
+        let v = handle_line(&router, r#"{"op":"update","updates":[]}"#);
+        assert_eq!(v.get("epoch").and_then(Json::as_usize), Some(2));
+        assert_eq!(epochs(&shards), [1, 1, 2]);
+    }
+
+    #[test]
+    fn failed_build_publishes_nothing() {
+        // The last entry fails on every shard, after the last shard's
+        // add_paper would have applied: no shard may publish any of it.
+        let inst = instance();
+        let shards = local_shards(&inst, 3);
+        let router = router(&shards);
+        let bad = r#"{"op":"update","updates":[{"kind":"add_paper","topics":[0.5,0.5,0.0]},{"kind":"patch_scores","reviewer":99,"expertise":[1.0,0.0,0.0]}]}"#;
+        assert_eq!(reply(&router, bad), reply(frontend(inst).as_ref(), bad));
+        assert_eq!(epochs(&shards), [0, 0, 0]);
+        let stats = handle_line(&router, r#"{"op":"stats"}"#);
+        assert_eq!(stats.get("epoch").and_then(Json::as_usize), Some(0));
+        assert_eq!(stats.get("papers").and_then(Json::as_usize), Some(6));
+    }
+
+    #[test]
+    fn global_capacity_check_matches_unsharded_error() {
+        // P = 2, R = 2, δp = δr = 1: exactly at capacity. Each shard holds
+        // one paper, so shard-local checks would admit another paper — the
+        // router must reject with the unsharded error bytes.
+        let inst = Instance::new(
+            vec![tv(&[1.0, 0.0]), tv(&[0.0, 1.0])],
+            vec![tv(&[0.8, 0.2]), tv(&[0.2, 0.8])],
+            1,
+            1,
+        )
+        .unwrap();
+        let shards = local_shards(&inst, 2);
+        let router = router(&shards);
+        let add = r#"{"op":"update","updates":[{"kind":"add_paper","topics":[0.5,0.5]}]}"#;
+        let want = reply(frontend(inst).as_ref(), add);
+        assert!(want.contains("capacity shortfall"), "{want}");
+        assert_eq!(reply(&router, add), want);
+        assert_eq!(epochs(&shards), [0, 0]);
+    }
+
+    #[test]
+    fn concurrent_updates_reach_every_shard_in_one_order() {
+        const THREADS: usize = 8;
+        const BATCHES: usize = 50;
+        let shards = local_shards(&instance(), 3);
+        let router = Arc::new(router(&shards));
+        // Release every writer at once, so their fan-outs overlap.
+        let start = Arc::new(std::sync::Barrier::new(THREADS));
+        let writers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (router, start) = (Arc::clone(&router), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for b in 0..BATCHES {
+                        let line = format!(
+                            r#"{{"op":"update","updates":[{{"kind":"add_reviewer","name":"t{t}-{b}","expertise":[0.2,0.3,0.5]}}]}}"#
+                        );
+                        assert!(ok(&handle_line(router.as_ref(), &line)));
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        // Every shard handed out the same id to every name.
+        let names = |shard: &Frontend| {
+            let snapshot = shard.service().snapshot();
+            let inst = snapshot.instance();
+            (0..inst.num_reviewers()).map(|r| inst.reviewer_name(r)).collect::<Vec<_>>()
+        };
+        let first = names(&shards[0]);
+        assert_eq!(first.len(), 4 + THREADS * BATCHES);
+        for shard in &shards[1..] {
+            assert_eq!(names(shard), first);
+        }
+        let stats = handle_line(router.as_ref(), r#"{"op":"stats"}"#);
+        assert_eq!(stats.get("epoch").and_then(Json::as_usize), Some(THREADS * BATCHES));
+    }
+
+    #[test]
     fn unreachable_shard_degrades_to_structured_errors() {
         let inst = instance();
         let plan = ShardPlan::balanced(inst.num_papers(), 3).unwrap();
@@ -1054,11 +998,11 @@ mod tests {
         let mut addrs: Vec<String> = subs
             .into_iter()
             .map(|sub| {
-                let frontend = shard_frontend(sub);
+                let shard = frontend(sub);
                 let listener = TcpListener::bind("127.0.0.1:0").unwrap();
                 let addr = listener.local_addr().unwrap().to_string();
                 std::thread::spawn(move || {
-                    let _ = serve_tcp(listener, frontend);
+                    let _ = serve_tcp(listener, shard);
                 });
                 addr
             })
@@ -1068,36 +1012,34 @@ mod tests {
         // plus a refused reconnect.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         addrs.push(listener.local_addr().unwrap().to_string());
-        let frontend = shard_frontend(dying);
+        let shard = frontend(dying);
         std::thread::spawn(move || {
             let (socket, _) = listener.accept().unwrap();
             let mut reader = BufReader::new(socket.try_clone().unwrap());
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
             let mut socket = socket;
-            writeln!(socket, "{}", handle_line(&frontend, &line)).unwrap();
+            writeln!(socket, "{}", handle_line(shard.as_ref(), &line)).unwrap();
         });
-        let router = Router::connect(&addrs, RouterOptions::default()).unwrap();
+        let router = Router::connect(addrs.into_iter().map(Link::Tcp).collect()).unwrap();
         // A paper on the dead shard: structured shard_down, not a hang.
-        let v = router.handle_line(r#"{"v":2,"op":"jra","paper_id":5}"#);
         assert_eq!(
-            v.to_string(),
+            reply(&router, r#"{"v":2,"op":"jra","paper_id":5}"#),
             r#"{"ok":false,"v":2,"shard":2,"error":"shard_down: shard 2 unreachable"}"#
         );
         // A paper on a live shard still answers.
-        let live = router.handle_line(r#"{"op":"jra","paper_id":0}"#);
-        assert_eq!(live.get("ok").and_then(Json::as_bool), Some(true));
+        assert!(ok(&handle_line(&router, r#"{"op":"jra","paper_id":0}"#)));
         // Batch degrades per entry.
         let batch =
-            router.handle_line(r#"{"op":"batch","queries":[{"paper_id":0},{"paper_id":5}]}"#);
+            handle_line(&router, r#"{"op":"batch","queries":[{"paper_id":0},{"paper_id":5}]}"#);
         let results = batch.get("results").and_then(Json::as_arr).unwrap();
-        assert_eq!(results[0].get("ok").and_then(Json::as_bool), Some(true));
+        assert!(ok(&results[0]));
         assert_eq!(
             results[1].get("error").and_then(Json::as_str),
             Some("shard_down: shard 2 unreachable")
         );
         // Stats marks the shard down and keeps aggregating the live ones.
-        let stats = router.handle_line(r#"{"v":2,"op":"stats"}"#);
+        let stats = handle_line(&router, r#"{"v":2,"op":"stats"}"#);
         assert_eq!(stats.get("papers").and_then(Json::as_usize), Some(4));
         let shards = stats.get("shards").and_then(Json::as_arr).unwrap();
         assert_eq!(shards[2].get("up").and_then(Json::as_bool), Some(false));

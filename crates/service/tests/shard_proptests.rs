@@ -1,31 +1,31 @@
-//! The sharding contracts ([`ShardedStore`] against the unsharded paths):
+//! The sharding contracts, checked on the deployed [`Router`] over
+//! N ∈ {1, 2, 7} in-process shards ([`Link::Local`], called through the same
+//! wire layer a shard process runs), for all four scorings, with one
+//! unsharded server as the reference:
 //!
-//! 1. **Lockstep apply ≡ per-shard reference** — after any update
-//!    sequence, every shard of a [`ShardedStore`] is bit-identical to a
-//!    standalone [`VersionedStore`] built from the initial plan's
-//!    sub-instance with the plan-split sub-batch applied — for all four
-//!    scorings, at N ∈ {1, 2, 7} shards, whether the batch lands
-//!    atomically or one update per epoch.
-//! 2. **Scatter-gather JRA ≡ unsharded JRA** — a sharded
-//!    [`jra_batch`](ShardedStore::jra_batch) over any query mix (stored,
-//!    ad-hoc, out-of-range, top-k, excludes) returns answers bit-identical
-//!    to one unsharded [`JraBatch`]: same groups, same score bits, same
-//!    node counts, same error strings — at N ∈ {1, 2, 7}, with the
+//! 1. **Routed updates ≡ per-shard reference** — after a routed update
+//!    sequence, sent as one batch or one line per update, every shard is
+//!    bit-identical to a rebuild of its sub-instance with its sub-batch
+//!    applied (paper additions on the last shard, reviewer changes on every
+//!    shard), and every router `update` reply is byte-identical to the
+//!    unsharded server's.
+//! 2. **Routed reads ≡ unsharded reads** — on a fresh deployment, v1 `jra`
+//!    and `batch` replies over any query mix (stored, by-name, ad-hoc,
+//!    out-of-range, unknown-name, top-k, excludes) are byte-identical to the
+//!    unsharded server's, and v2 replies carry the same `results` — with the
 //!    `rayon` feature on or off (CI runs both).
-//! 3. **Reconciled CRA is capacity-feasible** — per-shard solves plus the
-//!    cross-shard reconciliation pass always yield a globally feasible
-//!    assignment: every reviewer load ≤ δr, every group exactly δp
-//!    distinct non-conflicted reviewers, finite coverage.
+//! 3. **Reconciled `assign` is capacity-feasible** — per-shard solves plus
+//!    the cross-shard reconciliation pass always give every paper exactly δp
+//!    distinct, non-conflicted reviewers and every reviewer a load ≤ δr.
 
 use proptest::prelude::*;
-use wgrap_core::engine::spec::MethodKind;
-use wgrap_core::engine::PruningPolicy;
-use wgrap_core::prelude::{CraAlgorithm, Instance, Scoring};
+use std::sync::Arc;
+use wgrap_core::prelude::{Instance, Scoring};
 use wgrap_core::topic::TopicVector;
+use wgrap_service::json::Json;
+use wgrap_service::server::handle_line;
 use wgrap_service::testutil::{assert_snapshot_bit_eq, reference_apply};
-use wgrap_service::{
-    JraBatch, JraQuery, QueryPaper, ShardPlan, ShardedStore, Update, VersionedStore,
-};
+use wgrap_service::{Backend, Frontend, Link, Router, Service, ShardPlan, Update};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 
@@ -118,24 +118,108 @@ fn instance_strategy(dim: usize) -> impl Strategy<Value = Instance> {
         })
 }
 
-/// Derive one JRA query from a seed: mostly stored papers, with ad-hoc,
-/// out-of-range, top-k, and exclude variants mixed in deterministically.
+/// An unsharded server over `inst`.
+fn server(inst: Instance, scoring: Scoring, seed: u64) -> Arc<Frontend> {
+    Arc::new(Frontend::with_defaults(Arc::new(Service::new(inst, scoring, seed))))
+}
+
+/// The deployment under test: a router over one in-process shard per range
+/// of `inst`'s balanced `n`-way plan, plus the shards for inspection.
+fn deploy(inst: &Instance, scoring: Scoring, seed: u64, n: usize) -> (Router, Vec<Arc<Frontend>>) {
+    let plan = ShardPlan::balanced(inst.num_papers(), n).expect("valid plan");
+    let shards: Vec<Arc<Frontend>> = plan
+        .split_instance(inst)
+        .expect("plan covers the instance")
+        .into_iter()
+        .map(|sub| server(sub, scoring, seed))
+        .collect();
+    let router = Router::connect(shards.iter().map(|s| Link::Local(Arc::clone(s))).collect())
+        .expect("local shards answer the startup probe");
+    (router, shards)
+}
+
+fn reply(backend: &impl Backend, line: &str) -> String {
+    handle_line(backend, line).to_string()
+}
+
+fn ok(v: &Json) -> bool {
+    v.get("ok").and_then(Json::as_bool) == Some(true)
+}
+
+fn topics(v: &TopicVector) -> Json {
+    Json::nums(v.as_slice().iter().copied())
+}
+
+/// An `update` request line carrying `updates`.
+fn update_line(updates: &[Update], v2: bool) -> String {
+    let entries = updates.iter().map(|u| match u {
+        Update::AddPaper { topics: t, coi, .. } => Json::obj([
+            ("kind", Json::Str("add_paper".into())),
+            ("topics", topics(t)),
+            ("coi", Json::nums(coi.iter().map(|&r| r as f64))),
+        ]),
+        Update::AddReviewer { expertise, .. } => Json::obj([
+            ("kind", Json::Str("add_reviewer".into())),
+            ("expertise", topics(expertise)),
+        ]),
+        Update::RetireReviewer { reviewer } => Json::obj([
+            ("kind", Json::Str("retire_reviewer".into())),
+            ("reviewer", Json::Num(*reviewer as f64)),
+        ]),
+        Update::PatchScores { reviewer, expertise } => Json::obj([
+            ("kind", Json::Str("patch_scores".into())),
+            ("reviewer", Json::Num(*reviewer as f64)),
+            ("expertise", topics(expertise)),
+        ]),
+    });
+    request(v2, "update", [("updates", Json::Arr(entries.collect()))])
+}
+
+fn request(v2: bool, op: &str, members: impl IntoIterator<Item = (&'static str, Json)>) -> String {
+    let mut all = Vec::new();
+    if v2 {
+        all.push(("v", Json::Num(2.0)));
+    }
+    all.push(("op", Json::Str(op.into())));
+    all.extend(members);
+    Json::obj(all).to_string()
+}
+
+/// The per-shard sub-batches routing must produce: paper additions on the
+/// last shard, reviewer changes on every shard, order kept within each.
+fn sub_batches(updates: &[Update], num_shards: usize) -> Vec<Vec<Update>> {
+    let mut subs = vec![Vec::new(); num_shards];
+    for update in updates {
+        match update {
+            Update::AddPaper { .. } => subs[num_shards - 1].push(update.clone()),
+            _ => subs.iter_mut().for_each(|sub| sub.push(update.clone())),
+        }
+    }
+    subs
+}
+
+/// One JRA query's members from a seed: mostly stored papers by id, with
+/// by-name, ad-hoc, out-of-range, unknown-name, top-k and exclude variants
+/// mixed in deterministically.
 fn query_from_seed(
     seed: u32,
     num_papers: usize,
     num_reviewers: usize,
     adhoc: &TopicVector,
-) -> JraQuery {
-    let mut query = match seed % 5 {
-        0 => JraQuery::new(QueryPaper::Adhoc(adhoc.clone())),
-        1 => JraQuery::new(QueryPaper::Stored(num_papers + seed as usize % 3)), // out of range
-        _ => JraQuery::new(QueryPaper::Stored(seed as usize % num_papers)),
+) -> Vec<(&'static str, Json)> {
+    let stored = seed as usize % num_papers;
+    let mut query = match seed % 6 {
+        0 => vec![("paper", topics(adhoc))],
+        1 => vec![("paper_id", Json::Num((num_papers + seed as usize % 3) as f64))],
+        2 => vec![("paper_name", Json::Str(format!("paper-{stored}")))],
+        3 => vec![("paper_name", Json::Str("no-such-paper".into()))],
+        _ => vec![("paper_id", Json::Num(stored as f64))],
     };
-    if seed.is_multiple_of(4) {
-        query.top_k = 1 + seed as usize % 3;
+    if (seed / 6).is_multiple_of(3) {
+        query.push(("top_k", Json::Num((1 + seed % 3) as f64)));
     }
-    if seed.is_multiple_of(7) && num_reviewers > 0 {
-        query.exclude = vec![(seed / 7) % num_reviewers as u32];
+    if (seed / 18).is_multiple_of(3) {
+        query.push(("exclude", Json::nums([((seed / 7) as usize % num_reviewers) as f64])));
     }
     query
 }
@@ -143,12 +227,10 @@ fn query_from_seed(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Contract 1: lockstep apply. Each shard of a [`ShardedStore`] that
-    /// applied an update batch must be bit-identical to a reference replay
-    /// of the plan-split sub-batch over the plan-split sub-instance —
-    /// whether the sharded store saw one atomic batch or one update per
-    /// epoch (the split is per-update, so both routes see the same
-    /// sub-sequences).
+    /// Contract 1: routed updates. Whether the router saw one batch or one
+    /// line per update, each shard must be bit-identical to a reference
+    /// replay of its sub-batch over its sub-instance, and each router reply
+    /// must be the unsharded server's reply, byte for byte.
     #[test]
     fn sharded_apply_matches_per_shard_reference(
         inst in instance_strategy(5),
@@ -156,45 +238,39 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let updates = resolve(&inst, &raws);
-        let added = updates.iter().filter(|u| matches!(u, Update::AddPaper { .. })).count();
         for num_shards in SHARD_COUNTS {
             let plan = ShardPlan::balanced(inst.num_papers(), num_shards).expect("valid plan");
             let subs = plan.split_instance(&inst).expect("plan covers the instance");
-            let split = plan.split_updates(&updates);
             for scoring in Scoring::ALL {
-                // One atomic batch.
-                let sharded =
-                    ShardedStore::new(inst.clone(), scoring, seed, num_shards).expect("builds");
-                if !updates.is_empty() {
-                    sharded.apply(&updates).expect("resolved updates apply");
-                    prop_assert_eq!(sharded.global_epoch(), 1);
-                }
-                // One epoch per update: same final state on every shard.
-                let stepped =
-                    ShardedStore::new(inst.clone(), scoring, seed, num_shards).expect("builds");
-                for u in &updates {
-                    stepped.apply(std::slice::from_ref(u)).expect("applies");
-                }
-                prop_assert_eq!(stepped.global_epoch(), updates.len() as u64);
-                prop_assert_eq!(
-                    sharded.plan().num_papers(),
-                    inst.num_papers() + added,
-                    "plan must grow with AddPaper"
-                );
-                for s in 0..num_shards {
-                    let want = reference_apply(&subs[s], scoring, seed, &split[s])
-                        .expect("reference applies");
-                    assert_snapshot_bit_eq(&sharded.shard(s).snapshot(), &want);
-                    assert_snapshot_bit_eq(&stepped.shard(s).snapshot(), &want);
+                let want: Vec<_> = subs
+                    .iter()
+                    .zip(sub_batches(&updates, num_shards))
+                    .map(|(sub, batch)| {
+                        reference_apply(sub, scoring, seed, &batch).expect("reference applies")
+                    })
+                    .collect();
+                let lines = [
+                    vec![update_line(&updates, false)],
+                    updates.iter().map(|u| update_line(std::slice::from_ref(u), true)).collect(),
+                ];
+                for lines in lines {
+                    let unsharded = server(inst.clone(), scoring, seed);
+                    let (router, shards) = deploy(&inst, scoring, seed, num_shards);
+                    for line in &lines {
+                        prop_assert_eq!(reply(&router, line), reply(unsharded.as_ref(), line));
+                    }
+                    for (shard, want) in shards.iter().zip(&want) {
+                        assert_snapshot_bit_eq(&shard.service().snapshot(), want);
+                    }
                 }
             }
         }
     }
 
-    /// Contract 2: scatter-gather JRA bit-identity. Any query mix against
-    /// a [`ShardedStore`] answers exactly like one unsharded [`JraBatch`]
-    /// over the whole instance — groups, score bits, node counts, and
-    /// per-entry error strings all equal, at every shard count.
+    /// Contract 2: routed reads. Every v1 `jra` and `batch` reply over the
+    /// query mix is the unsharded server's reply, byte for byte; v2 replies
+    /// differ only in diagnostics (the `key` names the shard-local paper),
+    /// so they must carry the same `results` and errors.
     #[test]
     fn sharded_jra_batch_matches_unsharded_bitwise(
         inst in instance_strategy(5),
@@ -202,47 +278,33 @@ proptest! {
         adhoc in sparse_topic_vector(5),
         seed in 0u64..1_000,
     ) {
-        let queries: Vec<JraQuery> = qseeds
+        let queries: Vec<_> = qseeds
             .iter()
             .map(|&qs| query_from_seed(qs, inst.num_papers(), inst.num_reviewers(), &adhoc))
             .collect();
+        let batch = |v2| {
+            let entries = queries.iter().map(|q| Json::obj(q.clone())).collect();
+            request(v2, "batch", [("queries", Json::Arr(entries))])
+        };
+        let payload = |v: &Json| (v.get("results").map(Json::to_string), v.get("error").cloned());
         for scoring in Scoring::ALL {
-            let unsharded = VersionedStore::new(inst.clone(), scoring, seed);
-            let mut reference = JraBatch::new(unsharded.snapshot(), PruningPolicy::Auto);
-            for q in &queries {
-                reference.push(q.clone());
-            }
-            let want = reference.run();
             for num_shards in SHARD_COUNTS {
-                let sharded =
-                    ShardedStore::new(inst.clone(), scoring, seed, num_shards).expect("builds");
-                let got = sharded.jra_batch(&queries, PruningPolicy::Auto);
-                prop_assert_eq!(got.len(), want.len());
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    match (g, w) {
-                        (Ok(gs), Ok(ws)) => {
-                            prop_assert_eq!(gs.len(), ws.len(), "query {} result count", i);
-                            for (a, b) in gs.iter().zip(ws) {
-                                prop_assert_eq!(&a.group, &b.group, "query {} group", i);
-                                prop_assert_eq!(
-                                    a.score.to_bits(),
-                                    b.score.to_bits(),
-                                    "query {} score bits ({:?})",
-                                    i,
-                                    scoring
-                                );
-                                prop_assert_eq!(a.nodes, b.nodes, "query {} node count", i);
-                            }
-                        }
-                        (Err(e), Err(f)) => {
-                            prop_assert_eq!(e.to_string(), f.to_string(), "query {} error", i)
-                        }
-                        _ => prop_assert!(
-                            false,
-                            "query {i}: sharded/unsharded disagree on ok-ness ({num_shards} shards)"
-                        ),
-                    }
+                let unsharded = server(inst.clone(), scoring, seed);
+                let unsharded = unsharded.as_ref();
+                let (router, _) = deploy(&inst, scoring, seed, num_shards);
+                for query in &queries {
+                    let v1 = request(false, "jra", query.clone());
+                    prop_assert_eq!(reply(&router, &v1), reply(unsharded, &v1), "{}", v1);
+                    let v2 = request(true, "jra", query.clone());
+                    let (got, want) = (handle_line(&router, &v2), handle_line(unsharded, &v2));
+                    prop_assert_eq!(payload(&got), payload(&want), "{}", v2);
                 }
+                prop_assert_eq!(reply(&router, &batch(false)), reply(unsharded, &batch(false)));
+                let (got, want) = (handle_line(&router, &batch(true)), handle_line(unsharded, &batch(true)));
+                let entries = |v: &Json| -> Vec<_> {
+                    v.get("results").and_then(Json::as_arr).expect("batch entries").iter().map(payload).collect()
+                };
+                prop_assert_eq!(entries(&got), entries(&want));
             }
         }
     }
@@ -258,48 +320,48 @@ proptest! {
         inst in instance_strategy(5),
         raws in proptest::collection::vec(raw_update(5), 0..5),
         seed in 0u64..1_000,
-        shard_pick in 0usize..3,
     ) {
-        let num_shards = [2usize, 3, 7][shard_pick];
         let updates = resolve(&inst, &raws);
-        let reference = VersionedStore::new(inst.clone(), Scoring::WeightedCoverage, seed);
-        if !updates.is_empty() {
-            reference.apply(&updates).expect("resolved updates apply");
-        }
-        let snapshot = reference.snapshot();
-        let current = snapshot.instance();
-        let sharded =
-            ShardedStore::new(inst, Scoring::WeightedCoverage, seed, num_shards).expect("builds");
-        if !updates.is_empty() {
-            sharded.apply(&updates).expect("resolved updates apply");
-        }
-        let answer = sharded
-            .assign(MethodKind::Cra(CraAlgorithm::Greedy), PruningPolicy::Auto)
-            .expect("slackful instances stay assignable");
-        prop_assert_eq!(answer.assignment.num_papers(), current.num_papers());
-        prop_assert!(answer.coverage.is_finite());
-        let mut loads = vec![0usize; current.num_reviewers()];
-        for p in 0..current.num_papers() {
-            let group = answer.assignment.group(p);
-            prop_assert_eq!(group.len(), current.delta_p(), "paper {} group size", p);
-            let mut distinct: Vec<usize> = group.to_vec();
-            distinct.sort_unstable();
-            distinct.dedup();
-            prop_assert_eq!(distinct.len(), current.delta_p(), "paper {} has repeats", p);
-            for &r in group {
-                prop_assert!(r < current.num_reviewers(), "paper {} reviewer {} in range", p, r);
-                prop_assert!(!current.is_coi(r, p), "paper {} assigned conflicted reviewer {}", p, r);
-                loads[r] += 1;
+        let current = reference_apply(&inst, Scoring::WeightedCoverage, seed, &updates)
+            .expect("resolved updates apply");
+        let current = current.instance();
+        for scoring in Scoring::ALL {
+            for num_shards in SHARD_COUNTS {
+                let (router, _) = deploy(&inst, scoring, seed, num_shards);
+                prop_assert!(ok(&handle_line(&router, &update_line(&updates, false))));
+                let v = handle_line(&router, r#"{"op":"assign","method":"greedy"}"#);
+                prop_assert!(ok(&v), "slackful instances stay assignable: {}", v);
+                let groups = v.get("groups").and_then(Json::as_arr).expect("groups");
+                prop_assert_eq!(groups.len(), current.num_papers());
+                prop_assert!(v.get("coverage").and_then(Json::as_f64).is_some_and(f64::is_finite));
+                let mut loads = vec![0usize; current.num_reviewers()];
+                for (p, group) in groups.iter().enumerate() {
+                    let mut group: Vec<usize> = group
+                        .as_arr()
+                        .expect("group array")
+                        .iter()
+                        .map(|r| r.as_usize().expect("reviewer id"))
+                        .collect();
+                    prop_assert_eq!(group.len(), current.delta_p(), "paper {} group size", p);
+                    for &r in &group {
+                        prop_assert!(r < current.num_reviewers(), "paper {} reviewer {} in range", p, r);
+                        prop_assert!(!current.is_coi(r, p), "paper {} assigned conflicted reviewer {}", p, r);
+                        loads[r] += 1;
+                    }
+                    group.sort_unstable();
+                    group.dedup();
+                    prop_assert_eq!(group.len(), current.delta_p(), "paper {} has repeats", p);
+                }
+                for (r, &load) in loads.iter().enumerate() {
+                    prop_assert!(
+                        load <= current.delta_r(),
+                        "reviewer {} load {} exceeds delta_r {}",
+                        r,
+                        load,
+                        current.delta_r()
+                    );
+                }
             }
-        }
-        for (r, &load) in loads.iter().enumerate() {
-            prop_assert!(
-                load <= current.delta_r(),
-                "reviewer {} load {} exceeds delta_r {}",
-                r,
-                load,
-                current.delta_r()
-            );
         }
     }
 }

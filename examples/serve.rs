@@ -89,7 +89,7 @@ fn main() -> Result<()> {
     println!("--- single connection ---");
     for request in SESSION {
         println!(">>> {request}");
-        println!("<<< {}", handle_line(&frontend, request));
+        println!("<<< {}", handle_line(frontend.as_ref(), request));
     }
 
     println!();
@@ -110,6 +110,6 @@ fn main() -> Result<()> {
     println!("--- closing v2 stats: front-end + LRU cache counters ---");
     let stats = r#"{"v":2,"op":"stats"}"#;
     println!(">>> {stats}");
-    println!("<<< {}", handle_line(&frontend, stats));
+    println!("<<< {}", handle_line(frontend.as_ref(), stats));
     Ok(())
 }

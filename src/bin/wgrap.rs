@@ -56,14 +56,18 @@
 //!     Scatter-gather router mode: no instance file — the router connects
 //!     to the given shard servers (each a plain `wgrap serve --listen`
 //!     over one `wgrap shard` file, in shard order), builds its paper
-//!     plan from their reported sizes, and speaks the same NDJSON v1/v2
-//!     protocol on stdin or --listen. jra/batch route by paper, updates
-//!     split by kind (add_paper to the last shard, reviewer changes
-//!     broadcast), assign runs per-shard solves plus a cross-shard
-//!     capacity-reconciliation pass, and v2 stats gains a per-shard
-//!     "shards" section. An unreachable shard degrades to a structured
-//!     "shard_down" error, never a hang. --metrics-listen exposes the
-//!     router's own registry (wgrap_shard_* series) as Prometheus text.
+//!     plan from their reported sizes, and serves the same NDJSON v1/v2
+//!     protocol through the same wire layer as `serve`, on stdin or
+//!     --listen. jra/batch route by paper and return the owning shard's
+//!     reply bytes; updates run one at a time, split by kind (add_paper to
+//!     the last shard, reviewer changes broadcast); assign runs per-shard
+//!     solves plus a cross-shard capacity-reconciliation pass and reports
+//!     the per-shard coverage sum from before the swaps; v2 stats gains a
+//!     per-shard "shards" section. An unreachable shard degrades to a
+//!     structured "shard_down" error, never a hang; a shard that dies in
+//!     mid-update is not rolled back on the others. --metrics-listen
+//!     exposes the router's own registry (wgrap_shard_* series) as
+//!     Prometheus text.
 //! ```
 //!
 //! Every solving subcommand — `assign`, `journal`, `check`'s candidate
@@ -76,6 +80,7 @@
 //! one set of labels and one unknown-label error message.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use wgrap::core::cra::ideal::{ideal_assignment, IdealMode};
 use wgrap::core::engine::spec::{self, MethodKind};
 use wgrap::core::engine::PruningPolicy;
@@ -83,7 +88,9 @@ use wgrap::core::io;
 use wgrap::core::metrics;
 use wgrap::prelude::*;
 use wgrap::service::api::{Answer, PaperRef, ServeOptions, Service, SolveRequest};
-use wgrap::service::{DurableOptions, Frontend, FrontendOptions, FsyncPolicy};
+use wgrap::service::{
+    Backend, DurableOptions, Frontend, FrontendOptions, FsyncPolicy, Link, Router,
+};
 
 /// Which flags each subcommand accepts — the single source of truth the
 /// parser validates against, so every subcommand shares one rejection path
@@ -409,6 +416,43 @@ fn cmd_shard(flags: &Flags) -> Result<()> {
     Ok(())
 }
 
+fn bind(addr: &str) -> Result<std::net::TcpListener> {
+    std::net::TcpListener::bind(addr)
+        .map_err(|e| Error::InvalidInstance(format!("cannot listen on {addr}: {e}")))
+}
+
+/// The serve wiring `serve` and `serve --router` share: the Prometheus
+/// scrape endpoint on its own listener thread (reading the registry the
+/// protocol records into), then the session itself — stdin/stdout, the
+/// `--multi` replay, or a TCP accept loop on `--listen`.
+fn serve_backend<B: Backend + 'static>(flags: &Flags, backend: Arc<B>) -> Result<()> {
+    if let Some(addr) = &flags.metrics_listen {
+        let listener = bind(addr)?;
+        eprintln!("# wgrap metrics listening on {}", listener.local_addr().unwrap());
+        let telemetry = Arc::clone(backend.telemetry());
+        std::thread::spawn(move || {
+            let _ = wgrap::service::serve_metrics(listener, telemetry);
+        });
+    }
+    let io_err = |e: std::io::Error| Error::InvalidInstance(format!("serve I/O error: {e}"));
+    match (&flags.listen, flags.multi) {
+        (Some(_), true) => {
+            Err(Error::InvalidInstance("--multi replays stdin; drop --listen".into()))
+        }
+        (None, true) => {
+            let stdin = std::io::stdin();
+            let stdout = std::io::stdout();
+            wgrap::service::serve_multi(&backend, stdin.lock(), stdout.lock()).map_err(io_err)
+        }
+        (None, false) => wgrap::service::serve_stdio(backend.as_ref()).map_err(io_err),
+        (Some(addr), false) => {
+            let listener = bind(addr)?;
+            eprintln!("# wgrap serve listening on {}", listener.local_addr().unwrap());
+            wgrap::service::serve_tcp(listener, backend).map_err(io_err)
+        }
+    }
+}
+
 /// `serve --router`: scatter-gather front-end over already-running shard
 /// servers. No local store — the router holds only the shard plan, the
 /// persistent downstream connections and its own telemetry registry.
@@ -426,37 +470,15 @@ fn cmd_serve_router(flags: &Flags, addr_list: &str) -> Result<()> {
             "--data-dir/--fsync/--checkpoint-every apply to shard processes, not the router".into(),
         ));
     }
-    let addrs: Vec<String> =
-        addr_list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
-    let router = std::sync::Arc::new(wgrap::service::Router::connect(
-        &addrs,
-        wgrap::service::RouterOptions::default(),
-    )?);
+    let links = addr_list
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(|addr| Link::Tcp(addr.to_string()))
+        .collect();
+    let router = Router::connect(links)?;
     eprintln!("# wgrap router: {} shards", router.num_shards());
-    if let Some(addr) = &flags.metrics_listen {
-        let listener = std::net::TcpListener::bind(addr)
-            .map_err(|e| Error::InvalidInstance(format!("cannot listen on {addr}: {e}")))?;
-        eprintln!("# wgrap metrics listening on {}", listener.local_addr().unwrap());
-        let telemetry = std::sync::Arc::clone(router.telemetry());
-        std::thread::spawn(move || {
-            let _ = wgrap::service::serve_metrics(listener, telemetry);
-        });
-    }
-    let io_err = |e: std::io::Error| Error::InvalidInstance(format!("serve I/O error: {e}"));
-    match &flags.listen {
-        None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            wgrap::service::serve_router_connection(&router, stdin.lock(), stdout.lock())
-                .map_err(io_err)
-        }
-        Some(addr) => {
-            let listener = std::net::TcpListener::bind(addr)
-                .map_err(|e| Error::InvalidInstance(format!("cannot listen on {addr}: {e}")))?;
-            eprintln!("# wgrap router listening on {}", listener.local_addr().unwrap());
-            wgrap::service::serve_router_tcp(listener, router).map_err(io_err)
-        }
-    }
+    serve_backend(flags, Arc::new(router))
 }
 
 fn cmd_serve(flags: &Flags) -> Result<()> {
@@ -502,7 +524,7 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
         }
         service_for(inst, flags)
     };
-    let service = std::sync::Arc::new(service);
+    let service = Arc::new(service);
     let mut options = FrontendOptions::default();
     if let Some(n) = flags.max_inflight {
         options.max_inflight = n;
@@ -513,36 +535,7 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
     if let Some(n) = flags.linger {
         options.linger = n;
     }
-    // The Prometheus scrape endpoint runs beside any serve mode on its own
-    // listener thread, reading the same registry the protocol records into.
-    if let Some(addr) = &flags.metrics_listen {
-        let listener = std::net::TcpListener::bind(addr)
-            .map_err(|e| Error::InvalidInstance(format!("cannot listen on {addr}: {e}")))?;
-        eprintln!("# wgrap metrics listening on {}", listener.local_addr().unwrap());
-        let telemetry = std::sync::Arc::clone(service.telemetry());
-        std::thread::spawn(move || {
-            let _ = wgrap::service::serve_metrics(listener, telemetry);
-        });
-    }
-    let frontend = std::sync::Arc::new(Frontend::new(std::sync::Arc::clone(&service), options));
-    let io_err = |e: std::io::Error| Error::InvalidInstance(format!("serve I/O error: {e}"));
-    match (&flags.listen, flags.multi) {
-        (Some(_), true) => {
-            return Err(Error::InvalidInstance("--multi replays stdin; drop --listen".into()));
-        }
-        (None, true) => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            wgrap::service::serve_multi(&frontend, stdin.lock(), stdout.lock()).map_err(io_err)?;
-        }
-        (None, false) => wgrap::service::serve_stdio(&frontend).map_err(io_err)?,
-        (Some(addr), false) => {
-            let listener = std::net::TcpListener::bind(addr)
-                .map_err(|e| Error::InvalidInstance(format!("cannot listen on {addr}: {e}")))?;
-            eprintln!("# wgrap serve listening on {}", listener.local_addr().unwrap());
-            wgrap::service::serve_tcp(listener, frontend).map_err(io_err)?;
-        }
-    }
+    serve_backend(flags, Arc::new(Frontend::new(Arc::clone(&service), options)))?;
     // Drained cleanly (stdin EOF / listener closed): fsync the WAL and
     // leave the clean-shutdown marker so the next startup can prove the
     // log is complete. A crash skips this — that is what recovery is for.

@@ -4,34 +4,20 @@
 //! Two sessions, one per protocol version: the v1 fixture predates the
 //! typed request layer and pins down that v1 replies are byte-identical
 //! through it; the v2 fixture covers the `"v":2` diagnostics (cache
-//! hit/miss, canonical keys, loss bounds, stats counters). The same
-//! fixture pairs drive the CI workflow's shell-level smoke steps (rayon on
-//! and off share each golden file — serve responses are part of the
-//! engine's bit-determinism contract, and the result cache's hit/miss
-//! sequence is deterministic for a fixed session).
+//! hit/miss, canonical keys, loss bounds, stats counters). Rayon on and
+//! off share each golden file — serve responses are part of the engine's
+//! bit-determinism contract, and the result cache's hit/miss sequence is
+//! deterministic for a fixed session. The router sessions replay the same
+//! way through `serve --router` in front of three shard processes.
 
-use std::io::Write;
-use std::process::{Command, Stdio};
+use std::io::{BufRead, BufReader, Write};
+use std::process::{Child, ChildStderr, Command, Stdio};
 
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
 
-fn replay_session(requests_file: &str, golden_file: &str) {
-    let requests = std::fs::read_to_string(format!("{FIXTURES}/{requests_file}")).unwrap();
+/// Compare a session's output with a committed golden, line by line.
+fn assert_matches_golden(got: &str, golden_file: &str) {
     let golden = std::fs::read_to_string(format!("{FIXTURES}/{golden_file}")).unwrap();
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_wgrap"))
-        .arg("serve")
-        .arg(format!("{FIXTURES}/serve.wgrap"))
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn wgrap serve");
-    child.stdin.take().unwrap().write_all(requests.as_bytes()).unwrap();
-    let out = child.wait_with_output().expect("wgrap serve runs to EOF");
-    assert!(out.status.success(), "serve exited with {:?}", out.status);
-
-    let got = String::from_utf8(out.stdout).expect("responses are UTF-8");
     for (i, (g, w)) in got.lines().zip(golden.lines()).enumerate() {
         assert_eq!(g, w, "response line {} diverged from {golden_file}", i + 1);
     }
@@ -40,6 +26,27 @@ fn replay_session(requests_file: &str, golden_file: &str) {
         golden.lines().count(),
         "one response line per request, golden count must match"
     );
+}
+
+/// Run `wgrap <args>` on `requests` to EOF and return its stdout.
+fn run_session(args: &[&str], requests: &str) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_wgrap"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn wgrap serve");
+    child.stdin.take().unwrap().write_all(requests.as_bytes()).unwrap();
+    let out = child.wait_with_output().expect("wgrap serve runs to EOF");
+    assert!(out.status.success(), "serve exited with {:?}", out.status);
+    String::from_utf8(out.stdout).expect("responses are UTF-8")
+}
+
+fn replay_session(requests_file: &str, golden_file: &str) {
+    let requests = std::fs::read_to_string(format!("{FIXTURES}/{requests_file}")).unwrap();
+    let got = run_session(&["serve", &format!("{FIXTURES}/serve.wgrap")], &requests);
+    assert_matches_golden(&got, golden_file);
 }
 
 #[test]
@@ -117,7 +124,7 @@ fn serve_multi_is_deterministic_run_to_run() {
 /// smoke uses a fixed port for.
 #[test]
 fn serve_metrics_listen_scrapes_live_mid_session() {
-    use std::io::{BufRead, BufReader, Read};
+    use std::io::Read;
     let mut child = Command::new(env!("CARGO_BIN_EXE_wgrap"))
         .args(["serve", &format!("{FIXTURES}/serve.wgrap"), "--metrics-listen", "127.0.0.1:0"])
         .stdin(Stdio::piped())
@@ -171,7 +178,6 @@ fn serve_metrics_listen_scrapes_live_mid_session() {
 /// fresh (the part-2 stats golden pins `"cache"`/`"store"` at zero).
 #[test]
 fn serve_durable_survives_kill_and_restart_byte_identically() {
-    use std::io::{BufRead, BufReader};
     let dir = std::env::temp_dir().join(format!("wgrap-smoke-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let data_dir = dir.to_str().unwrap().to_string();
@@ -271,6 +277,105 @@ fn durability_changes_only_the_stats_durability_section() {
             assert_eq!(g, w, "line {} must not depend on durability", i + 1);
         }
     }
+}
+
+/// A `wgrap serve --listen 127.0.0.1:0` process, killed when dropped so a
+/// failing test leaves no server behind.
+struct ListeningServer {
+    child: Child,
+    /// Kept open: the server may still write to stderr after announcing.
+    stderr: BufReader<ChildStderr>,
+}
+
+impl ListeningServer {
+    fn start(instance: &str) -> Self {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_wgrap"))
+            .args(["serve", instance, "--listen", "127.0.0.1:0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn shard server");
+        let stderr = BufReader::new(child.stderr.take().unwrap());
+        Self { child, stderr }
+    }
+
+    /// Block until the server announces its address, and return it.
+    fn addr(&mut self) -> String {
+        let mut line = String::new();
+        loop {
+            line.clear();
+            assert!(
+                self.stderr.read_line(&mut line).unwrap() > 0,
+                "server exited before listening"
+            );
+            if let Some((_, addr)) = line.trim_end().split_once(" listening on ") {
+                return addr.to_string();
+            }
+        }
+    }
+}
+
+impl Drop for ListeningServer {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// The router goldens, replayed through `serve --router` in front of three
+/// real shard processes over `wgrap gen 50000 2000 3`, split by `wgrap
+/// shard`. Session 1 routes jra, batch, update and stats across every
+/// shard and grows the plan with an `add_paper`. Session 2 is a fresh
+/// router over the same shards: after its first reply shard 2 is killed,
+/// and the remaining replies pin the exact `shard_down` degradation bytes.
+#[test]
+fn router_sessions_match_goldens_over_three_shard_processes() {
+    let wgrap = env!("CARGO_BIN_EXE_wgrap");
+    let dir = std::env::temp_dir().join(format!("wgrap-smoke-router-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let generated = Command::new(wgrap).args(["gen", "50000", "2000", "3"]).output().unwrap();
+    assert!(generated.status.success());
+    std::fs::write(path("inst.wgrap"), generated.stdout).unwrap();
+    let split = Command::new(wgrap)
+        .args(["shard", &path("inst.wgrap"), "3", &path("part")])
+        .stderr(Stdio::null())
+        .status()
+        .unwrap();
+    assert!(split.success());
+    // Start all three before waiting on any: their stores build in parallel.
+    let mut shards: Vec<ListeningServer> =
+        (0..3).map(|s| ListeningServer::start(&path(&format!("part-{s}.wgrap")))).collect();
+    let addrs = shards.iter_mut().map(ListeningServer::addr).collect::<Vec<_>>().join(",");
+    let router = ["serve", "--router", addrs.as_str()];
+
+    let requests = std::fs::read_to_string(format!("{FIXTURES}/router_requests.ndjson")).unwrap();
+    assert_matches_golden(&run_session(&router, &requests), "router_golden.ndjson");
+
+    let requests =
+        std::fs::read_to_string(format!("{FIXTURES}/router_requests_down.ndjson")).unwrap();
+    let (first, rest) = requests.split_once('\n').unwrap();
+    let mut child = Command::new(wgrap)
+        .args(router)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn router");
+    let mut stdin = child.stdin.take().unwrap();
+    writeln!(stdin, "{first}").unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut got = String::new();
+    stdout.read_line(&mut got).unwrap();
+    drop(shards.pop()); // kills shard 2 and waits for it
+    stdin.write_all(rest.as_bytes()).unwrap();
+    drop(stdin);
+    std::io::Read::read_to_string(&mut stdout, &mut got).unwrap();
+    assert!(child.wait().unwrap().success());
+    assert_matches_golden(&got, "router_golden_down.ndjson");
+    drop(shards);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
