@@ -488,11 +488,18 @@ impl<'a> ScoreContext<'a> {
     /// A single-paper JRA view with an explicit candidate mask (BRGG feeds
     /// in capacity exhaustion on top of COIs).
     pub fn jra_view_with_forbidden(&self, p: usize, forbidden: Vec<bool>) -> JraView<'_> {
+        // A stored paper's CSR row already lists its non-zero topics.
+        let active = if self.sparse() {
+            Cow::Borrowed(self.paper_sparse(p).0)
+        } else {
+            Cow::Owned((0..self.dim as u32).collect())
+        };
         JraView {
             paper: self.paper_row(p),
             total: self.paper_totals[p],
             inv_total: self.paper_inv_totals[p],
             rows: Rows::Paged { data: &self.reviewers, dim: self.dim, len: self.num_reviewers() },
+            active,
             forbidden,
             delta_p: self.inst.delta_p(),
             scoring: self.scoring,
@@ -519,6 +526,7 @@ impl<'a> ScoreContext<'a> {
             total,
             inv_total: if total > 0.0 { 1.0 / total } else { 0.0 },
             rows: Rows::Paged { data: &self.reviewers, dim: self.dim, len: self.num_reviewers() },
+            active: Cow::Owned(active_topics(paper.as_slice(), self.scoring)),
             forbidden,
             delta_p,
             scoring: self.scoring,
@@ -587,6 +595,18 @@ enum Rows<'a> {
     Paged { data: &'a PagedVec<f64>, dim: usize, len: usize },
 }
 
+/// The topics that can move a score of `paper` under `scoring`, ascending:
+/// its non-zero topics when the scoring is
+/// [sparse-safe](Scoring::sparse_safe), else all of them.
+fn active_topics(paper: &[f64], scoring: Scoring) -> Vec<u32> {
+    let all = 0..paper.len() as u32;
+    if scoring.sparse_safe() {
+        all.filter(|&t| paper[t as usize] > 0.0).collect()
+    } else {
+        all.collect()
+    }
+}
+
 /// A single-paper reviewer-selection view: the common substrate the exact
 /// JRA solvers run on, whether fed from a legacy
 /// [`JraProblem`](crate::jra::JraProblem) or a [`ScoreContext`].
@@ -599,6 +619,8 @@ pub struct JraView<'a> {
     /// `1/total`, or 0 for a zero paper.
     pub inv_total: f64,
     rows: Rows<'a>,
+    /// See [`JraView::active_topics`].
+    active: Cow<'a, [u32]>,
     /// Conflicted / unavailable candidates.
     pub forbidden: Vec<bool>,
     /// Group size `δp`.
@@ -622,6 +644,7 @@ impl<'a> JraView<'a> {
             total,
             inv_total: if total > 0.0 { 1.0 / total } else { 0.0 },
             rows: Rows::Boxed(reviewers),
+            active: Cow::Owned(active_topics(paper.as_slice(), scoring)),
             forbidden,
             delta_p,
             scoring,
@@ -644,6 +667,18 @@ impl<'a> JraView<'a> {
             Rows::Boxed(v) => v[r].as_slice(),
             Rows::Paged { data, dim, .. } => data.slice(r * dim, dim),
         }
+    }
+
+    /// The topics that can contribute to a score, ascending: the paper's
+    /// non-zero topics under a [sparse-safe](Scoring::sparse_safe) scoring,
+    /// all `T` under reviewer coverage. Every other topic's term in a gain,
+    /// bound or score sum is a zero, and adding a zero to a non-negative
+    /// sum changes no bit, so kernels that iterate only these topics are
+    /// bit-identical to the dense loops (the same fact
+    /// [`GainTable`](super::GainTable)'s sparse kernels rely on).
+    #[inline]
+    pub fn active_topics(&self) -> &[u32] {
+        &self.active
     }
 
     /// Number of non-forbidden candidates.

@@ -335,8 +335,15 @@ impl GainProvider for LegacyGains<'_> {
 /// replacement for cloning [`RunningGroup`]s down the BBA search stack. The
 /// paper row lives in the view; each stack level only owns its `gmax`, and
 /// the group expertise is readable as a slice without allocating.
+///
+/// Only the view's [active topics](JraView::active_topics) are tracked, so
+/// [`gain`](PaperGain::gain) and [`add`](PaperGain::add) cost `O(s)` for a
+/// paper with `s` non-zero topics under a sparse-safe scoring (`O(T)` under
+/// reviewer coverage). The skipped topics' terms are all zeros, so every
+/// number matches the dense [`RunningGroup`] arithmetic bit for bit.
 #[derive(Debug, Clone)]
 pub struct PaperGain {
+    /// Group maxima on the active topics, in `active_topics()` order.
     gmax: Vec<f64>,
     raw: f64,
 }
@@ -344,7 +351,7 @@ pub struct PaperGain {
 impl PaperGain {
     /// Empty group for the view's paper.
     pub fn new(view: &JraView<'_>) -> Self {
-        Self { gmax: vec![0.0; view.paper.len()], raw: 0.0 }
+        Self { gmax: vec![0.0; view.active_topics().len()], raw: 0.0 }
     }
 
     /// Current `c(g, p)`.
@@ -359,7 +366,8 @@ impl PaperGain {
     pub fn gain(&self, view: &JraView<'_>, r: usize) -> f64 {
         let row = view.row(r);
         let mut delta = 0.0;
-        for ((&g, &e), &w) in self.gmax.iter().zip(row).zip(view.paper) {
+        for (&g, &t) in self.gmax.iter().zip(view.active_topics()) {
+            let (e, w) = (row[t as usize], view.paper[t as usize]);
             if e > g {
                 delta +=
                     view.scoring.topic_contribution(e, w) - view.scoring.topic_contribution(g, w);
@@ -371,17 +379,18 @@ impl PaperGain {
     /// Add reviewer `r` to the group — mirrors [`RunningGroup::add`].
     pub fn add(&mut self, view: &JraView<'_>, r: usize) {
         let row = view.row(r);
-        for (t, (&e, &w)) in row.iter().zip(view.paper).enumerate() {
-            let g = self.gmax[t];
-            if e > g {
+        for (g, &t) in self.gmax.iter_mut().zip(view.active_topics()) {
+            let (e, w) = (row[t as usize], view.paper[t as usize]);
+            if e > *g {
                 self.raw +=
-                    view.scoring.topic_contribution(e, w) - view.scoring.topic_contribution(g, w);
-                self.gmax[t] = e;
+                    view.scoring.topic_contribution(e, w) - view.scoring.topic_contribution(*g, w);
+                *g = e;
             }
         }
     }
 
-    /// The group expertise vector (per-topic max so far).
+    /// The group expertise (per-topic max so far) on the view's active
+    /// topics, in [`JraView::active_topics`] order.
     #[inline]
     pub fn expertise(&self) -> &[f64] {
         &self.gmax
@@ -481,7 +490,10 @@ mod tests {
                 pg.add(&view, r);
                 rg.add(inst.reviewer(r));
             }
-            assert_eq!(pg.expertise(), rg.expertise().as_slice());
+            let full = rg.expertise();
+            let on_active: Vec<f64> =
+                view.active_topics().iter().map(|&t| full[t as usize]).collect();
+            assert_eq!(pg.expertise(), on_active.as_slice());
         }
     }
 }

@@ -17,6 +17,29 @@
 //!
 //! The top-k variant replaces the single best-so-far with a bounded min-heap
 //! (the paper notes this extension at the end of §3; Figure 15 evaluates it).
+//!
+//! # Cost model
+//!
+//! Let `n` be the eligible pool, `T` the topic count and `s` the paper's
+//! support — its non-zero topics under weighted, paper and dot coverage
+//! (all `T` under reviewer coverage; see [`JraView::active_topics`]). A
+//! topic outside the support adds an exact zero to every gain and to the
+//! Eq. 3 bound, so both are summed over the support only:
+//!
+//! * **setup** — one `O(n·T)` scan collects each topic's reviewers with
+//!   positive expertise, and only those are sorted. Each topic's list is
+//!   that sorted part followed by an implicit tail: the remaining eligible
+//!   reviewers in id order (`+0.0` rows, then `-0.0` rows), materialised
+//!   only if a cursor reaches it. Together they are exactly the
+//!   `(expertise desc, id asc)` order of a full sort.
+//! * **per node** — all `T` cursor heads are still scanned, so the
+//!   branching order (and with it every answer, tie-break and node count)
+//!   is the dense search's. A head's gain costs `O(s)` and is cached per
+//!   stage until its cursor moves; the bound costs `O(s)`.
+//!
+//! At the served shapes (`T = 300`, papers of at most 4 topics) this took
+//! a δp=2 query at R=1000 from 35 ms to 1.8 ms on a 2-core host
+//! (`BENCH_jra.json`).
 
 use super::{JraProblem, JraResult};
 use crate::engine::{truncate_row, JraView, PaperGain, PruningPolicy, ScoreContext};
@@ -149,8 +172,8 @@ pub fn solve_ctx(
 }
 
 /// BBA for paper `p` under a candidate [`PruningPolicy`]: the per-paper
-/// setup (the `T` topic-sorted lists, normally an `O(R·T log R)` scan over
-/// the dense reviewer range) runs over the paper's candidate row instead.
+/// setup (the `T` topic-sorted lists, an `O(R·T)` scan over the dense
+/// reviewer range) runs over the paper's candidate row instead.
 /// When the context already carries a maintained
 /// [`CandidateSet`](crate::engine::CandidateSet) (a service snapshot) its
 /// row is reused; otherwise only *this* paper's row is scored — never an
@@ -218,7 +241,7 @@ pub fn solve_view(view: &JraView<'_>, opts: &BbaOptions) -> Option<Vec<JraResult
 
 /// [`solve_view`] restricted to an explicit reviewer pool (ascending ids):
 /// the topic-sorted lists are built over `pool ∩ ¬forbidden` only, so setup
-/// is `O(|pool|·T log |pool|)` instead of `O(R·T log R)`. Exactness is
+/// scans `O(|pool|·T)` cells instead of `O(R·T)`. Exactness is
 /// relative to the pool — see [`solve_ctx_pruned`] for when a candidate
 /// pool preserves the dense optimum.
 pub fn solve_view_pool(
@@ -227,6 +250,82 @@ pub fn solve_view_pool(
     opts: &BbaOptions,
 ) -> Option<Vec<JraResult>> {
     search(view, Some(pool), opts)
+}
+
+/// Algorithm 1's `T` topic-sorted reviewer lists over the eligible pool
+/// (paper Figure 5(b)), each ordered `(expertise desc, id asc)` as
+/// [`f64::total_cmp`] orders them. A list has two parts:
+///
+/// * the eligible reviewers with positive expertise on the topic, sorted;
+/// * an implicit tail of the remaining eligible reviewers in id order —
+///   `+0.0` rows before `-0.0` rows, since `total_cmp` ranks `-0.0` below
+///   `+0.0`. A tail is materialised the first time a cursor reaches it.
+///
+/// Building the lists is one `O(|eligible|·T)` scan plus sorting the
+/// positive entries; no full list of zeros is ever sorted.
+struct TopicLists {
+    eligible: Vec<u32>,
+    positive: Vec<Vec<(f64, u32)>>,
+    tails: Vec<Option<Vec<u32>>>,
+}
+
+impl TopicLists {
+    fn new(view: &JraView<'_>, eligible: Vec<u32>) -> Self {
+        let t_dim = view.paper.len();
+        let mut positive: Vec<Vec<(f64, u32)>> = vec![Vec::new(); t_dim];
+        for &r in &eligible {
+            for (list, &v) in positive.iter_mut().zip(view.row(r as usize)) {
+                if v > 0.0 {
+                    list.push((v, r));
+                }
+            }
+        }
+        for list in &mut positive {
+            list.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        }
+        Self { eligible, positive, tails: vec![None; t_dim] }
+    }
+
+    /// Move `pos` on topic `t`'s list past blocked reviewers (the lazy form
+    /// of Algorithm 1 lines 17-18), materialising the tail if it gets there.
+    fn skip_blocked(&mut self, view: &JraView<'_>, t: usize, pos: &mut usize, blocked: &[u32]) {
+        let positive = &self.positive[t];
+        while *pos < positive.len() && blocked[positive[*pos].1 as usize] > 0 {
+            *pos += 1;
+        }
+        if *pos < positive.len() || *pos >= self.eligible.len() {
+            return;
+        }
+        let eligible = &self.eligible;
+        let tail = self.tails[t].get_or_insert_with(|| {
+            let zeros = |negative: bool| {
+                eligible.iter().copied().filter(move |&r| {
+                    let v = view.row(r as usize)[t];
+                    v == 0.0 && v.is_sign_negative() == negative
+                })
+            };
+            zeros(false).chain(zeros(true)).collect()
+        });
+        let m = positive.len();
+        while *pos < self.eligible.len() && blocked[tail[*pos - m] as usize] > 0 {
+            *pos += 1;
+        }
+    }
+
+    /// The `(expertise, reviewer)` at `pos` on topic `t`'s list — expertise
+    /// reads `0.0` in the tail — or `None` past the end. A tail position
+    /// must have been reached through [`TopicLists::skip_blocked`].
+    fn at(&self, t: usize, pos: usize) -> Option<(f64, u32)> {
+        let positive = &self.positive[t];
+        if pos < positive.len() {
+            Some(positive[pos])
+        } else if pos < self.eligible.len() {
+            let tail = self.tails[t].as_ref().expect("tail materialised by skip_blocked");
+            Some((0.0, tail[pos - positive.len()]))
+        } else {
+            None
+        }
+    }
 }
 
 fn search(view: &JraView<'_>, pool: Option<&[u32]>, opts: &BbaOptions) -> Option<Vec<JraResult>> {
@@ -242,23 +341,15 @@ fn search(view: &JraView<'_>, pool: Option<&[u32]>, opts: &BbaOptions) -> Option
     }
     assert!(opts.top_k >= 1);
 
-    // T sorted lists over the eligible pool (paper Figure 5(b)).
-    let mut sorted_lists: Vec<Vec<(f64, u32)>> = Vec::with_capacity(t_dim);
-    for t in 0..t_dim {
-        let mut list: Vec<(f64, u32)> =
-            eligible.iter().map(|&r| (view.row(r as usize)[t], r)).collect();
-        list.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        sorted_lists.push(list);
-    }
-    let list_len = eligible.len();
-
-    let paper_weights = view.paper;
-    let inv_total = view.inv_total;
+    let mut lists = TopicLists::new(view, eligible);
+    let active = view.active_topics();
 
     // Per-stage state. The gain states stack one `PaperGain` per deepened
-    // stage — each level owns only its `gmax` row (no paper clone, no
-    // allocation on `expertise()` reads, unlike the boxed RunningGroup).
+    // stage — each level owns only its `gmax` on the active topics. Within
+    // a stage `gmax` is fixed, so each topic head's gain is cached against
+    // the cursor position it was computed at.
     let mut cursors: Vec<Vec<usize>> = vec![vec![0usize; t_dim]; k];
+    let mut head_gains: Vec<Vec<(usize, f64)>> = vec![vec![(usize::MAX, 0.0); t_dim]; k];
     let mut visited: Vec<Vec<u32>> = vec![Vec::new(); k];
     let mut blocked: Vec<u32> = vec![0; r_total];
     let mut rg_stack: Vec<PaperGain> = Vec::with_capacity(k + 1);
@@ -270,40 +361,36 @@ fn search(view: &JraView<'_>, pool: Option<&[u32]>, opts: &BbaOptions) -> Option
     let mut s = 0usize; // running stage, 0-based
 
     loop {
-        // Advance this stage's cursors past infeasible reviewers (lazy
-        // version of Algorithm 1 lines 17-18).
-        for t in 0..t_dim {
-            let pos = &mut cursors[s][t];
-            while *pos < list_len && blocked[sorted_lists[t][*pos].1 as usize] > 0 {
-                *pos += 1;
-            }
+        for (t, pos) in cursors[s].iter_mut().enumerate() {
+            lists.skip_blocked(view, t, pos, &blocked);
         }
-
-        // Candidate = cursor head with maximum marginal gain (line 6);
-        // upper bound from the cursor head values (line 7, Eq. 3).
         let rg = &rg_stack[s];
+
+        // Upper bound from the cursor head values (line 7, Eq. 3). Only
+        // the active topics can contribute.
+        let mut ub_raw = 0.0;
+        for (&g, &t) in rg.expertise().iter().zip(active) {
+            let t = t as usize;
+            let head_val = lists.at(t, cursors[s][t]).map_or(0.0, |(v, _)| v);
+            ub_raw += view.scoring.topic_contribution(g.max(head_val), view.paper[t]);
+        }
+        let ub = ub_raw * view.inv_total;
+
+        // Candidate = the first of all `T` cursor heads with the maximum
+        // marginal gain (line 6).
         let mut best_r: Option<usize> = None;
         let mut best_gain = f64::NEG_INFINITY;
-        let mut ub_raw = 0.0;
-        {
-            let gmax = rg.expertise();
-            for t in 0..t_dim {
-                let head = cursors[s][t];
-                let head_val = if head < list_len { sorted_lists[t][head].0 } else { 0.0 };
-                ub_raw += view.scoring.topic_contribution(gmax[t].max(head_val), paper_weights[t]);
-                if head < list_len {
-                    let r = sorted_lists[t][head].1 as usize;
-                    if best_r != Some(r) {
-                        let gain = rg.gain(view, r);
-                        if gain > best_gain {
-                            best_gain = gain;
-                            best_r = Some(r);
-                        }
-                    }
-                }
+        for (t, cached) in head_gains[s].iter_mut().enumerate() {
+            let head = cursors[s][t];
+            let Some((_, r)) = lists.at(t, head) else { continue };
+            if cached.0 != head {
+                *cached = (head, rg.gain(view, r as usize));
+            }
+            if cached.1 > best_gain {
+                best_gain = cached.1;
+                best_r = Some(r as usize);
             }
         }
-        let ub = ub_raw * inv_total;
 
         let prune = opts.use_bound && ub <= results.threshold();
         let Some(r) = best_r.filter(|_| !prune) else {
@@ -337,6 +424,7 @@ fn search(view: &JraView<'_>, pool: Option<&[u32]>, opts: &BbaOptions) -> Option
             // Deepen (lines 16-20): clone cursors into the next stage.
             let (head, tail) = cursors.split_at_mut(s + 1);
             tail[0].copy_from_slice(&head[s]);
+            head_gains[s + 1].fill((usize::MAX, 0.0));
             let mut next = rg_stack[s].clone();
             next.add(view, r);
             rg_stack.push(next);

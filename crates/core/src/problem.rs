@@ -53,11 +53,12 @@ impl Instance {
         if delta_r == 0 {
             return Err(Error::InvalidInstance("delta_r must be >= 1".into()));
         }
-        if reviewers.len() * delta_r < papers.len() * delta_p {
+        // Saturating: a decoded `delta_r` can be any `u64`.
+        let (capacity, demand) =
+            (reviewers.len().saturating_mul(delta_r), papers.len().saturating_mul(delta_p));
+        if capacity < demand {
             return Err(Error::InvalidInstance(format!(
-                "capacity shortfall: R*delta_r = {} < P*delta_p = {}",
-                reviewers.len() * delta_r,
-                papers.len() * delta_p
+                "capacity shortfall: R*delta_r = {capacity} < P*delta_p = {demand}"
             )));
         }
         Ok(Self {
@@ -220,11 +221,11 @@ impl Instance {
                 self.num_topics()
             )));
         }
-        if self.reviewers.len() * self.delta_r < (self.papers.len() + 1) * self.delta_p {
+        let capacity = self.reviewers.len().saturating_mul(self.delta_r);
+        let demand = (self.papers.len() + 1).saturating_mul(self.delta_p);
+        if capacity < demand {
             return Err(Error::InvalidInstance(format!(
-                "capacity shortfall after adding a paper: R*delta_r = {} < (P+1)*delta_p = {}",
-                self.reviewers.len() * self.delta_r,
-                (self.papers.len() + 1) * self.delta_p
+                "capacity shortfall after adding a paper: R*delta_r = {capacity} < (P+1)*delta_p = {demand}"
             )));
         }
         let p = self.papers.len();
@@ -316,6 +317,15 @@ mod tests {
             2,
         )
         .unwrap()
+    }
+
+    /// Regression: a `delta_r` near `usize::MAX` (e.g. decoded from a
+    /// corrupt checkpoint) overflowed the capacity products.
+    #[test]
+    fn huge_delta_r_does_not_overflow_capacity_checks() {
+        let v = || vec![TopicVector::new(vec![1.0]); 2];
+        let mut inst = Instance::new(v(), v(), 1, usize::MAX).unwrap();
+        assert!(inst.push_paper(None, TopicVector::new(vec![1.0])).is_ok());
     }
 
     #[test]

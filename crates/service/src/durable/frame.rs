@@ -74,7 +74,7 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// and the offset just past the frame, or `None` if the bytes there do not
 /// form a complete, checksum-valid frame (a torn or corrupt tail).
 pub fn decode_frame(buf: &[u8], offset: usize) -> Option<(&[u8], usize)> {
-    let header = buf.get(offset..offset + FRAME_HEADER_LEN)?;
+    let header = buf.get(offset..offset.checked_add(FRAME_HEADER_LEN)?)?;
     let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
     let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
     if len > MAX_FRAME_LEN {
@@ -229,7 +229,8 @@ impl<'a> Dec<'a> {
         if dim > MAX_FRAME_LEN as usize / 8 {
             return Err(format!("vector dimension {dim} exceeds frame bounds"));
         }
-        let mut weights = Vec::with_capacity(dim);
+        // Reserve no more than the payload can still hold.
+        let mut weights = Vec::with_capacity(dim.min((self.buf.len() - self.pos) / 8));
         for _ in 0..dim {
             let w = self.f64()?;
             if !w.is_finite() || w < 0.0 {
@@ -468,6 +469,16 @@ mod tests {
         let mut huge = frame;
         huge[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_frame(&huge, 0).is_none());
+    }
+
+    /// Regression: an offset near `usize::MAX` overflowed the header range
+    /// (a panic under overflow checks) instead of reading as no frame.
+    #[test]
+    fn offsets_past_the_end_are_no_frame() {
+        let frame = encode_frame(b"x");
+        for offset in [frame.len(), frame.len() + 1, usize::MAX - 3, usize::MAX] {
+            assert!(decode_frame(&frame, offset).is_none(), "offset {offset}");
+        }
     }
 
     #[test]

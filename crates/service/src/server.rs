@@ -62,7 +62,10 @@
 //! A request line longer than [`MAX_LINE_BYTES`] is answered with an error
 //! and skipped without buffering the rest of it, and JSON nested deeper
 //! than [`json::MAX_DEPTH`] fails to parse. Either way the reply is a
-//! plain `{"ok":false,...}` and the session continues.
+//! plain `{"ok":false,...}` and the session continues. On the metrics
+//! endpoint, a request line plus headers longer than
+//! [`MAX_METRICS_REQUEST_BYTES`] is answered `431` and the connection
+//! closed.
 //!
 //! # Concurrency
 //!
@@ -95,6 +98,14 @@ use wgrap_core::topic::TopicVector;
 
 /// Longest request line the wire layer buffers, in bytes.
 pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Longest request line plus headers the metrics endpoint reads, in bytes.
+pub const MAX_METRICS_REQUEST_BYTES: u64 = 8 << 10;
+
+/// After answering an oversized metrics request, the most request bytes
+/// read and discarded before closing. Closing a socket with unread input
+/// resets the connection, which can destroy the reply in flight.
+const METRICS_DRAIN_BYTES: u64 = 4 << 20;
 
 /// The protocol version a request speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,19 +248,31 @@ pub fn serve_metrics(listener: TcpListener, telemetry: Arc<Telemetry>) -> io::Re
 }
 
 fn serve_metrics_once(mut socket: std::net::TcpStream, telemetry: &Telemetry) -> io::Result<()> {
-    let mut reader = BufReader::new(socket.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers up to the blank line; nothing in them matters here.
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header.trim().is_empty() {
-            break;
+    let mut reader = BufReader::new(socket.try_clone()?.take(MAX_METRICS_REQUEST_BYTES));
+    let mut request_line = Vec::new();
+    let mut head_complete = false;
+    if reader.read_until(b'\n', &mut request_line)? > 0 && request_line.ends_with(b"\n") {
+        // Drain headers up to the blank line; nothing in them matters here.
+        let mut header = Vec::new();
+        loop {
+            header.clear();
+            if reader.read_until(b'\n', &mut header)? == 0 || !header.ends_with(b"\n") {
+                break;
+            }
+            if header.trim_ascii().is_empty() {
+                head_complete = true;
+                break;
+            }
         }
     }
+    // A client that ends its input early still gets an answer; one that hit
+    // the cap without finishing its headers gets a 431.
+    let oversized = !head_complete && reader.get_ref().limit() == 0;
+    let request_line = String::from_utf8_lossy(&request_line);
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
-    let (status, body) = if request_line.starts_with("GET ") && (path == "/metrics" || path == "/")
-    {
+    let (status, body) = if oversized {
+        ("431 Request Header Fields Too Large", "request too large\n".to_string())
+    } else if request_line.starts_with("GET ") && (path == "/metrics" || path == "/") {
         ("200 OK", telemetry.snapshot().to_prometheus())
     } else {
         ("404 Not Found", "not found\n".to_string())
@@ -262,7 +285,12 @@ fn serve_metrics_once(mut socket: std::net::TcpStream, telemetry: &Telemetry) ->
          Connection: close\r\n\r\n{body}",
         body.len()
     )?;
-    socket.flush()
+    socket.flush()?;
+    if oversized {
+        socket.shutdown(std::net::Shutdown::Write)?;
+        io::copy(&mut reader.into_inner().into_inner().take(METRICS_DRAIN_BYTES), &mut io::sink())?;
+    }
+    Ok(())
 }
 
 /// One message to a multi-session connection thread.
@@ -1478,6 +1506,37 @@ a {\"op\":\"stats\"}
         assert!(body.contains("wgrap_op_latency_seconds{op=\"jra\",quantile=\"0.5\"}"), "{body}");
         assert!(body.contains("wgrap_op_latency_seconds_count{op=\"jra\"} 1"), "{body}");
         assert!(scrape("/nope").starts_with("HTTP/1.1 404"), "unknown paths 404");
+    }
+
+    /// A request line that never ends is cut off at
+    /// [`MAX_METRICS_REQUEST_BYTES`] and answered 431, and the endpoint keeps
+    /// serving normal scrapes.
+    #[test]
+    fn metrics_http_request_is_bounded() {
+        use std::io::{Read as _, Write as _};
+        let service = test_service();
+        let telemetry = Arc::clone(service.service().telemetry());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || serve_metrics(listener, telemetry));
+
+        let client = std::net::TcpStream::connect(addr).unwrap();
+        let mut writer = client.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'a'; 1 << 20]);
+            let _ = writer.shutdown(std::net::Shutdown::Write);
+        });
+        let mut response = String::new();
+        (&client).read_to_string(&mut response).unwrap();
+        flood.join().unwrap();
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+        assert!(response.ends_with("request too large\n"), "{response}");
+
+        let mut client = std::net::TcpStream::connect(addr).unwrap();
+        write!(client, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
     }
 
     #[test]

@@ -153,19 +153,64 @@ fn serve_metrics_listen_scrapes_live_mid_session() {
     let mut scrape = String::new();
     sock.read_to_string(&mut scrape).unwrap();
     assert!(scrape.starts_with("HTTP/1.1 200 OK\r\n"), "{scrape}");
-    for needle in [
+    let body = scrape.split_once("\r\n\r\n").expect("HTTP head and body").1;
+    let lines: Vec<&str> = body.lines().collect();
+    // Required series must be live mid-session, with the traffic recorded.
+    for line in [
         "# TYPE wgrap_requests_total counter",
         "wgrap_requests_total{op=\"jra\"} 1",
-        "wgrap_op_latency_seconds{op=\"jra\",quantile=\"0.5\"}",
+        "wgrap_cache_misses_total 1",
         "wgrap_op_latency_seconds_count{op=\"jra\"} 1",
+        "wgrap_query_solve_seconds_count 1",
+        "# TYPE wgrap_store_epoch gauge",
         "wgrap_store_epoch 0",
     ] {
-        assert!(scrape.contains(needle), "missing {needle:?} in scrape:\n{scrape}");
+        assert!(lines.contains(&line), "missing line {line:?} in scrape:\n{body}");
+    }
+    let quantile = "wgrap_op_latency_seconds{op=\"jra\",quantile=\"0.5\"} ";
+    assert!(lines.iter().any(|l| l.starts_with(quantile)), "missing {quantile:?} in:\n{body}");
+    // Exposition-format lint: every non-comment line is `name[{labels}] value`.
+    for line in lines.iter().filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        assert!(is_prometheus_sample(line), "malformed Prometheus line: {line}");
     }
 
     drop(stdin); // EOF ends the session cleanly.
     let status = child.wait().unwrap();
     assert!(status.success(), "serve exited with {status:?}");
+}
+
+/// Is `line` a Prometheus text-format sample, `name[{labels}] value`?
+/// The name matches `[a-zA-Z_:][a-zA-Z0-9_:]*`, the label block holds no
+/// braces, and the value is `-?[0-9][0-9.eE+-]*`.
+fn is_prometheus_sample(line: &str) -> bool {
+    let name_len = line
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+        .unwrap_or(line.len());
+    let (name, rest) = line.split_at(name_len);
+    if name.is_empty() || name.starts_with(|c: char| c.is_ascii_digit()) {
+        return false;
+    }
+    let rest = match rest.strip_prefix('{') {
+        Some(labels) => match labels.split_once('}') {
+            Some((inner, after)) if !inner.contains('{') => after,
+            _ => return false,
+        },
+        None => rest,
+    };
+    let Some(value) = rest.strip_prefix(' ') else { return false };
+    let digits = value.strip_prefix('-').unwrap_or(value);
+    digits.starts_with(|c: char| c.is_ascii_digit())
+        && digits.chars().all(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-'))
+}
+
+#[test]
+fn prometheus_lint_accepts_samples_and_rejects_garbage() {
+    for good in ["a 1", "wgrap_x{op=\"jra\",quantile=\"0.5\"} 2.5e-5", "ns:m -0"] {
+        assert!(is_prometheus_sample(good), "{good}");
+    }
+    for bad in ["", "1a 1", "a{b=\"{\"} 1", "a{b=\"c\"}1", "a 1 2", "a NaN", "a{ 1"] {
+        assert!(!is_prometheus_sample(bad), "{bad}");
+    }
 }
 
 /// The durability restart golden: run the part-1 fixture session against
@@ -240,7 +285,10 @@ fn serve_durable_survives_kill_and_restart_byte_identically() {
     }
     assert_eq!(got.lines().count(), golden2.lines().count(), "part 2 response count");
     let announce = String::from_utf8_lossy(&out.stderr);
-    assert!(announce.contains("recovered at epoch 3"), "startup line: {announce}");
+    assert!(
+        announce.contains("recovered at epoch 3 (1 frames replayed, 0 tail bytes truncated)"),
+        "startup line: {announce}"
+    );
     assert!(dir.join("clean.marker").exists(), "EOF drain must leave the marker");
     std::fs::remove_dir_all(&dir).ok();
 }
