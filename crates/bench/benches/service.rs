@@ -27,6 +27,11 @@
 //!   0.6–1.3 q/s dense one-at-a-time baseline) while 8 clients share the
 //!   single solve slot; under `--features rayon` on a multi-core box the
 //!   coalesced batch additionally fans out across cores.
+//! * **Wire round trip** — 50 sequential cache-hit `jra` round trips from
+//!   a loopback client through `serve_tcp` (`serve_tcp_round_trip`, one
+//!   sample per round trip). A reply that leaves the server in several
+//!   `write`s waits for the client's delayed ACK, ~44 ms on Linux; one
+//!   write per reply brings the round trip down to tens of microseconds.
 //!
 //! Reference numbers from one container run (release; the container has a
 //! **single core**, so these measure the pruning/amortisation win only —
@@ -570,6 +575,66 @@ fn bench_concurrent_frontend(report: &mut BenchReport, dense_qps: f64) {
     );
 }
 
+/// Over-the-wire latency of the cheapest request: sequential cache-hit
+/// `jra` round trips from a loopback client through `serve_tcp` on the
+/// service-shape [`Frontend`](wgrap_service::Frontend), so each sample
+/// holds the line framing, the socket writes and the client's read
+/// around the few microseconds the server spends.
+fn bench_serve_tcp_round_trip(report: &mut BenchReport) {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use wgrap_service::api::{ServeOptions, Service};
+    use wgrap_service::server::serve_tcp;
+    use wgrap_service::Frontend;
+
+    let (store, _) = build_store(29);
+    let service = Service::from_store(store, ServeOptions::default());
+    let frontend = Arc::new(Frontend::with_defaults(Arc::new(service)));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    // The accept loop runs until the bench process exits.
+    std::thread::spawn(move || serve_tcp(listener, frontend));
+    let mut client = TcpStream::connect(addr).expect("connect to serve_tcp");
+    let mut reader = BufReader::new(client.try_clone().expect("clone client socket"));
+    let mut round_trip = || {
+        client.write_all(b"{\"op\":\"jra\",\"paper_id\":17,\"v\":2}\n").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("receive");
+        reply
+    };
+    let cold = round_trip();
+    assert!(cold.contains("\"cache\":\"miss\""), "{cold}");
+
+    const ROUND_TRIPS: usize = 50;
+    let samples: Vec<std::time::Duration> = (0..ROUND_TRIPS)
+        .map(|_| {
+            let start = Instant::now();
+            let reply = round_trip();
+            let elapsed = start.elapsed();
+            assert!(reply.contains("\"cache\":\"hit\""), "{reply}");
+            elapsed
+        })
+        .collect();
+    let mut sorted = samples.clone();
+    sorted.sort();
+    let median = sorted[ROUND_TRIPS / 2];
+    println!(
+        "serve_tcp_p{P}_r{R}_t{T}: cache-hit jra round trip median {median:.2?} \
+         ({ROUND_TRIPS} sequential)"
+    );
+    report.record(
+        "serve_tcp_round_trip",
+        &[
+            ("papers", P as f64),
+            ("reviewers", R as f64),
+            ("topics", T as f64),
+            ("round_trips", ROUND_TRIPS as f64),
+        ],
+        &samples,
+        Some(1.0 / median.as_secs_f64()),
+    );
+}
+
 fn main() {
     let mut c = Criterion::default();
     let mut report = BenchReport::new("service");
@@ -579,6 +644,7 @@ fn main() {
     bench_epoch_retention(&mut report);
     bench_result_cache(&mut report);
     bench_telemetry_overhead(&mut report);
+    bench_serve_tcp_round_trip(&mut report);
     bench_concurrent_frontend(&mut report, dense_qps);
     match report.write() {
         Ok(path) => println!("bench records -> {}", path.display()),

@@ -104,9 +104,10 @@ impl ShardConn {
             }
         };
         fn round_trip(conn: &mut BufReader<TcpStream>, line: &str) -> io::Result<String> {
+            // One write per request: a separate "\n" would wait for the
+            // shard's delayed ACK (see "Framing" in `crate::server`).
             let stream = conn.get_mut();
-            stream.write_all(line.as_bytes())?;
-            stream.write_all(b"\n")?;
+            stream.write_all(format!("{line}\n").as_bytes())?;
             stream.flush()?;
             let mut response = String::new();
             if conn.read_line(&mut response)? == 0 {
@@ -1001,9 +1002,7 @@ mod tests {
                 let shard = frontend(sub);
                 let listener = TcpListener::bind("127.0.0.1:0").unwrap();
                 let addr = listener.local_addr().unwrap().to_string();
-                std::thread::spawn(move || {
-                    let _ = serve_tcp(listener, shard);
-                });
+                std::thread::spawn(move || serve_tcp(listener, shard));
                 addr
             })
             .collect();
@@ -1045,5 +1044,27 @@ mod tests {
         assert_eq!(shards[2].get("up").and_then(Json::as_bool), Some(false));
         assert_eq!(shards[2].get("error").and_then(Json::as_str), Some("shard_down"));
         assert_eq!(shards[0].get("up").and_then(Json::as_bool), Some(true));
+    }
+
+    #[test]
+    fn routed_cache_hits_do_not_wait_for_delayed_acks() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let shard = frontend(instance());
+        std::thread::spawn(move || serve_tcp(listener, shard));
+        let router = Router::connect(vec![Link::Tcp(addr)]).unwrap();
+        // Cache hits cost microseconds on the shard. A request or reply
+        // split over several writes would wait ~40 ms per hop for a
+        // delayed ACK.
+        let jra = r#"{"v":2,"op":"jra","paper_id":1}"#;
+        assert!(ok(&handle_line(&router, jra)));
+        let median = crate::testutil::median_time(50, || {
+            let reply = handle_line(&router, jra);
+            assert_eq!(reply.get("cache").and_then(Json::as_str), Some("hit"), "{reply}");
+        });
+        assert!(
+            median < std::time::Duration::from_millis(20),
+            "median routed cache-hit round trip {median:?}"
+        );
     }
 }

@@ -1,10 +1,12 @@
 //! Shared test support for the `apply ≡ rebuild` contract — used by both
 //! the in-crate unit tests and the integration proptests, so the bitwise
-//! snapshot comparison and the reference update-replay exist exactly once.
+//! snapshot comparison and the reference update-replay exist exactly once —
+//! and the round-trip timer the wire-framing tests share.
 //! Hidden from docs; not part of the supported API surface.
 
 use crate::store::{Snapshot, Update};
 use crate::Result;
+use std::time::{Duration, Instant};
 use wgrap_core::prelude::{Instance, Scoring};
 use wgrap_core::topic::TopicVector;
 
@@ -98,4 +100,17 @@ pub fn assert_snapshot_bit_eq(got: &Snapshot, want: &Snapshot) {
         }
     }
     assert_eq!(got.indexes(), want.indexes(), "inverted indexes");
+}
+
+/// The median wall time of `n` sequential calls of `round_trip`.
+pub fn median_time(n: usize, mut round_trip: impl FnMut()) -> Duration {
+    let mut times: Vec<Duration> = (0..n)
+        .map(|_| {
+            let start = Instant::now();
+            round_trip();
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    times[n / 2]
 }

@@ -418,7 +418,7 @@ fn cmd_shard(flags: &Flags) -> Result<()> {
 
 fn bind(addr: &str) -> Result<std::net::TcpListener> {
     std::net::TcpListener::bind(addr)
-        .map_err(|e| Error::InvalidInstance(format!("cannot listen on {addr}: {e}")))
+        .map_err(|e| Error::Io(format!("cannot listen on {addr}: {e}")))
 }
 
 /// The serve wiring `serve` and `serve --router` share: the Prometheus
@@ -430,11 +430,9 @@ fn serve_backend<B: Backend + 'static>(flags: &Flags, backend: Arc<B>) -> Result
         let listener = bind(addr)?;
         eprintln!("# wgrap metrics listening on {}", listener.local_addr().unwrap());
         let telemetry = Arc::clone(backend.telemetry());
-        std::thread::spawn(move || {
-            let _ = wgrap::service::serve_metrics(listener, telemetry);
-        });
+        std::thread::spawn(move || wgrap::service::serve_metrics(listener, telemetry));
     }
-    let io_err = |e: std::io::Error| Error::InvalidInstance(format!("serve I/O error: {e}"));
+    let io_err = |e: std::io::Error| Error::Io(format!("serve: {e}"));
     match (&flags.listen, flags.multi) {
         (Some(_), true) => {
             Err(Error::InvalidInstance("--multi replays stdin; drop --listen".into()))
@@ -448,7 +446,7 @@ fn serve_backend<B: Backend + 'static>(flags: &Flags, backend: Arc<B>) -> Result
         (Some(addr), false) => {
             let listener = bind(addr)?;
             eprintln!("# wgrap serve listening on {}", listener.local_addr().unwrap());
-            wgrap::service::serve_tcp(listener, backend).map_err(io_err)
+            wgrap::service::serve_tcp(listener, backend)
         }
     }
 }

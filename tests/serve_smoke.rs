@@ -337,13 +337,22 @@ struct ListeningServer {
 
 impl ListeningServer {
     fn start(instance: &str) -> Self {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_wgrap"))
-            .args(["serve", instance, "--listen", "127.0.0.1:0"])
+        Self::spawn(Command::new(env!("CARGO_BIN_EXE_wgrap")).args([
+            "serve",
+            instance,
+            "--listen",
+            "127.0.0.1:0",
+        ]))
+    }
+
+    /// Run `command`, which must end up announcing a listening address.
+    fn spawn(command: &mut Command) -> Self {
+        let mut child = command
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
-            .expect("spawn shard server");
+            .expect("spawn server");
         let stderr = BufReader::new(child.stderr.take().unwrap());
         Self { child, stderr }
     }
@@ -424,6 +433,56 @@ fn router_sessions_match_goldens_over_three_shard_processes() {
     assert_matches_golden(&got, "router_golden_down.ndjson");
     drop(shards);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failed `accept` used to end the server. Under `ulimit -n 32`, 40 idle
+/// connections (one fd each on the server side) fill the fd table, so
+/// `accept` fails. Once they close, the server must still answer, and the
+/// failures must show in `accept_errors_total`.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_keeps_accepting_after_its_fd_table_fills() {
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+    const FD_LIMIT: usize = 32;
+    let mut server = ListeningServer::spawn(Command::new("sh").args([
+        "-c",
+        &format!(r#"ulimit -n {FD_LIMIT} && exec "$0" serve "$1" --listen 127.0.0.1:0"#),
+        env!("CARGO_BIN_EXE_wgrap"),
+        &format!("{FIXTURES}/serve.wgrap"),
+    ]));
+    let addr = server.addr();
+    let idle: Vec<TcpStream> = (0..40).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+    // Wait for the table to fill, then for a few accept retries.
+    let fds = format!("/proc/{}/fd", server.child.id());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while std::fs::read_dir(&fds).map_or(0, Iterator::count) < FD_LIMIT {
+        assert!(server.child.try_wait().unwrap().is_none(), "server exited with a full fd table");
+        assert!(Instant::now() < deadline, "the idle connections never filled the fd table");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    drop(idle);
+
+    let mut client = TcpStream::connect(&addr).expect("the server still accepts");
+    client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut reader = BufReader::new(client.try_clone().unwrap());
+    let mut round_trip = |request: &str| {
+        client.write_all(format!("{request}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+    let stats = round_trip(r#"{"op":"stats"}"#);
+    assert!(stats.contains("\"ok\":true"), "{stats}");
+    assert!(server.child.try_wait().unwrap().is_none(), "the server is still running");
+    let metrics = round_trip(r#"{"v":2,"op":"metrics"}"#);
+    let accept_errors: u64 = metrics
+        .split_once("\"accept_errors_total\":")
+        .and_then(|(_, rest)| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no accept_errors_total in {metrics}"));
+    assert!(accept_errors >= 1, "{metrics}");
 }
 
 #[test]
