@@ -1,15 +1,27 @@
-//! Criterion microbenchmarks for the Table 4 story: the CRA methods on a
-//! scaled-down DB08 instance, dispatched through the engine's Solver trait
-//! over one shared ScoreContext.
+//! The Table 4 story: the CRA methods on a scaled-down DB08 instance,
+//! dispatched through the engine's Solver trait over one shared
+//! ScoreContext, plus the flow-vs-Hungarian SDGA stage backend ablation.
+//! Records land in `BENCH_cra.json`.
+//!
+//! `counts.coverage` is each method's total coverage `c(A)`. It is
+//! deterministic, so a kernel change that claims the same answers must
+//! leave it unchanged while the times move.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-use wgrap_core::cra::{sdga, sra};
-use wgrap_core::engine::{GreedySolver, ScoreContext, SdgaSolver, Solver, StableMatchingSolver};
-use wgrap_core::prelude::Scoring;
+use wgrap_bench::report::BenchReport;
+use wgrap_core::assignment::Assignment;
+use wgrap_core::cra::sdga::LapBackend;
+use wgrap_core::cra::sra;
+use wgrap_core::engine::{
+    GreedySolver, PruningPolicy, ScoreContext, SdgaSolver, Solver, StableMatchingSolver,
+};
+use wgrap_core::prelude::{Instance, Scoring};
 use wgrap_datagen::areas::DB08;
 use wgrap_datagen::vectors::area_instance;
 use wgrap_datagen::DatasetSpec;
+
+const SCORING: Scoring = Scoring::WeightedCoverage;
+/// Samples per record: every call here takes milliseconds.
+const REPS: usize = 20;
 
 fn scaled_db08(factor: usize) -> DatasetSpec {
     DatasetSpec {
@@ -19,46 +31,63 @@ fn scaled_db08(factor: usize) -> DatasetSpec {
     }
 }
 
-fn bench_methods(c: &mut Criterion) {
-    let inst = area_instance(&scaled_db08(8), 3, 1);
-    let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage).with_seed(0);
-    let mut group = c.benchmark_group("cra_methods_db08_over8_dp3");
-    group.sample_size(10);
-    group.bench_function("stable_matching", |b| {
-        b.iter(|| black_box(StableMatchingSolver.solve(&ctx).unwrap()))
-    });
-    group.bench_function("greedy", |b| {
-        b.iter(|| black_box(GreedySolver::default().solve(&ctx).unwrap()))
-    });
-    group.bench_function("sdga", |b| {
-        b.iter(|| black_box(SdgaSolver::default().solve(&ctx).unwrap()))
-    });
-    group.bench_function("sdga_sra_omega5", |b| {
-        b.iter(|| {
-            let a = sdga::solve_ctx(&ctx).unwrap();
-            let opts = sra::SraOptions { omega: 5, ..Default::default() };
-            black_box(sra::refine_ctx(&ctx, a, &opts).score)
-        })
-    });
-    group.finish();
+fn params(inst: &Instance) -> [(&'static str, f64); 3] {
+    [
+        ("papers", inst.num_papers() as f64),
+        ("reviewers", inst.num_reviewers() as f64),
+        ("delta_p", inst.delta_p() as f64),
+    ]
 }
 
-fn bench_sdga_backends(c: &mut Criterion) {
+fn bench_methods(report: &mut BenchReport) {
+    let inst = area_instance(&scaled_db08(8), 3, 1);
+    let ctx = ScoreContext::new(&inst, SCORING).with_seed(0);
+    let params = params(&inst);
+    let coverage = |a: &Assignment| vec![("coverage", a.coverage_score(&inst, SCORING))];
+    let group = "cra_methods_db08_over8_dp3";
+    let solvers: [(&str, &dyn Solver); 3] = [
+        ("stable_matching", &StableMatchingSolver),
+        ("greedy", &GreedySolver::default()),
+        ("sdga", &SdgaSolver::default()),
+    ];
+    for (label, solver) in solvers {
+        let name = format!("{group}/{label}");
+        report.timed(&name, &params, REPS, || solver.solve(&ctx).unwrap(), coverage);
+    }
+    report.timed(
+        &format!("{group}/sdga_sra_omega5"),
+        &params,
+        REPS,
+        || {
+            let a = SdgaSolver::default().solve(&ctx).unwrap();
+            let opts = sra::SraOptions { omega: 5, ..Default::default() };
+            sra::refine(&ctx, a, &opts, PruningPolicy::Exact)
+        },
+        |out| vec![("coverage", out.score), ("rounds", out.rounds as f64)],
+    );
+}
+
+fn bench_sdga_backends(report: &mut BenchReport) {
     // DESIGN.md ablation: flow vs Hungarian stage backend.
     let inst = area_instance(&scaled_db08(8), 3, 2);
-    let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
-    let mut group = c.benchmark_group("sdga_backend_ablation");
-    group.sample_size(10);
-    group.bench_function("flow", |b| {
-        b.iter(|| black_box(sdga::solve_ctx_with_backend(&ctx, sdga::LapBackend::Flow).unwrap()))
-    });
-    group.bench_function("hungarian", |b| {
-        b.iter(|| {
-            black_box(sdga::solve_ctx_with_backend(&ctx, sdga::LapBackend::Hungarian).unwrap())
-        })
-    });
-    group.finish();
+    let ctx = ScoreContext::new(&inst, SCORING);
+    let params = params(&inst);
+    for (label, backend) in [("flow", LapBackend::Flow), ("hungarian", LapBackend::Hungarian)] {
+        let solver = SdgaSolver { backend, ..Default::default() };
+        report.timed(
+            &format!("sdga_backend_ablation/{label}"),
+            &params,
+            REPS,
+            || solver.solve(&ctx).unwrap(),
+            |a| vec![("coverage", a.coverage_score(&inst, SCORING))],
+        );
+    }
 }
 
-criterion_group!(benches, bench_methods, bench_sdga_backends);
-criterion_main!(benches);
+fn main() {
+    let mut report = BenchReport::new("cra");
+    bench_methods(&mut report);
+    bench_sdga_backends(&mut report);
+    let path = report.write().expect("write BENCH_cra.json");
+    println!("wrote {}", path.display());
+}

@@ -1,17 +1,18 @@
-//! Old-vs-new scoring path: the ScoreEngine's flat SoA + CSR kernels against
-//! the seed's boxed-`TopicVector` path, on the two hot kernels every solver
-//! shares — the dense P×R pair-score matrix build and one SDGA stage
+//! The ScoreEngine's flat SoA + CSR kernels on the two hot kernels every
+//! solver shares: the dense P×R pair-score matrix build and one SDGA stage
 //! cost-matrix build (all marginal gains, groups one reviewer deep).
+//! Records land in `BENCH_engine.json`.
 //!
 //! P=500, R=1000, T=100 with topic-model-shaped papers (mass concentrated
-//! on a few topics, as ATM inference produces): the acceptance bar for the
-//! engine is ≥2× on the stage-matrix build, single-threaded.
+//! on a few topics, as ATM inference produces). The seed's boxed-vector
+//! path these kernels replaced is a test-only oracle now; the unit test
+//! `engine::gain::tests::gain_table_matches_running_groups_bitwise` and the
+//! `cra_algorithms_bit_identical` proptest pin the engine to it bit for bit.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::hint::black_box;
-use wgrap_core::engine::{GainProvider, GainTable, LegacyGains, PairMatrix, ScoreContext};
+use wgrap_bench::report::BenchReport;
+use wgrap_core::engine::{GainProvider, GainTable, ScoreContext};
 use wgrap_core::prelude::{Instance, Scoring, TopicVector};
 
 const P: usize = 500;
@@ -19,6 +20,7 @@ const R: usize = 1000;
 const T: usize = 100;
 /// Non-zero topics per paper (topic-model posteriors concentrate mass).
 const PAPER_NNZ: usize = 8;
+const REPS: usize = 10;
 
 fn bench_instance() -> Instance {
     let mut rng = StdRng::seed_from_u64(42);
@@ -52,54 +54,34 @@ fn build_stage_rows<G: GainProvider>(gains: &G, row: &mut [f64]) -> f64 {
     acc
 }
 
-fn bench_pair_matrix(c: &mut Criterion) {
+fn main() {
+    let mut report = BenchReport::new("engine");
     let inst = bench_instance();
     let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
-    let mut group = c.benchmark_group("pair_matrix_p500_r1000_t100");
-    group.sample_size(10);
-    group.bench_function("legacy_boxed", |b| {
-        b.iter(|| black_box(PairMatrix::from_instance(&inst, Scoring::WeightedCoverage)))
-    });
-    group.bench_function("engine_flat_csr", |b| b.iter(|| black_box(ctx.build_pair_matrix())));
-    group.finish();
-}
+    let params = [("papers", P as f64), ("reviewers", R as f64), ("topics", T as f64)];
 
-fn bench_stage_matrix(c: &mut Criterion) {
-    let inst = bench_instance();
-    let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
+    report.timed(
+        "pair_matrix_p500_r1000_t100/engine_flat_csr",
+        &params,
+        REPS,
+        || ctx.build_pair_matrix(),
+        |_| vec![],
+    );
 
     // Stage 2 of SDGA: each paper's group already holds one reviewer.
-    let mut legacy = LegacyGains::new(&inst, Scoring::WeightedCoverage);
     let mut engine = GainTable::new(&ctx);
     for p in 0..P {
-        legacy.add(p, p % R);
         engine.add(p, p % R);
     }
+    let mut row = vec![0.0; R];
+    report.timed(
+        "sdga_stage_matrix_p500_r1000_t100/engine_flat_csr",
+        &params,
+        REPS,
+        || build_stage_rows(&engine, &mut row),
+        |_| vec![],
+    );
 
-    // The two paths must agree bit-for-bit before we time them.
-    let mut lrow = vec![0.0; R];
-    let mut erow = vec![0.0; R];
-    for p in [0, P / 2, P - 1] {
-        legacy.gains_into(p, &mut lrow);
-        engine.gains_into(p, &mut erow);
-        assert!(
-            lrow.iter().zip(&erow).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "engine and legacy stage rows diverged at paper {p}"
-        );
-    }
-
-    let mut group = c.benchmark_group("sdga_stage_matrix_p500_r1000_t100");
-    group.sample_size(10);
-    group.bench_function("legacy_boxed", |b| {
-        let mut row = vec![0.0; R];
-        b.iter(|| black_box(build_stage_rows(&legacy, &mut row)))
-    });
-    group.bench_function("engine_flat_csr", |b| {
-        let mut row = vec![0.0; R];
-        b.iter(|| black_box(build_stage_rows(&engine, &mut row)))
-    });
-    group.finish();
+    let path = report.write().expect("write BENCH_engine.json");
+    println!("wrote {}", path.display());
 }
-
-criterion_group!(benches, bench_pair_matrix, bench_stage_matrix);
-criterion_main!(benches);

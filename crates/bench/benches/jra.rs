@@ -142,39 +142,22 @@ fn dense_gen_shape(report: &mut BenchReport) {
     time_queries(report, "bba_dense_gen_r1000_dp2_wc", &inst, Scoring::WeightedCoverage, &params);
 }
 
-/// Time `run` `reps` times; returns the samples and the last result.
-fn repeat<R>(reps: usize, mut run: impl FnMut() -> R) -> (Vec<Duration>, R) {
-    let mut samples = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = run();
-        samples.push(start.elapsed());
-        last = Some(black_box(out));
-    }
-    (samples, last.expect("reps >= 1"))
-}
-
 fn small_solvers(report: &mut BenchReport) {
     let vc = VectorConfig::default();
     let pool = jra_pool(40, &vc, 1);
     let paper = jra_paper(&vc, 2);
     let problem = JraProblem::new(&paper, &pool, 3);
     let params = [("reviewers", 40.0), ("topics", vc.num_topics as f64), ("delta_p", 3.0)];
-    let (samples, best) = repeat(10, || bba::solve(&problem).expect("feasible"));
-    report.record_with_counts(
+    report.timed(
         "jra_solvers_r40_dp3_bba",
         &params,
-        &samples,
-        None,
-        &[("nodes", best.nodes as f64)],
+        10,
+        || bba::solve(&problem).expect("feasible"),
+        |best| vec![("nodes", best.nodes as f64)],
     );
-    let (samples, _) = repeat(10, || bfs::solve(&problem));
-    report.record("jra_solvers_r40_dp3_bfs", &params, &samples, None);
-    let (samples, _) = repeat(10, || cp::solve(&problem, None));
-    report.record("jra_solvers_r40_dp3_cp", &params, &samples, None);
-    let (samples, _) = repeat(10, || ilp::solve(&problem, None));
-    report.record("jra_solvers_r40_dp3_ilp", &params, &samples, None);
+    report.timed("jra_solvers_r40_dp3_bfs", &params, 10, || bfs::solve(&problem), |_| vec![]);
+    report.timed("jra_solvers_r40_dp3_cp", &params, 10, || cp::solve(&problem, None), |_| vec![]);
+    report.timed("jra_solvers_r40_dp3_ilp", &params, 10, || ilp::solve(&problem, None), |_| vec![]);
 
     // Eq. 3 bounding on vs off (branching order alone).
     let pool = jra_pool(60, &vc, 5);
@@ -183,14 +166,12 @@ fn small_solvers(report: &mut BenchReport) {
     let params = [("reviewers", 60.0), ("topics", vc.num_topics as f64), ("delta_p", 3.0)];
     for (name, use_bound) in [("bba_bound_on_r60_dp3", true), ("bba_bound_off_r60_dp3", false)] {
         let opts = bba::BbaOptions { use_bound, ..Default::default() };
-        let (samples, best) =
-            repeat(10, || bba::solve_with_options(&problem, &opts).expect("feasible"));
-        report.record_with_counts(
+        report.timed(
             name,
             &params,
-            &samples,
-            None,
-            &[("nodes", best[0].nodes as f64)],
+            10,
+            || bba::solve_with_options(&problem, &opts).expect("feasible"),
+            |best| vec![("nodes", best[0].nodes as f64)],
         );
     }
 }

@@ -1,54 +1,76 @@
-//! Criterion microbenchmarks for the linear-assignment substrate: the
-//! Hungarian algorithm vs min-cost flow on SDGA-stage-shaped problems.
+//! The linear-assignment substrate: the Hungarian algorithm vs min-cost
+//! flow on square unit-capacity problems and on the SDGA stage shape.
+//! Records land in `BENCH_lap.json`.
+//!
+//! `counts.weight` is each solve's matched weight. Both kernels are exact,
+//! so the two records of one shape must agree on it up to rounding.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::hint::black_box;
+use wgrap_bench::report::BenchReport;
 use wgrap_lap::{hungarian_max, CapacitatedAssignment, CostMatrix};
+
+const REPS: usize = 10;
 
 fn random_weights(rows: usize, cols: usize, seed: u64) -> CostMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
     CostMatrix::from_fn(rows, cols, |_, _| rng.random::<f64>())
 }
 
-fn bench_square(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lap_square_unit_caps");
-    group.sample_size(10);
+fn bench_square(report: &mut BenchReport) {
     for n in [50usize, 100, 200] {
         let w = random_weights(n, n, n as u64);
-        group.bench_with_input(BenchmarkId::new("hungarian", n), &w, |b, w| {
-            b.iter(|| black_box(hungarian_max(w)))
-        });
+        let params = [("rows", n as f64), ("cols", n as f64), ("cap", 1.0)];
+        report.timed(
+            &format!("lap_square_unit_caps/hungarian/{n}"),
+            &params,
+            REPS,
+            || hungarian_max(&w).expect("square matrix matches"),
+            |sol| vec![("weight", sol.objective)],
+        );
         let caps = vec![1i64; n];
-        group.bench_with_input(BenchmarkId::new("flow", n), &w, |b, w| {
-            b.iter(|| black_box(CapacitatedAssignment::new(w, &caps).solve()))
-        });
+        report.timed(
+            &format!("lap_square_unit_caps/flow/{n}"),
+            &params,
+            REPS,
+            || CapacitatedAssignment::new(&w, &caps).solve(),
+            |sol| vec![("weight", sol.objective)],
+        );
     }
-    group.finish();
 }
 
-fn bench_stage_shape(c: &mut Criterion) {
+fn bench_stage_shape(report: &mut BenchReport) {
     // SDGA stage shape: P papers x R reviewers, reviewer capacity cap.
     // Hungarian needs slot expansion (R*cap columns); flow handles caps
     // natively — this is the ablation behind defaulting to flow.
     let (p, r, cap) = (154usize, 26usize, 6i64); // DB08 / 4 at delta_p = 3
     let w = random_weights(p, r, 9);
     let caps = vec![cap; r];
-    let mut group = c.benchmark_group("lap_sdga_stage_shape");
-    group.sample_size(10);
-    group.bench_function("flow_capacitated", |b| {
-        b.iter(|| black_box(CapacitatedAssignment::new(&w, &caps).solve()))
-    });
-    group.bench_function("hungarian_slot_expanded", |b| {
-        b.iter(|| {
+    let params = [("rows", p as f64), ("cols", r as f64), ("cap", cap as f64)];
+    report.timed(
+        "lap_sdga_stage_shape/flow_capacitated",
+        &params,
+        REPS,
+        || CapacitatedAssignment::new(&w, &caps).solve(),
+        |sol| vec![("weight", sol.objective)],
+    );
+    report.timed(
+        "lap_sdga_stage_shape/hungarian_slot_expanded",
+        &params,
+        REPS,
+        || {
             let expanded =
                 CostMatrix::from_fn(p, r * cap as usize, |i, s| w.get(i, s / cap as usize));
-            black_box(hungarian_max(&expanded))
-        })
-    });
-    group.finish();
+            hungarian_max(&expanded).expect("slots cover every row")
+        },
+        |sol| vec![("weight", sol.objective)],
+    );
 }
 
-criterion_group!(benches, bench_square, bench_stage_shape);
-criterion_main!(benches);
+fn main() {
+    let mut report = BenchReport::new("lap");
+    bench_square(&mut report);
+    bench_stage_shape(&mut report);
+    let path = report.write().expect("write BENCH_lap.json");
+    println!("wrote {}", path.display());
+}

@@ -23,7 +23,6 @@
 //! The harness also asserts the ≥5× peak score-state memory reduction
 //! (~377× at k=16) and prints the exact byte counts.
 
-use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -97,7 +96,7 @@ fn dense_stage_matrix(inst: &Instance, gains: &GainTable<'_, '_>) -> CostMatrix 
     CostMatrix::from_flat(inst.num_papers(), num_r, flat)
 }
 
-fn bench_full_scale(c: &mut Criterion, report: &mut BenchReport) {
+fn bench_full_scale(report: &mut BenchReport) {
     let inst = sparse_instance(P, R, T, 42);
     let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
     let gains = GainTable::new(&ctx);
@@ -131,19 +130,6 @@ fn bench_full_scale(c: &mut Criterion, report: &mut BenchReport) {
         stats.min, stats.median, stats.max
     );
 
-    let mut group = c.benchmark_group("pruning_p5000_r10000_t500");
-    group.sample_size(10);
-    group.bench_function("candidate_build_k16", |b| {
-        b.iter(|| black_box(CandidateSet::build(&ctx, Some(K))))
-    });
-    group.bench_function("sparse_stage_build_plus_solve_k16", |b| {
-        b.iter(|| black_box(sparse_stage(&inst, &gains, &cands)))
-    });
-    group.bench_function("dense_stage_build_only", |b| {
-        b.iter(|| black_box(dense_stage_matrix(&inst, &gains)))
-    });
-    group.finish();
-
     // Sanity: the sparse stage actually places papers — timed once for the
     // machine-readable record.
     let stage_start = Instant::now();
@@ -155,7 +141,7 @@ fn bench_full_scale(c: &mut Criterion, report: &mut BenchReport) {
     report.record("dense_stage_build_only", &params, &[dense_start.elapsed()], None);
 }
 
-fn bench_mid_scale_end_to_end(c: &mut Criterion, report: &mut BenchReport) {
+fn bench_mid_scale_end_to_end(report: &mut BenchReport) {
     let inst = sparse_instance(500, 1_000, 120, 7);
     let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
 
@@ -185,29 +171,12 @@ fn bench_mid_scale_end_to_end(c: &mut Criterion, report: &mut BenchReport) {
     ];
     report.record("sdga_dense_build_plus_solve", &params, &[dense_t], None);
     report.record("sdga_topk16_build_plus_solve", &params, &[pruned_t], None);
-
-    let mut group = c.benchmark_group("sdga_end_to_end_p500_r1000");
-    group.sample_size(10);
-    group.bench_function("dense_build_plus_solve", |b| {
-        b.iter(|| black_box(SdgaSolver::default().solve(&ctx).unwrap()))
-    });
-    group.bench_function("topk16_build_plus_solve", |b| {
-        b.iter(|| {
-            black_box(
-                SdgaSolver { pruning: PruningPolicy::TopK(K), ..Default::default() }
-                    .solve(&ctx)
-                    .unwrap(),
-            )
-        })
-    });
-    group.finish();
 }
 
 fn main() {
-    let mut c = Criterion::default();
     let mut report = BenchReport::new("pruning");
-    bench_full_scale(&mut c, &mut report);
-    bench_mid_scale_end_to_end(&mut c, &mut report);
+    bench_full_scale(&mut report);
+    bench_mid_scale_end_to_end(&mut report);
     match report.write() {
         Ok(path) => println!("bench records -> {}", path.display()),
         Err(e) => eprintln!("could not write bench records: {e}"),

@@ -49,7 +49,6 @@
 //! Retaining 17 consecutive epochs costs 196 MiB deduplicated vs
 //! 1344 MiB naive copies (6.9×, `update_epoch_retention`).
 
-use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -95,7 +94,7 @@ fn run_batch(snapshot: &Arc<Snapshot>, queries: &[JraQuery], pruning: PruningPol
     batch.run().into_iter().filter(|r| r.is_ok()).count()
 }
 
-fn bench_batched_jra(c: &mut Criterion, report: &mut BenchReport) -> f64 {
+fn bench_batched_jra(report: &mut BenchReport) -> f64 {
     let (store, mut rng) = build_store(42);
     let snapshot = store.snapshot();
     let query_papers = sparse_vectors(128, T, PAPER_NNZ, &mut rng);
@@ -148,15 +147,6 @@ fn bench_batched_jra(c: &mut Criterion, report: &mut BenchReport) -> f64 {
         batched_qps / dense_qps,
         if wgrap_core::engine::par::is_parallel() { "enabled" } else { "serial build" },
     );
-
-    // One timed criterion sample keeps `cargo bench` integration without
-    // re-running the 128-query batch many times.
-    let mut group = c.benchmark_group("service_jra_p5000_r10000");
-    group.sample_size(2);
-    group.bench_function("batch16_auto", |b| {
-        b.iter(|| black_box(run_batch(&snapshot, &queries[..16], PruningPolicy::Auto)))
-    });
-    group.finish();
     dense_qps
 }
 
@@ -168,7 +158,7 @@ fn run_scores(snapshot: &Arc<Snapshot>, queries: &[JraQuery], pruning: PruningPo
     batch.run().into_iter().map(|r| r.expect("feasible")[0].score).collect()
 }
 
-fn bench_updates_vs_rebuild(c: &mut Criterion, report: &mut BenchReport) {
+fn bench_updates_vs_rebuild(report: &mut BenchReport) {
     let (store, mut rng) = build_store(7);
     let base = store.snapshot();
     let new_paper = sparse_vectors(1, T, PAPER_NNZ, &mut rng).pop().unwrap();
@@ -211,24 +201,6 @@ fn bench_updates_vs_rebuild(c: &mut Criterion, report: &mut BenchReport) {
             Some(1.0 / rebuild_t.as_secs_f64()),
         );
     }
-
-    let mut group = c.benchmark_group("service_update_p5000_r10000");
-    group.sample_size(10);
-    for (label, update) in &updates {
-        let update = update.clone();
-        let base_inst = base.instance().clone();
-        group.bench_function(format!("apply_{label}"), |b| {
-            let store = VersionedStore::new(base_inst.clone(), Scoring::WeightedCoverage, 7);
-            b.iter(|| {
-                black_box(store.apply(std::slice::from_ref(&update)).expect("applies"));
-            })
-        });
-    }
-    group.bench_function("full_rebuild", |b| {
-        let inst = base.instance().clone();
-        b.iter(|| black_box(Snapshot::build(inst.clone(), Scoring::WeightedCoverage, 7)))
-    });
-    group.finish();
 }
 
 /// Paged copy-on-write clone vs the flat full-memcpy clone it replaced:
@@ -636,10 +608,9 @@ fn bench_serve_tcp_round_trip(report: &mut BenchReport) {
 }
 
 fn main() {
-    let mut c = Criterion::default();
     let mut report = BenchReport::new("service");
-    let dense_qps = bench_batched_jra(&mut c, &mut report);
-    bench_updates_vs_rebuild(&mut c, &mut report);
+    let dense_qps = bench_batched_jra(&mut report);
+    bench_updates_vs_rebuild(&mut report);
     bench_paged_vs_flat_clone(&mut report);
     bench_epoch_retention(&mut report);
     bench_result_cache(&mut report);

@@ -6,11 +6,10 @@
 //! paper reports. Independent (dataset, δp) cells run on scoped threads.
 
 use crate::util::{banner, render_table, secs, timeit, RunConfig};
-use parking_lot::Mutex;
 use wgrap_core::assignment::Assignment;
 use wgrap_core::cra::ideal::{ideal_assignment, IdealMode};
 use wgrap_core::cra::CraAlgorithm;
-use wgrap_core::engine::ScoreContext;
+use wgrap_core::engine::{PruningPolicy, ScoreContext};
 use wgrap_core::metrics;
 use wgrap_core::prelude::{Instance, Scoring};
 use wgrap_datagen::areas::{all_datasets, DB08, DM08, T08};
@@ -28,7 +27,7 @@ pub fn run_all_methods(inst: &Instance, seed: u64) -> Vec<(&'static str, Assignm
     CraAlgorithm::ALL
         .iter()
         .map(|&algo| {
-            let solver = algo.solver();
+            let solver = algo.solver_with(PruningPolicy::Exact);
             let (res, t) = timeit(|| solver.solve(&ctx));
             let a = res.unwrap_or_else(|e| panic!("{} failed: {e}", algo.label()));
             (algo.label(), a, t.as_secs_f64())
@@ -125,31 +124,34 @@ pub fn fig18(cfg: &RunConfig) {
 pub fn table7(cfg: &RunConfig) {
     banner("Table 7: lowest coverage score min_p c(A[p], p)");
     let datasets = all_datasets();
-    let results: Mutex<Vec<(usize, Vec<Vec<String>>)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for (di, spec) in datasets.iter().enumerate() {
-            let results = &results;
-            scope.spawn(move || {
-                let mut block = Vec::new();
-                for delta_p in [3usize, 4, 5] {
-                    let inst = instance_for(cfg, spec, delta_p);
-                    let all = run_all_methods(&inst, cfg.seed);
-                    let mut row = vec![format!("{} d={delta_p}", spec.name)];
-                    for (label, a, _) in &all {
-                        if *label == "SDGA" {
-                            continue; // Table 7 omits plain SDGA
+    let rows: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = datasets
+            .iter()
+            .map(|spec| {
+                scope.spawn(move || {
+                    let mut block = Vec::new();
+                    for delta_p in [3usize, 4, 5] {
+                        let inst = instance_for(cfg, spec, delta_p);
+                        let all = run_all_methods(&inst, cfg.seed);
+                        let mut row = vec![format!("{} d={delta_p}", spec.name)];
+                        for (label, a, _) in &all {
+                            if *label == "SDGA" {
+                                continue; // Table 7 omits plain SDGA
+                            }
+                            row.push(format!("{:.2}", metrics::lowest_coverage(&inst, SCORING, a)));
                         }
-                        row.push(format!("{:.2}", metrics::lowest_coverage(&inst, SCORING, a)));
+                        block.push(row);
                     }
-                    block.push(row);
-                }
-                results.lock().push((di, block));
-            });
-        }
+                    block
+                })
+            })
+            .collect();
+        // Join in dataset order, so the table's row order is fixed.
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    let mut blocks = results.into_inner();
-    blocks.sort_by_key(|(di, _)| *di);
-    let rows: Vec<Vec<String>> = blocks.into_iter().flat_map(|(_, b)| b).collect();
     println!("{}", render_table(&["dataset", "SM", "ILP", "BRGG", "Greedy", "SDGA-SRA"], &rows));
 }
 

@@ -3,8 +3,10 @@
 
 use crate::util::{banner, render_table, RunConfig};
 use std::time::Duration;
+use wgrap_core::assignment::Assignment;
 use wgrap_core::cra::ideal::{ideal_assignment, IdealMode};
-use wgrap_core::cra::{local_search, sdga, sra};
+use wgrap_core::cra::{local_search, sra};
+use wgrap_core::engine::{PruningPolicy, ScoreContext, SdgaSolver, Solver};
 use wgrap_core::prelude::{Instance, Scoring};
 use wgrap_datagen::areas::{DB08, DM08};
 use wgrap_datagen::vectors::area_instance;
@@ -17,6 +19,16 @@ fn setup(cfg: &RunConfig, spec: &DatasetSpec, delta_p: usize) -> (Instance, f64)
     let ideal = ideal_assignment(&inst, SCORING, IdealMode::Exact).expect("ideal");
     let denom = ideal.coverage_score(&inst, SCORING);
     (inst, denom)
+}
+
+/// SDGA's assignment, the starting point every refinement here runs from.
+fn sdga(ctx: &ScoreContext<'_>) -> Assignment {
+    SdgaSolver::default().solve(ctx).expect("sdga")
+}
+
+/// Unpruned SRA over `ctx`.
+fn refine(ctx: &ScoreContext<'_>, initial: &Assignment, opts: &sra::SraOptions) -> sra::SraOutcome {
+    sra::refine(ctx, initial.clone(), opts, PruningPolicy::Exact)
 }
 
 /// Sample a refinement trace at fixed wall-clock ticks, as optimality ratio.
@@ -46,12 +58,12 @@ pub fn fig12(cfg: &RunConfig) {
             spec.name
         ));
         let (inst, denom) = setup(cfg, &spec, 3);
-        let initial = sdga::solve(&inst, SCORING).expect("sdga");
+        let ctx = ScoreContext::new(&inst, SCORING);
+        let initial = sdga(&ctx);
 
-        let sra_out = sra::refine(
-            &inst,
-            SCORING,
-            initial.clone(),
+        let sra_out = refine(
+            &ctx,
+            &initial,
             &sra::SraOptions {
                 omega: usize::MAX,
                 max_rounds: usize::MAX,
@@ -61,14 +73,14 @@ pub fn fig12(cfg: &RunConfig) {
             },
         );
         let ls_out = local_search::refine(
-            &inst,
-            SCORING,
+            &ctx,
             initial,
             &local_search::LocalSearchOptions {
                 patience: usize::MAX,
                 time_limit: Some(budget),
                 seed: cfg.seed,
             },
+            PruningPolicy::Exact,
         );
 
         let mut rows = Vec::new();
@@ -93,14 +105,14 @@ pub fn fig16(cfg: &RunConfig) {
     for spec in [DB08, DM08] {
         banner(&format!("Figure 16 ({}): effect of omega (delta_p=3)", spec.name));
         let (inst, denom) = setup(cfg, &spec, 3);
-        let initial = sdga::solve(&inst, SCORING).expect("sdga");
+        let ctx = ScoreContext::new(&inst, SCORING);
+        let initial = sdga(&ctx);
         let mut rows = Vec::new();
         for &omega in &[2usize, 5, 10, 20, 40] {
             let (out, t) = crate::util::timeit(|| {
-                sra::refine(
-                    &inst,
-                    SCORING,
-                    initial.clone(),
+                refine(
+                    &ctx,
+                    &initial,
                     &sra::SraOptions { omega, seed: cfg.seed, ..Default::default() },
                 )
             });
@@ -130,16 +142,16 @@ pub fn trials_tradeoff(cfg: &RunConfig) {
             spec.name
         ));
         let (inst, denom) = setup(cfg, &spec, 3);
-        let initial = sdga::solve(&inst, SCORING).expect("sdga");
+        let ctx = ScoreContext::new(&inst, SCORING);
+        let initial = sdga(&ctx);
         let mut rows = Vec::new();
         for &(trials, omega) in
             &[(1usize, 5usize), (1, 10), (1, 20), (2, 5), (2, 10), (4, 5), (4, 10), (8, 5)]
         {
             let (out, t) = crate::util::timeit(|| {
-                sra::refine(
-                    &inst,
-                    SCORING,
-                    initial.clone(),
+                refine(
+                    &ctx,
+                    &initial,
                     &sra::SraOptions { omega, trials, seed: cfg.seed, ..Default::default() },
                 )
             });
@@ -166,19 +178,15 @@ pub fn trials_tradeoff(cfg: &RunConfig) {
 pub fn sra_model_ablation(cfg: &RunConfig) {
     banner("Ablation: SRA removal model (Eq. 10 coverage vs uniform)");
     let (inst, denom) = setup(cfg, &DB08, 3);
-    let initial = sdga::solve(&inst, SCORING).expect("sdga");
+    let ctx = ScoreContext::new(&inst, SCORING);
+    let initial = sdga(&ctx);
     let mut rows = Vec::new();
     for (label, model) in [
         ("Eq. 10 coverage", sra::RemovalModel::Coverage),
         ("uniform 1/R", sra::RemovalModel::Uniform),
     ] {
         let (out, t) = crate::util::timeit(|| {
-            sra::refine(
-                &inst,
-                SCORING,
-                initial.clone(),
-                &sra::SraOptions { model, seed: cfg.seed, ..Default::default() },
-            )
+            refine(&ctx, &initial, &sra::SraOptions { model, seed: cfg.seed, ..Default::default() })
         });
         rows.push(vec![
             label.to_string(),
@@ -227,12 +235,12 @@ mod tests {
         // equal omega by construction.
         let cfg = RunConfig { scale: 80, seed: 9, ..Default::default() };
         let (inst, _) = setup(&cfg, &DB08, 3);
-        let initial = sdga::solve(&inst, SCORING).expect("sdga");
+        let ctx = ScoreContext::new(&inst, SCORING);
+        let initial = sdga(&ctx);
         let run = |trials: usize| {
-            sra::refine(
-                &inst,
-                SCORING,
-                initial.clone(),
+            refine(
+                &ctx,
+                &initial,
                 &sra::SraOptions { omega: 4, trials, seed: cfg.seed, ..Default::default() },
             )
             .score

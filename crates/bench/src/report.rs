@@ -14,9 +14,10 @@
 //! rewritten wholesale on every bench run; diffing two commits' files is
 //! the intended workflow.
 
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wgrap_service::json::Json;
 
 /// Records with at least this many samples also report p10 and p90.
@@ -82,6 +83,39 @@ impl BenchReport {
             members.push(("counts", Json::obj(counts.iter().map(|&(k, v)| (k, Json::Num(v))))));
         }
         self.records.push(Json::obj(members));
+    }
+
+    /// Time `run` `reps` times (at least once), record the samples under
+    /// `name` with the `counts` read off the last result, and print the
+    /// median. Returns the last result.
+    pub fn timed<R>(
+        &mut self,
+        name: &str,
+        params: &[(&'static str, f64)],
+        reps: usize,
+        mut run: impl FnMut() -> R,
+        counts: impl FnOnce(&R) -> Vec<(&'static str, f64)>,
+    ) -> R {
+        let mut samples = Vec::with_capacity(reps.max(1));
+        let mut last = None;
+        for _ in 0..reps.max(1) {
+            let start = Instant::now();
+            let out = run();
+            samples.push(start.elapsed());
+            last = Some(black_box(out));
+        }
+        let last = last.expect("at least one rep");
+        let counts = counts(&last);
+        let mut sorted = samples.clone();
+        sorted.sort();
+        let counts_text: String = counts.iter().map(|(k, v)| format!(" {k}={v}")).collect();
+        println!(
+            "{name:<56} median {:>12.3?} ({} samples){counts_text}",
+            sorted[sorted.len() / 2],
+            samples.len()
+        );
+        self.record_with_counts(name, params, &samples, None, &counts);
+        last
     }
 
     /// Write `BENCH_<bench>.json` at the workspace root and return its

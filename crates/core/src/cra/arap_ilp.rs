@@ -17,17 +17,12 @@ use crate::score::Scoring;
 use wgrap_lap::flow::{MinCostFlow, COST_SCALE};
 
 /// Exactly maximise the per-pair objective subject to the WGRAP constraints,
-/// with pair scores from the legacy boxed-vector path (engine reference).
-pub fn solve(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
-    solve_impl(inst, &PairMatrix::from_instance(inst, scoring))
-}
-
-/// The same flow solve over a [`ScoreContext`]'s flat pair-score matrix.
-pub fn solve_ctx(ctx: &ScoreContext<'_>) -> Result<Assignment> {
+/// over a [`ScoreContext`]'s flat pair-score matrix.
+pub(crate) fn solve_ctx(ctx: &ScoreContext<'_>) -> Result<Assignment> {
     solve_impl(ctx.instance(), ctx.pair_matrix())
 }
 
-fn solve_impl(inst: &Instance, pairs: &PairMatrix) -> Result<Assignment> {
+pub(crate) fn solve_impl(inst: &Instance, pairs: &PairMatrix) -> Result<Assignment> {
     let (num_p, num_r) = (inst.num_papers(), inst.num_reviewers());
     if num_p == 0 {
         return Ok(Assignment::empty(0));
@@ -92,7 +87,11 @@ pub fn pair_objective(inst: &Instance, scoring: Scoring, a: &Assignment) -> f64 
 mod tests {
     use super::*;
     use crate::cra::testutil::random_instance;
-    use crate::cra::{greedy, sdga};
+    use crate::cra::CraAlgorithm;
+
+    fn solve(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
+        solve_ctx(&ScoreContext::new(inst, scoring))
+    }
 
     #[test]
     fn produces_valid_assignments() {
@@ -110,10 +109,8 @@ mod tests {
             let inst = random_instance(8, 6, 4, 2, seed);
             let ilp = solve(&inst, Scoring::WeightedCoverage).unwrap();
             let obj = pair_objective(&inst, Scoring::WeightedCoverage, &ilp);
-            for other in [
-                greedy::solve(&inst, Scoring::WeightedCoverage).unwrap(),
-                sdga::solve(&inst, Scoring::WeightedCoverage).unwrap(),
-            ] {
+            for other in [CraAlgorithm::Greedy, CraAlgorithm::Sdga] {
+                let other = other.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
                 assert!(
                     obj >= pair_objective(&inst, Scoring::WeightedCoverage, &other) - 1e-6,
                     "seed={seed}"
@@ -132,7 +129,7 @@ mod tests {
         for seed in 0..10 {
             let inst = random_instance(10, 6, 5, 3, 100 + seed);
             let ilp = solve(&inst, Scoring::WeightedCoverage).unwrap();
-            let sd = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+            let sd = CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
             let ci = ilp.coverage_score(&inst, Scoring::WeightedCoverage);
             let cs = sd.coverage_score(&inst, Scoring::WeightedCoverage);
             if cs > ci + 1e-9 {

@@ -19,7 +19,7 @@
 
 use super::sdga::{solve_stage_with_bonus, LapBackend};
 use crate::assignment::Assignment;
-use crate::engine::{GainProvider, GainTable, LegacyGains, ScoreContext};
+use crate::engine::{GainProvider, GainTable, ScoreContext};
 use crate::error::Result;
 use crate::problem::Instance;
 use crate::score::Scoring;
@@ -98,23 +98,14 @@ pub fn combined_score(
     a.coverage_score(inst, scoring) + lambda * bids.satisfaction(a)
 }
 
-/// SDGA on the combined coverage + bid objective. `lambda = 0` recovers
-/// plain SDGA; larger values trade topic coverage for bid satisfaction.
-pub fn solve_sdga(
-    inst: &Instance,
-    scoring: Scoring,
-    bids: &Bids,
-    lambda: f64,
-) -> Result<Assignment> {
-    solve_sdga_impl(inst, &mut LegacyGains::new(inst, scoring), bids, lambda)
-}
-
-/// [`solve_sdga`] over a [`ScoreContext`] (flat engine gains).
-pub fn solve_sdga_ctx(ctx: &ScoreContext<'_>, bids: &Bids, lambda: f64) -> Result<Assignment> {
+/// SDGA on the combined coverage + bid objective, over a [`ScoreContext`]
+/// (flat engine gains). `lambda = 0` recovers plain SDGA; larger values
+/// trade topic coverage for bid satisfaction.
+pub fn solve_sdga(ctx: &ScoreContext<'_>, bids: &Bids, lambda: f64) -> Result<Assignment> {
     solve_sdga_impl(ctx.instance(), &mut GainTable::new(ctx), bids, lambda)
 }
 
-fn solve_sdga_impl<P: GainProvider + Sync>(
+pub(crate) fn solve_sdga_impl<P: GainProvider + Sync>(
     inst: &Instance,
     gains: &mut P,
     bids: &Bids,
@@ -154,16 +145,21 @@ fn solve_sdga_impl<P: GainProvider + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cra::sdga;
     use crate::cra::testutil::random_instance;
+    use crate::cra::CraAlgorithm;
+
+    /// Bid-aware SDGA under weighted coverage.
+    fn solve_wc(inst: &Instance, bids: &Bids, lambda: f64) -> Result<Assignment> {
+        solve_sdga(&ScoreContext::new(inst, Scoring::WeightedCoverage), bids, lambda)
+    }
 
     #[test]
     fn lambda_zero_matches_plain_sdga_objective() {
         for seed in 0..5 {
             let inst = random_instance(8, 6, 4, 2, seed);
             let bids = Bids::neutral(6, 8);
-            let with = solve_sdga(&inst, Scoring::WeightedCoverage, &bids, 0.0).unwrap();
-            let plain = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+            let with = solve_wc(&inst, &bids, 0.0).unwrap();
+            let plain = CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
             assert!(
                 (with.coverage_score(&inst, Scoring::WeightedCoverage)
                     - plain.coverage_score(&inst, Scoring::WeightedCoverage))
@@ -179,8 +175,8 @@ mod tests {
         // the argmax assignment (and hence the result) is unchanged.
         let inst = random_instance(6, 5, 4, 2, 11);
         let bids = Bids::neutral(5, 6);
-        let a = solve_sdga(&inst, Scoring::WeightedCoverage, &bids, 5.0).unwrap();
-        let plain = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let a = solve_wc(&inst, &bids, 5.0).unwrap();
+        let plain = CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
         assert!(
             (a.coverage_score(&inst, Scoring::WeightedCoverage)
                 - plain.coverage_score(&inst, Scoring::WeightedCoverage))
@@ -198,7 +194,7 @@ mod tests {
             bids.set(0, p, BidLevel::No);
         }
         bids.set(0, 0, BidLevel::Yes);
-        let a = solve_sdga(&inst, Scoring::WeightedCoverage, &bids, 10.0).unwrap();
+        let a = solve_wc(&inst, &bids, 10.0).unwrap();
         a.validate(&inst).unwrap();
         assert!(
             a.group(0).contains(&0),
@@ -212,7 +208,7 @@ mod tests {
         let inst = random_instance(5, 5, 4, 2, 7);
         let mut bids = Bids::neutral(5, 5);
         bids.set(1, 2, BidLevel::Yes);
-        let a = solve_sdga(&inst, Scoring::WeightedCoverage, &bids, 0.3).unwrap();
+        let a = solve_wc(&inst, &bids, 0.3).unwrap();
         let total = combined_score(&inst, Scoring::WeightedCoverage, &bids, 0.3, &a);
         let parts =
             a.coverage_score(&inst, Scoring::WeightedCoverage) + 0.3 * bids.satisfaction(&a);
@@ -233,7 +229,7 @@ mod tests {
                     }
                 }
             }
-            let a = solve_sdga(&inst, Scoring::WeightedCoverage, &bids, 0.5).unwrap();
+            let a = solve_wc(&inst, &bids, 0.5).unwrap();
             a.validate(&inst).unwrap();
         }
     }
@@ -247,7 +243,7 @@ mod tests {
         }
         let mut last = f64::NEG_INFINITY;
         for lambda in [0.0, 0.2, 1.0, 5.0] {
-            let a = solve_sdga(&inst, Scoring::WeightedCoverage, &bids, lambda).unwrap();
+            let a = solve_wc(&inst, &bids, lambda).unwrap();
             let sat = bids.satisfaction(&a);
             assert!(
                 sat >= last - 1e-9,

@@ -17,7 +17,6 @@ use crate::engine::{group_score_view, CandidateSet, JraView, PruningPolicy, Scor
 use crate::error::{Error, Result};
 use crate::jra::bba;
 use crate::problem::Instance;
-use crate::score::Scoring;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -45,33 +44,10 @@ impl Ord for Cached {
     }
 }
 
-/// Run BRGG to a complete assignment on the legacy boxed-vector JRA views
-/// (the engine reference).
-pub fn solve(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
-    solve_impl(
-        inst,
-        |p, forbidden| {
-            JraView::from_boxed(inst.paper(p), inst.reviewers(), forbidden, inst.delta_p(), scoring)
-        },
-        None,
-    )
-}
-
-/// Run BRGG over a [`ScoreContext`] (flat engine JRA views).
-pub fn solve_ctx(ctx: &ScoreContext<'_>) -> Result<Assignment> {
-    solve_ctx_with(ctx, PruningPolicy::Exact)
-}
-
-/// Run BRGG over a [`ScoreContext`] with candidate pruning.
-///
-/// Under [`PruningPolicy::TopK`] each per-paper exact JRA searches only the
-/// paper's candidates (the branch-and-bound pool shrinks from `R` to at
-/// most `k`), falling back to the full pool for a paper whose feasible
-/// candidates dip below `δp`. [`PruningPolicy::Auto`] runs the dense path:
-/// BBA may return any of several equally-scoring optimal groups and its
-/// choice depends on pool order, so pruning cannot be certified
-/// bit-identical even with a zero exclusion bound.
-pub fn solve_ctx_with(ctx: &ScoreContext<'_>, pruning: PruningPolicy) -> Result<Assignment> {
+/// Run BRGG to a complete assignment over a [`ScoreContext`] (flat engine
+/// JRA views) under a candidate pruning policy; the certification rules
+/// are on [`BrggSolver::pruning`](crate::engine::BrggSolver::pruning).
+pub(crate) fn solve_ctx_with(ctx: &ScoreContext<'_>, pruning: PruningPolicy) -> Result<Assignment> {
     let cands = pruning.resolve_lossy(ctx);
     solve_impl(
         ctx.instance(),
@@ -80,7 +56,7 @@ pub fn solve_ctx_with(ctx: &ScoreContext<'_>, pruning: PruningPolicy) -> Result<
     )
 }
 
-fn solve_impl<'v, F>(
+pub(crate) fn solve_impl<'v, F>(
     inst: &Instance,
     make_view: F,
     cands: Option<&CandidateSet>,
@@ -188,6 +164,11 @@ mod tests {
     use super::*;
     use crate::cra::testutil::random_instance;
     use crate::jra::JraProblem;
+    use crate::score::Scoring;
+
+    fn solve(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
+        solve_ctx_with(&ScoreContext::new(inst, scoring), PruningPolicy::Exact)
+    }
 
     #[test]
     fn produces_valid_assignments() {
@@ -220,11 +201,10 @@ mod tests {
 
     #[test]
     fn topk_pruned_is_valid_and_auto_is_exact() {
-        use crate::engine::{PruningPolicy, ScoreContext};
         for seed in 0..4 {
             let inst = random_instance(8, 6, 4, 2, seed);
             let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
-            let exact = solve_ctx(&ctx).unwrap();
+            let exact = solve_ctx_with(&ctx, PruningPolicy::Exact).unwrap();
             let auto = solve_ctx_with(&ctx, PruningPolicy::Auto).unwrap();
             assert_eq!(exact, auto, "seed={seed}: Auto must run the dense path");
             let pruned = solve_ctx_with(&ctx, PruningPolicy::TopK(3)).unwrap();

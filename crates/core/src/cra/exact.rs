@@ -153,15 +153,15 @@ mod tests {
 
     #[test]
     fn optimum_dominates_every_heuristic() {
-        use crate::cra::{greedy, sdga};
+        use crate::cra::CraAlgorithm;
         for seed in 0..4 {
             let inst = random_instance(3, 4, 3, 2, seed);
             let opt = solve(&inst, Scoring::WeightedCoverage).unwrap();
             opt.validate(&inst).unwrap();
             let c_opt = opt.coverage_score(&inst, Scoring::WeightedCoverage);
             for a in [
-                greedy::solve(&inst, Scoring::WeightedCoverage).unwrap(),
-                sdga::solve(&inst, Scoring::WeightedCoverage).unwrap(),
+                CraAlgorithm::Greedy.run(&inst, Scoring::WeightedCoverage, 0).unwrap(),
+                CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap(),
             ] {
                 assert!(a.coverage_score(&inst, Scoring::WeightedCoverage) <= c_opt + 1e-9);
             }

@@ -12,44 +12,19 @@
 use super::pair_feasible;
 use crate::assignment::Assignment;
 use crate::engine::celf::CelfQueue;
-use crate::engine::{
-    CandidateSet, GainProvider, GainTable, LegacyGains, PruningPolicy, ScoreContext,
-};
+use crate::engine::{CandidateSet, GainProvider, GainTable, PruningPolicy, ScoreContext};
 use crate::error::{Error, Result};
 use crate::problem::Instance;
-use crate::score::Scoring;
 
-/// Run the greedy algorithm on the legacy boxed-vector gain path (the
-/// engine reference).
-pub fn solve(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
-    solve_impl(inst, &mut LegacyGains::new(inst, scoring), None)
-}
-
-/// Run the greedy algorithm over a [`ScoreContext`] (flat engine gains).
-pub fn solve_ctx(ctx: &ScoreContext<'_>) -> Result<Assignment> {
-    solve_ctx_with(ctx, PruningPolicy::Exact)
-}
-
-/// Run the greedy algorithm over a [`ScoreContext`] with candidate pruning.
-///
-/// Under [`PruningPolicy::Auto`] the initial heap holds only each paper's
-/// positive-score candidates; the moment the zero-gain regime begins (a
-/// fresh heap top at gain `≤ 0`, or the candidate heap running dry) the
-/// remaining excluded pairs are *spilled* into the heap. Because an excluded
-/// reviewer's gain is identically zero under every group state (the `Auto`
-/// certificate), the spill restores the exact heap content the dense path
-/// would have at that decision step — so `Auto` assignments are
-/// **bit-identical** to [`PruningPolicy::Exact`] while the positive regime
-/// (where nearly all the work happens) scans only candidates.
-/// [`PruningPolicy::TopK`] prunes the same way but may exclude
-/// positive-score reviewers, losing at most
-/// [`bound(p)`](CandidateSet::bound) per decision until the spill.
-pub fn solve_ctx_with(ctx: &ScoreContext<'_>, pruning: PruningPolicy) -> Result<Assignment> {
+/// Run the greedy algorithm over a [`ScoreContext`] (flat engine gains)
+/// under a candidate pruning policy; the certification rules are on
+/// [`GreedySolver::pruning`](crate::engine::GreedySolver::pruning).
+pub(crate) fn solve_ctx_with(ctx: &ScoreContext<'_>, pruning: PruningPolicy) -> Result<Assignment> {
     let cands = pruning.resolve(ctx);
     solve_impl(ctx.instance(), &mut GainTable::new(ctx), cands.as_deref())
 }
 
-fn solve_impl<P: GainProvider>(
+pub(crate) fn solve_impl<P: GainProvider>(
     inst: &Instance,
     gains: &mut P,
     cands: Option<&CandidateSet>,
@@ -201,11 +176,15 @@ fn solve_impl<P: GainProvider>(
 mod tests {
     use super::*;
     use crate::cra::testutil::random_instance;
-    use crate::score::RunningGroup;
+    use crate::score::{RunningGroup, Scoring};
     use crate::topic::TopicVector;
 
     fn tv(v: &[f64]) -> TopicVector {
         TopicVector::new(v.to_vec())
+    }
+
+    fn solve(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
+        solve_ctx_with(&ScoreContext::new(inst, scoring), PruningPolicy::Exact)
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub(crate) fn greedy_group_view(view: &crate::engine::JraView<'_>) -> Result<Vec
 mod tests {
     use super::*;
     use crate::cra::testutil::random_instance;
-    use crate::cra::{exact, greedy, sdga};
+    use crate::cra::{exact, CraAlgorithm};
 
     #[test]
     fn ideal_dominates_exact_optimum() {
@@ -111,8 +111,8 @@ mod tests {
             let ai = ideal_assignment(&inst, Scoring::WeightedCoverage, IdealMode::Exact).unwrap();
             let denom = ai.coverage_score(&inst, Scoring::WeightedCoverage);
             for a in [
-                greedy::solve(&inst, Scoring::WeightedCoverage).unwrap(),
-                sdga::solve(&inst, Scoring::WeightedCoverage).unwrap(),
+                CraAlgorithm::Greedy.run(&inst, Scoring::WeightedCoverage, 0).unwrap(),
+                CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap(),
             ] {
                 let ratio = a.coverage_score(&inst, Scoring::WeightedCoverage) / denom;
                 assert!(ratio <= 1.0 + 1e-9 && ratio > 0.0);

@@ -54,17 +54,8 @@ fn paper_score(inst: &Instance, scoring: Scoring, group: &[usize], p: usize) -> 
     rg.score()
 }
 
-/// Run hill-climbing local search from `initial`.
-pub fn refine(
-    inst: &Instance,
-    scoring: Scoring,
-    initial: Assignment,
-    opts: &LocalSearchOptions,
-) -> LsOutcome {
-    refine_impl(inst, scoring, initial, opts, None)
-}
-
-/// [`refine`] over a [`ScoreContext`] with candidate pruning.
+/// Run hill-climbing local search from `initial` over a [`ScoreContext`],
+/// with candidate pruning.
 ///
 /// Under [`PruningPolicy::TopK`] the *replace* move samples its substitute
 /// from the paper's candidate list instead of all `R` reviewers, so far
@@ -72,7 +63,7 @@ pub fn refine(
 /// changes the RNG trajectory, so even a certified set cannot be
 /// bit-identical to the dense search — [`PruningPolicy::Auto`] therefore
 /// runs the exact (unrestricted) sampler.
-pub fn refine_ctx(
+pub fn refine(
     ctx: &ScoreContext<'_>,
     initial: Assignment,
     opts: &LocalSearchOptions,
@@ -216,17 +207,28 @@ fn try_replace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cra::sdga;
     use crate::cra::testutil::random_instance;
+    use crate::cra::CraAlgorithm;
+
+    /// SDGA's assignment, the usual starting point of a refinement.
+    fn sdga(inst: &Instance) -> Assignment {
+        CraAlgorithm::Sdga.run(inst, Scoring::WeightedCoverage, 0).unwrap()
+    }
+
+    /// Unpruned local search under weighted coverage.
+    fn refine_wc(inst: &Instance, initial: Assignment, opts: &LocalSearchOptions) -> LsOutcome {
+        let ctx = ScoreContext::new(inst, Scoring::WeightedCoverage);
+        refine(&ctx, initial, opts, PruningPolicy::Exact)
+    }
 
     #[test]
     fn never_worse_and_stays_valid() {
         for seed in 0..5 {
             let inst = random_instance(8, 6, 4, 2, seed);
-            let initial = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+            let initial = sdga(&inst);
             let before = initial.coverage_score(&inst, Scoring::WeightedCoverage);
             let opts = LocalSearchOptions { patience: 2_000, seed, ..Default::default() };
-            let out = refine(&inst, Scoring::WeightedCoverage, initial, &opts);
+            let out = refine_wc(&inst, initial, &opts);
             assert!(out.score >= before - 1e-9);
             out.assignment.validate(&inst).unwrap();
         }
@@ -251,12 +253,8 @@ mod tests {
             }
         }
         a.validate(&inst).unwrap();
-        let out = refine(
-            &inst,
-            Scoring::WeightedCoverage,
-            a,
-            &LocalSearchOptions { patience: 5_000, ..Default::default() },
-        );
+        let out =
+            refine_wc(&inst, a, &LocalSearchOptions { patience: 5_000, ..Default::default() });
         for w in out.trace.windows(2) {
             assert!(w[1].1 > w[0].1);
         }
@@ -265,18 +263,17 @@ mod tests {
 
     #[test]
     fn candidate_proposals_stay_monotone_and_valid() {
-        use crate::engine::{PruningPolicy, ScoreContext};
         let inst = random_instance(8, 6, 4, 2, 4);
         let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
-        let initial = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let initial = sdga(&inst);
         let before = initial.coverage_score(&inst, Scoring::WeightedCoverage);
         let opts = LocalSearchOptions { patience: 2_000, seed: 4, ..Default::default() };
-        let out = refine_ctx(&ctx, initial.clone(), &opts, PruningPolicy::TopK(4));
+        let out = refine(&ctx, initial.clone(), &opts, PruningPolicy::TopK(4));
         assert!(out.score >= before - 1e-9);
         out.assignment.validate(&inst).unwrap();
-        // Auto keeps the exact sampler: identical to the plain refine.
-        let auto = refine_ctx(&ctx, initial.clone(), &opts, PruningPolicy::Auto);
-        let plain = refine(&inst, Scoring::WeightedCoverage, initial, &opts);
+        // Auto keeps the exact sampler: identical to the unpruned refine.
+        let auto = refine(&ctx, initial.clone(), &opts, PruningPolicy::Auto);
+        let plain = refine(&ctx, initial, &opts, PruningPolicy::Exact);
         assert_eq!(auto.score, plain.score);
         assert_eq!(auto.proposals, plain.proposals);
         assert_eq!(auto.assignment, plain.assignment);
@@ -285,10 +282,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let inst = random_instance(6, 5, 4, 2, 7);
-        let initial = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let initial = sdga(&inst);
         let opts = LocalSearchOptions { patience: 1_000, seed: 3, ..Default::default() };
-        let a = refine(&inst, Scoring::WeightedCoverage, initial.clone(), &opts);
-        let b = refine(&inst, Scoring::WeightedCoverage, initial, &opts);
+        let a = refine_wc(&inst, initial.clone(), &opts);
+        let b = refine_wc(&inst, initial, &opts);
         assert_eq!(a.score, b.score);
         assert_eq!(a.proposals, b.proposals);
     }

@@ -6,21 +6,27 @@
 //! Greedy Algorithm ([`sdga`], 1/2-approximate, `1−1/e` when `δp | δr`)
 //! refined by a stochastic post-process ([`sra`]).
 //!
-//! Every baseline from the §5.2 evaluation is implemented:
+//! Every baseline from the §5.2 evaluation is implemented, each with one
+//! public way in over a [`ScoreContext`](crate::engine::ScoreContext):
 //!
-//! | §5.2 name | module |
-//! |---|---|
-//! | SM (stable matching) | [`stable_matching`] |
-//! | ILP (per-pair objective) | [`arap_ilp`] |
-//! | BRGG | [`brgg`] |
-//! | Greedy (Long et al., 1/3-approx) | [`greedy`] |
-//! | SDGA | [`sdga`] |
-//! | SDGA-SRA | [`sdga`] + [`sra`] |
-//! | SDGA-LS (Fig. 12) | [`sdga`] + [`local_search`] |
+//! | §5.2 name | module | entry |
+//! |---|---|---|
+//! | SM (stable matching) | [`stable_matching`] | [`StableMatchingSolver`](crate::engine::StableMatchingSolver) |
+//! | ILP (per-pair objective) | [`arap_ilp`] | [`IlpSolver`](crate::engine::IlpSolver) |
+//! | BRGG | [`brgg`] | [`BrggSolver`](crate::engine::BrggSolver) |
+//! | Greedy (Long et al., 1/3-approx) | [`greedy`] | [`GreedySolver`](crate::engine::GreedySolver) |
+//! | SDGA | [`sdga`] | [`SdgaSolver`](crate::engine::SdgaSolver) |
+//! | SDGA-SRA | [`sdga`] + [`sra`] | [`SdgaSraSolver`](crate::engine::SdgaSraSolver), or [`sra::refine`] |
+//! | SDGA-LS (Fig. 12) | [`sdga`] + [`local_search`] | [`local_search::refine`] |
+//!
+//! [`CraAlgorithm`] dispatches over the six §5.2 methods. The seed's
+//! boxed-vector path that every engine entry reproduces bit for bit
+//! survives only as a test oracle (the crate's `#[cfg(test)]` `legacy`
+//! module).
 //!
 //! [`bids`] implements the paper's §6 future-work extension: a combined
 //! coverage + reviewer-preference objective (still submodular, so the SDGA
-//! guarantee carries over).
+//! guarantee carries over), solved by [`bids::solve_sdga`].
 //!
 //! [`ideal`] computes the workload-free ideal assignment `A_I` used as the
 //! optimality-ratio denominator, and [`exact`] the true optimum `O` by
@@ -87,29 +93,11 @@ impl CraAlgorithm {
 
     /// Run the algorithm with its default parameters through the engine
     /// ([`Solver`](crate::engine::Solver) dispatch over a fresh
-    /// [`ScoreContext`](crate::engine::ScoreContext)). `seed` feeds the
-    /// stochastic refinement (ignored by deterministic methods).
+    /// [`ScoreContext`](crate::engine::ScoreContext), no pruning). `seed`
+    /// feeds the stochastic refinement (ignored by deterministic methods).
     pub fn run(self, inst: &Instance, scoring: Scoring, seed: u64) -> Result<Assignment> {
         let ctx = crate::engine::ScoreContext::new(inst, scoring).with_seed(seed);
-        self.solver().solve(&ctx)
-    }
-
-    /// Run the algorithm on the legacy boxed-vector scoring path — the
-    /// reference implementation the engine is proptested against
-    /// (bit-identical assignments).
-    pub fn run_legacy(self, inst: &Instance, scoring: Scoring, seed: u64) -> Result<Assignment> {
-        match self {
-            CraAlgorithm::StableMatching => stable_matching::solve(inst, scoring),
-            CraAlgorithm::ArapIlp => arap_ilp::solve(inst, scoring),
-            CraAlgorithm::Brgg => brgg::solve(inst, scoring),
-            CraAlgorithm::Greedy => greedy::solve(inst, scoring),
-            CraAlgorithm::Sdga => sdga::solve(inst, scoring),
-            CraAlgorithm::SdgaSra => {
-                let a = sdga::solve(inst, scoring)?;
-                let opts = sra::SraOptions { seed, ..Default::default() };
-                Ok(sra::refine(inst, scoring, a, &opts).assignment)
-            }
-        }
+        self.solver_with(crate::engine::PruningPolicy::Exact).solve(&ctx)
     }
 }
 

@@ -147,7 +147,7 @@ pub fn split_into_stages(inst: &Instance, a: &Assignment) -> Result<Vec<Vec<usiz
 mod tests {
     use super::*;
     use crate::cra::testutil::random_instance;
-    use crate::cra::{greedy, sdga, stable_matching};
+    use crate::cra::CraAlgorithm;
     use crate::score::Scoring;
 
     fn check_partition(inst: &Instance, a: &Assignment, slices: &[Vec<usize>]) {
@@ -175,9 +175,9 @@ mod tests {
         for seed in 0..8 {
             let inst = random_instance(9, 6, 4, 3, seed);
             for a in [
-                sdga::solve(&inst, Scoring::WeightedCoverage).unwrap(),
-                greedy::solve(&inst, Scoring::WeightedCoverage).unwrap(),
-                stable_matching::solve(&inst, Scoring::WeightedCoverage).unwrap(),
+                CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap(),
+                CraAlgorithm::Greedy.run(&inst, Scoring::WeightedCoverage, 0).unwrap(),
+                CraAlgorithm::StableMatching.run(&inst, Scoring::WeightedCoverage, 0).unwrap(),
             ] {
                 let slices = split_into_stages(&inst, &a).unwrap();
                 check_partition(&inst, &a, &slices);
@@ -190,7 +190,7 @@ mod tests {
         // delta_r exactly divisible and saturated: cap = delta_r / delta_p.
         for seed in 0..4 {
             let inst = random_instance(8, 4, 4, 2, 40 + seed); // delta_r = 4
-            let a = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+            let a = CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
             let slices = split_into_stages(&inst, &a).unwrap();
             check_partition(&inst, &a, &slices);
         }
@@ -200,7 +200,7 @@ mod tests {
     fn partitions_larger_instances() {
         for delta_p in [2usize, 3, 5] {
             let inst = random_instance(40, 11, 5, delta_p, 90 + delta_p as u64);
-            let a = greedy::solve(&inst, Scoring::WeightedCoverage).unwrap();
+            let a = CraAlgorithm::Greedy.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
             let slices = split_into_stages(&inst, &a).unwrap();
             check_partition(&inst, &a, &slices);
         }
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn single_stage_is_identity() {
         let inst = random_instance(5, 5, 3, 1, 2);
-        let a = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let a = CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
         let slices = split_into_stages(&inst, &a).unwrap();
         assert_eq!(slices.len(), 1);
         for p in 0..5 {

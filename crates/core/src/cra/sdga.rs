@@ -15,14 +15,30 @@
 //! the Hungarian algorithm or min-cost flow): flow handles reviewer slot
 //! capacities natively; Hungarian expands each reviewer into capacity-many
 //! slot columns. Their equality is an ablation bench (`benches/lap.rs`).
+//!
+//! SDGA runs through [`SdgaSolver`](crate::engine::SdgaSolver), which picks
+//! the backend and the candidate pruning:
+//!
+//! ```
+//! use wgrap_core::engine::{ScoreContext, SdgaSolver, Solver};
+//! use wgrap_core::prelude::{Instance, Scoring, TopicVector};
+//! let papers = vec![TopicVector::new(vec![0.6, 0.4]), TopicVector::new(vec![0.3, 0.7])];
+//! let reviewers = vec![
+//!     TopicVector::new(vec![0.9, 0.1]),
+//!     TopicVector::new(vec![0.2, 0.8]),
+//!     TopicVector::new(vec![0.5, 0.5]),
+//! ];
+//! let inst = Instance::new(papers, reviewers, 2, 2).unwrap();
+//! let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
+//! let a = SdgaSolver::default().solve(&ctx).unwrap();
+//! assert!(a.validate(&inst).is_ok());
+//! assert_eq!(a.group(0).len(), 2);
+//! ```
 
 use crate::assignment::Assignment;
-use crate::engine::{
-    par, CandidateSet, GainProvider, GainTable, LegacyGains, PruningPolicy, ScoreContext,
-};
+use crate::engine::{par, CandidateSet, GainProvider, GainTable, PruningPolicy, ScoreContext};
 use crate::error::{Error, Result};
 use crate::problem::Instance;
-use crate::score::Scoring;
 use wgrap_lap::{hungarian_max, CapacitatedAssignment, CostMatrix, SparseMatrix};
 
 /// Which linear-assignment solver runs each stage.
@@ -35,64 +51,15 @@ pub enum LapBackend {
     Hungarian,
 }
 
-/// Run SDGA with the default flow backend.
-///
-/// ```
-/// use wgrap_core::cra::sdga;
-/// use wgrap_core::prelude::{Instance, Scoring, TopicVector};
-/// let papers = vec![TopicVector::new(vec![0.6, 0.4]), TopicVector::new(vec![0.3, 0.7])];
-/// let reviewers = vec![
-///     TopicVector::new(vec![0.9, 0.1]),
-///     TopicVector::new(vec![0.2, 0.8]),
-///     TopicVector::new(vec![0.5, 0.5]),
-/// ];
-/// let inst = Instance::new(papers, reviewers, 2, 2).unwrap();
-/// let a = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
-/// assert!(a.validate(&inst).is_ok());
-/// assert_eq!(a.group(0).len(), 2);
-/// ```
-pub fn solve(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
-    solve_with_backend(inst, scoring, LapBackend::Flow)
-}
-
-/// Run SDGA with an explicit LAP backend, on the legacy boxed-vector gain
-/// path (the engine reference).
-pub fn solve_with_backend(
-    inst: &Instance,
-    scoring: Scoring,
-    backend: LapBackend,
-) -> Result<Assignment> {
-    solve_impl(inst, &mut LegacyGains::new(inst, scoring), backend, None)
-}
-
-/// Run SDGA over a [`ScoreContext`] (flat engine gains, default backend).
-pub fn solve_ctx(ctx: &ScoreContext<'_>) -> Result<Assignment> {
-    solve_ctx_with_backend(ctx, LapBackend::Flow)
-}
-
-/// Run SDGA over a [`ScoreContext`] with an explicit LAP backend.
-pub fn solve_ctx_with_backend(ctx: &ScoreContext<'_>, backend: LapBackend) -> Result<Assignment> {
-    solve_ctx_pruned(ctx, backend, PruningPolicy::Exact)
-}
-
-/// Run SDGA over a [`ScoreContext`] with candidate pruning.
-///
-/// Stage assignments are linear assignment solves whose tie-breaking
-/// depends on the solver's internal edge order, so no static certificate
-/// can promise a pruned stage equals the dense one — under
-/// [`PruningPolicy::Auto`] SDGA therefore runs the dense (exact) stages.
-/// Under [`PruningPolicy::TopK`] each stage solves over candidate edges
-/// only ([`SparseMatrix`], `O(P·k)` instead of `O(P·R)` score state): lossy,
-/// but each stage objective is within
-/// [`Σ_p bound(p)`](CandidateSet::stage_loss_bound) of the dense stage
-/// optimum, and a stage that cannot place every paper inside the candidate
-/// edges falls back to the dense stage.
-pub fn solve_ctx_pruned(
+/// Run SDGA over a [`ScoreContext`] (flat engine gains) with an explicit
+/// LAP backend under a candidate pruning policy; the certification rules
+/// are on [`SdgaSolver::pruning`](crate::engine::SdgaSolver::pruning).
+pub(crate) fn solve_ctx_pruned(
     ctx: &ScoreContext<'_>,
     backend: LapBackend,
     pruning: PruningPolicy,
 ) -> Result<Assignment> {
-    // Auto certifies only the dense stage (see above); Exact is exact.
+    // Auto certifies only the dense stage; Exact is exact.
     let cands = pruning.resolve_lossy(ctx);
     solve_ctx_with_cands(ctx, backend, cands.as_ref())
 }
@@ -107,7 +74,7 @@ pub(crate) fn solve_ctx_with_cands(
     solve_impl(ctx.instance(), &mut GainTable::new(ctx), backend, cands)
 }
 
-fn solve_impl<P: GainProvider + Sync>(
+pub(crate) fn solve_impl<P: GainProvider + Sync>(
     inst: &Instance,
     gains: &mut P,
     backend: LapBackend,
@@ -353,10 +320,23 @@ pub fn approx_ratio_general(delta_p: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::cra::testutil::random_instance;
+    use crate::score::Scoring;
     use crate::topic::TopicVector;
 
     fn tv(v: &[f64]) -> TopicVector {
         TopicVector::new(v.to_vec())
+    }
+
+    fn solve_with_backend(
+        inst: &Instance,
+        scoring: Scoring,
+        backend: LapBackend,
+    ) -> Result<Assignment> {
+        solve_ctx_pruned(&ScoreContext::new(inst, scoring), backend, PruningPolicy::Exact)
+    }
+
+    fn solve(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
+        solve_with_backend(inst, scoring, LapBackend::Flow)
     }
 
     #[test]
@@ -409,12 +389,11 @@ mod tests {
         // random instances every pair scores positive, so the sparse stage
         // solves the very same network as the dense stage and the whole
         // assignment must be identical, reviewer for reviewer.
-        use crate::engine::ScoreContext;
         for seed in 0..6 {
             let inst = random_instance(9, 6, 4, 2, seed);
             let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
             for backend in [LapBackend::Flow, LapBackend::Hungarian] {
-                let dense = solve_ctx_with_backend(&ctx, backend).unwrap();
+                let dense = solve_ctx_pruned(&ctx, backend, PruningPolicy::Exact).unwrap();
                 let pruned = solve_ctx_pruned(&ctx, backend, PruningPolicy::TopK(1000)).unwrap();
                 assert_eq!(dense, pruned, "seed={seed} {backend:?}");
             }
@@ -423,11 +402,10 @@ mod tests {
 
     #[test]
     fn small_topk_stays_valid_and_auto_is_exact() {
-        use crate::engine::ScoreContext;
         for seed in 0..6 {
             let inst = random_instance(10, 7, 5, 3, seed);
             let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
-            let exact = solve_ctx(&ctx).unwrap();
+            let exact = solve_ctx_pruned(&ctx, LapBackend::Flow, PruningPolicy::Exact).unwrap();
             // Auto never prunes SDGA stages (LAP tie-breaks are not
             // certifiable), so it is the exact assignment.
             let auto = solve_ctx_pruned(&ctx, LapBackend::Flow, PruningPolicy::Auto).unwrap();

@@ -15,11 +15,9 @@
 use super::sdga::{solve_stage, solve_stage_sparse, LapBackend};
 use crate::assignment::Assignment;
 use crate::engine::{
-    par, CandidateSet, GainProvider, GainTable, LegacyGains, PairMatrix, PruningPolicy,
-    ScoreContext,
+    par, CandidateSet, GainProvider, GainTable, PairMatrix, PruningPolicy, ScoreContext,
 };
 use crate::problem::Instance;
-use crate::score::Scoring;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::{Duration, Instant};
@@ -87,30 +85,13 @@ pub struct SraOutcome {
     pub trace: Vec<(Duration, f64)>,
 }
 
-/// Refine `initial` (typically an SDGA result) on the legacy boxed-vector
-/// gain path. The search walks through possibly-worse intermediate
-/// assignments — that is what lets it escape the local maxima that plain
-/// local search gets stuck in (Figure 12) — but the returned assignment is
-/// the best one seen. With `opts.trials > 1`, independent chains run (in
-/// parallel under the `rayon` feature) and the best one wins.
-pub fn refine(
-    inst: &Instance,
-    scoring: Scoring,
-    initial: Assignment,
-    opts: &SraOptions,
-) -> SraOutcome {
-    refine_trials(opts, |o| {
-        refine_impl(inst, &mut LegacyGains::new(inst, scoring), initial.clone(), o, None)
-    })
-}
-
-/// Refine over a [`ScoreContext`] (flat engine gains): the engine
-/// counterpart of [`refine`], bit-identical given the same options.
-pub fn refine_ctx(ctx: &ScoreContext<'_>, initial: Assignment, opts: &SraOptions) -> SraOutcome {
-    refine_ctx_pruned(ctx, initial, opts, PruningPolicy::Exact)
-}
-
-/// [`refine_ctx`] with candidate pruning of the Eq. 10 removal model.
+/// Refine `initial` (typically an SDGA result) over a [`ScoreContext`]
+/// (flat engine gains), with candidate pruning of the Eq. 10 removal model.
+/// The search walks through possibly-worse intermediate assignments — that
+/// is what lets it escape the local maxima that plain local search gets
+/// stuck in (Figure 12) — but the returned assignment is the best one seen.
+/// With `opts.trials > 1`, independent chains run (in parallel under the
+/// `rayon` feature) and the best one wins.
 ///
 /// The removal step's only use of the `P × R` pair matrix is TF-IDF-style
 /// relevance (`c(r,p)` against reviewer mass `Σ_{p'} c(r,p')`). With a
@@ -122,8 +103,9 @@ pub fn refine_ctx(ctx: &ScoreContext<'_>, initial: Assignment, opts: &SraOptions
 /// materialised. Under [`PruningPolicy::TopK`] truncated scores read as `0`
 /// (lossy), and the refill stage also solves over candidate edges with a
 /// dense fallback; under `Auto` the refill stays dense (stage-LAP
-/// tie-breaking is not certifiable — see [`super::sdga::solve_ctx_pruned`]).
-pub fn refine_ctx_pruned(
+/// tie-breaking is not certifiable — see
+/// [`SdgaSolver::pruning`](crate::engine::SdgaSolver::pruning)).
+pub fn refine(
     ctx: &ScoreContext<'_>,
     initial: Assignment,
     opts: &SraOptions,
@@ -138,7 +120,7 @@ pub fn refine_ctx_pruned(
     refine_ctx_with_cands(ctx, initial, opts, removal, topk.is_some())
 }
 
-/// [`refine_ctx_pruned`] with pre-resolved candidate sets (`removal` feeds
+/// [`refine`] with pre-resolved candidate sets (`removal` feeds
 /// the Eq. 10 model; `sparse_refill` additionally routes the refill stage
 /// through the same set), so callers running several pruned phases over one
 /// context (SDGA-SRA) build a `TopK` set once.
@@ -194,7 +176,7 @@ impl Relevance<'_> {
     }
 }
 
-fn refine_impl<P: GainProvider + Sync>(
+pub(crate) fn refine_impl<P: GainProvider + Sync>(
     inst: &Instance,
     gains: &mut P,
     initial: Assignment,
@@ -373,16 +355,28 @@ fn refine_impl<P: GainProvider + Sync>(
 mod tests {
     use super::*;
     use crate::cra::testutil::random_instance;
-    use crate::cra::{exact, sdga};
+    use crate::cra::{exact, CraAlgorithm};
+    use crate::score::Scoring;
+
+    /// SDGA's assignment, the usual starting point of a refinement.
+    fn sdga(inst: &Instance) -> Assignment {
+        CraAlgorithm::Sdga.run(inst, Scoring::WeightedCoverage, 0).unwrap()
+    }
+
+    /// Unpruned refinement under weighted coverage.
+    fn refine_wc(inst: &Instance, initial: Assignment, opts: &SraOptions) -> SraOutcome {
+        let ctx = ScoreContext::new(inst, Scoring::WeightedCoverage);
+        refine(&ctx, initial, opts, PruningPolicy::Exact)
+    }
 
     #[test]
     fn never_worse_than_input() {
         for seed in 0..5 {
             let inst = random_instance(10, 7, 5, 3, seed);
-            let initial = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+            let initial = sdga(&inst);
             let before = initial.coverage_score(&inst, Scoring::WeightedCoverage);
             let opts = SraOptions { omega: 5, seed, ..Default::default() };
-            let out = refine(&inst, Scoring::WeightedCoverage, initial, &opts);
+            let out = refine_wc(&inst, initial, &opts);
             assert!(out.score >= before - 1e-12);
             out.assignment.validate(&inst).unwrap();
             assert!(
@@ -395,13 +389,8 @@ mod tests {
     #[test]
     fn trace_is_monotone_nondecreasing() {
         let inst = random_instance(8, 6, 4, 2, 3);
-        let initial = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
-        let out = refine(
-            &inst,
-            Scoring::WeightedCoverage,
-            initial,
-            &SraOptions { omega: 8, ..Default::default() },
-        );
+        let initial = sdga(&inst);
+        let out = refine_wc(&inst, initial, &SraOptions { omega: 8, ..Default::default() });
         for w in out.trace.windows(2) {
             assert!(w[1].1 >= w[0].1 - 1e-12);
         }
@@ -411,10 +400,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let inst = random_instance(8, 6, 4, 2, 5);
-        let initial = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let initial = sdga(&inst);
         let opts = SraOptions { omega: 6, seed: 42, ..Default::default() };
-        let a = refine(&inst, Scoring::WeightedCoverage, initial.clone(), &opts);
-        let b = refine(&inst, Scoring::WeightedCoverage, initial, &opts);
+        let a = refine_wc(&inst, initial.clone(), &opts);
+        let b = refine_wc(&inst, initial, &opts);
         assert_eq!(a.score, b.score);
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.assignment, b.assignment);
@@ -426,9 +415,9 @@ mod tests {
         let total = 5;
         for seed in 0..total {
             let inst = random_instance(3, 4, 3, 2, 50 + seed);
-            let initial = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+            let initial = sdga(&inst);
             let opts = SraOptions { omega: 30, seed, ..Default::default() };
-            let out = refine(&inst, Scoring::WeightedCoverage, initial, &opts);
+            let out = refine_wc(&inst, initial, &opts);
             let opt = exact::solve(&inst, Scoring::WeightedCoverage)
                 .unwrap()
                 .coverage_score(&inst, Scoring::WeightedCoverage);
@@ -442,14 +431,13 @@ mod tests {
 
     #[test]
     fn pruned_auto_refine_is_bit_identical() {
-        use crate::engine::ScoreContext;
         for seed in 0..4 {
             let inst = random_instance(8, 6, 4, 2, seed);
             let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage).with_seed(seed);
-            let initial = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+            let initial = sdga(&inst);
             let opts = SraOptions { omega: 6, seed, ..Default::default() };
-            let dense = refine_ctx(&ctx, initial.clone(), &opts);
-            let pruned = refine_ctx_pruned(&ctx, initial, &opts, PruningPolicy::Auto);
+            let dense = refine(&ctx, initial.clone(), &opts, PruningPolicy::Exact);
+            let pruned = refine(&ctx, initial, &opts, PruningPolicy::Auto);
             assert_eq!(dense.assignment, pruned.assignment, "seed={seed}");
             assert_eq!(dense.score.to_bits(), pruned.score.to_bits());
             assert_eq!(dense.rounds, pruned.rounds);
@@ -458,13 +446,12 @@ mod tests {
 
     #[test]
     fn topk_refine_stays_monotone_and_valid() {
-        use crate::engine::ScoreContext;
         let inst = random_instance(8, 6, 4, 2, 13);
         let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage).with_seed(13);
-        let initial = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let initial = sdga(&inst);
         let before = initial.coverage_score(&inst, Scoring::WeightedCoverage);
         let opts = SraOptions { omega: 5, seed: 13, ..Default::default() };
-        let out = refine_ctx_pruned(&ctx, initial, &opts, PruningPolicy::TopK(3));
+        let out = refine(&ctx, initial, &opts, PruningPolicy::TopK(3));
         assert!(out.score >= before - 1e-12);
         out.assignment.validate(&inst).unwrap();
     }
@@ -472,16 +459,16 @@ mod tests {
     #[test]
     fn uniform_model_runs() {
         let inst = random_instance(6, 5, 4, 2, 9);
-        let initial = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let initial = sdga(&inst);
         let opts = SraOptions { omega: 4, model: RemovalModel::Uniform, ..Default::default() };
-        let out = refine(&inst, Scoring::WeightedCoverage, initial, &opts);
+        let out = refine_wc(&inst, initial, &opts);
         out.assignment.validate(&inst).unwrap();
     }
 
     #[test]
     fn respects_time_limit() {
         let inst = random_instance(10, 7, 5, 3, 1);
-        let initial = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let initial = sdga(&inst);
         let opts = SraOptions {
             omega: usize::MAX,
             max_rounds: usize::MAX,
@@ -489,7 +476,7 @@ mod tests {
             ..Default::default()
         };
         let start = Instant::now();
-        let _ = refine(&inst, Scoring::WeightedCoverage, initial, &opts);
+        let _ = refine_wc(&inst, initial, &opts);
         assert!(start.elapsed() < Duration::from_secs(5));
     }
 }

@@ -14,21 +14,15 @@ use crate::assignment::Assignment;
 use crate::engine::{PairMatrix, ScoreContext};
 use crate::error::{Error, Result};
 use crate::problem::Instance;
-use crate::score::Scoring;
 use std::collections::VecDeque;
 
-/// Run paper-proposing deferred acceptance on the legacy boxed-vector pair
-/// scores (the engine reference), then complete any stranded slots.
-pub fn solve(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
-    solve_impl(inst, &PairMatrix::from_instance(inst, scoring))
-}
-
-/// Deferred acceptance over a [`ScoreContext`]'s flat pair-score matrix.
-pub fn solve_ctx(ctx: &ScoreContext<'_>) -> Result<Assignment> {
+/// Paper-proposing deferred acceptance over a [`ScoreContext`]'s flat
+/// pair-score matrix, then completion of any stranded slots.
+pub(crate) fn solve_ctx(ctx: &ScoreContext<'_>) -> Result<Assignment> {
     solve_impl(ctx.instance(), ctx.pair_matrix())
 }
 
-fn solve_impl(inst: &Instance, pair: &PairMatrix) -> Result<Assignment> {
+pub(crate) fn solve_impl(inst: &Instance, pair: &PairMatrix) -> Result<Assignment> {
     let (num_p, num_r) = (inst.num_papers(), inst.num_reviewers());
     // Preference lists: reviewers by descending pair score (COI excluded).
     let mut prefs: Vec<Vec<usize>> = Vec::with_capacity(num_p);
@@ -119,10 +113,15 @@ fn solve_impl(inst: &Instance, pair: &PairMatrix) -> Result<Assignment> {
 mod tests {
     use super::*;
     use crate::cra::testutil::random_instance;
+    use crate::score::Scoring;
     use crate::topic::TopicVector;
 
     fn tv(v: &[f64]) -> TopicVector {
         TopicVector::new(v.to_vec())
+    }
+
+    fn solve(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
+        solve_ctx(&ScoreContext::new(inst, scoring))
     }
 
     #[test]

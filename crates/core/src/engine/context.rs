@@ -542,23 +542,13 @@ pub struct PairMatrix {
 }
 
 impl PairMatrix {
-    fn from_rows(num_reviewers: usize, rows: Vec<Vec<f64>>) -> Self {
+    pub(crate) fn from_rows(num_reviewers: usize, rows: Vec<Vec<f64>>) -> Self {
         let mut data = Vec::with_capacity(rows.len() * num_reviewers);
         for row in rows {
             debug_assert_eq!(row.len(), num_reviewers);
             data.extend(row);
         }
         Self { num_reviewers, data }
-    }
-
-    /// Build from the legacy boxed-vector scoring path (the reference
-    /// implementation the engine path is tested against).
-    pub fn from_instance(inst: &Instance, scoring: Scoring) -> Self {
-        let num_r = inst.num_reviewers();
-        let rows = par::map_indexed(inst.num_papers(), |p| {
-            (0..num_r).map(|r| scoring.pair_score(inst.reviewer(r), inst.paper(p))).collect()
-        });
-        Self::from_rows(num_r, rows)
     }
 
     /// `c(r, p)`.

@@ -1,18 +1,20 @@
 //! [`GainTable`]: every paper's running-group state in flat arrays, plus the
 //! [`GainProvider`] abstraction that lets one algorithm skeleton run on
-//! either the engine or the legacy reference path.
+//! either the engine or the seed's boxed-vector path, which survives only
+//! as the test oracle `LegacyGains` in the crate's `#[cfg(test)]` `legacy`
+//! module.
 
 use super::context::{JraView, PairMatrix, ScoreContext};
-use crate::problem::Instance;
+#[cfg(doc)]
 use crate::score::{RunningGroup, Scoring};
 
 /// The marginal-gain surface an assignment algorithm consumes.
 ///
 /// Two implementations exist: [`GainTable`] (the engine: flat
-/// structure-of-arrays storage, CSR sparse kernels) and [`LegacyGains`] (the
-/// seed's boxed [`RunningGroup`] path, kept as the reference). Algorithm
-/// skeletons are generic over this trait; the equivalence proptests run both
-/// and assert bit-identical assignments.
+/// structure-of-arrays storage, CSR sparse kernels) and the test-only
+/// `LegacyGains` (the seed's boxed [`RunningGroup`] path, kept as the
+/// oracle). Algorithm skeletons are generic over this trait; the
+/// equivalence proptest runs both and asserts bit-identical assignments.
 ///
 /// `version(p)` increments whenever paper `p`'s group state changes; cached
 /// gains stamped with an old version are stale. By submodularity (Lemma 4) a
@@ -263,74 +265,6 @@ impl GainProvider for GainTable<'_, '_> {
     }
 }
 
-/// The reference gain provider: the seed's boxed [`RunningGroup`] per paper
-/// plus direct [`Scoring::pair_score`] calls. Kept so the equivalence
-/// proptests can pit the engine against the original arithmetic.
-#[derive(Debug, Clone)]
-pub struct LegacyGains<'a> {
-    inst: &'a Instance,
-    scoring: Scoring,
-    groups: Vec<RunningGroup>,
-    versions: Vec<u32>,
-}
-
-impl<'a> LegacyGains<'a> {
-    /// Empty groups for every paper of `inst`.
-    pub fn new(inst: &'a Instance, scoring: Scoring) -> Self {
-        let groups =
-            (0..inst.num_papers()).map(|p| RunningGroup::new(scoring, inst.paper(p))).collect();
-        Self { inst, scoring, groups, versions: vec![0; inst.num_papers()] }
-    }
-}
-
-impl GainProvider for LegacyGains<'_> {
-    fn num_papers(&self) -> usize {
-        self.inst.num_papers()
-    }
-
-    fn num_reviewers(&self) -> usize {
-        self.inst.num_reviewers()
-    }
-
-    #[inline]
-    fn pair(&self, r: usize, p: usize) -> f64 {
-        self.scoring.pair_score(self.inst.reviewer(r), self.inst.paper(p))
-    }
-
-    #[inline]
-    fn score(&self, p: usize) -> f64 {
-        self.groups[p].score()
-    }
-
-    #[inline]
-    fn gain(&self, p: usize, r: usize) -> f64 {
-        self.groups[p].gain(self.inst.reviewer(r))
-    }
-
-    fn add(&mut self, p: usize, r: usize) {
-        self.groups[p].add(self.inst.reviewer(r));
-        self.versions[p] = self.versions[p].wrapping_add(1);
-    }
-
-    fn rebuild(&mut self, p: usize, group: &[usize]) {
-        let mut rg = RunningGroup::new(self.scoring, self.inst.paper(p));
-        for &r in group {
-            rg.add(self.inst.reviewer(r));
-        }
-        self.groups[p] = rg;
-        self.versions[p] = self.versions[p].wrapping_add(1);
-    }
-
-    #[inline]
-    fn version(&self, p: usize) -> u32 {
-        self.versions[p]
-    }
-
-    fn pair_matrix(&self) -> PairMatrix {
-        PairMatrix::from_instance(self.inst, self.scoring)
-    }
-}
-
 /// Single-paper incremental gain state over a [`JraView`] — the engine
 /// replacement for cloning [`RunningGroup`]s down the BBA search stack. The
 /// paper row lives in the view; each stack level only owns its `gmax`, and
@@ -423,6 +357,8 @@ pub fn group_score_view(view: &JraView<'_>, group: &[usize]) -> f64 {
 mod tests {
     use super::*;
     use crate::cra::testutil::random_instance;
+    use crate::legacy::LegacyGains;
+    use crate::score::{RunningGroup, Scoring};
 
     #[test]
     fn gain_table_matches_running_groups_bitwise() {

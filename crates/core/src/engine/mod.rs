@@ -61,11 +61,16 @@
 //! ([`CandidateSet::append_paper`] / [`CandidateSet::patch_reviewer`]) and
 //! batched JRA serving on top of exactly this surface.
 //!
-//! The legacy boxed-vector path is kept (each algorithm module's
-//! `solve(inst, scoring)` entry) as the reference implementation;
-//! `crates/core/tests/proptests.rs` asserts both paths produce
-//! **bit-identical assignments** on random instances for every algorithm
-//! and every scoring function.
+//! Each CRA algorithm has one public way in, over a [`ScoreContext`]: its
+//! [`Solver`] struct (or [`sra::refine`](crate::cra::sra::refine),
+//! [`local_search::refine`](crate::cra::local_search::refine),
+//! [`bids::solve_sdga`](crate::cra::bids::solve_sdga)). The seed's
+//! boxed-vector path — `LegacyGains`, the boxed pair-matrix build and a
+//! `run_legacy` dispatcher — survives only as a test oracle in the crate's
+//! `#[cfg(test)]` `legacy` module, whose `cra_algorithms_bit_identical`
+//! proptest asserts both paths produce **bit-identical assignments** on
+//! random instances for every algorithm (bids included) and every scoring
+//! function.
 
 pub mod candidates;
 pub mod celf;
@@ -80,7 +85,7 @@ pub use candidates::{
     reviewer_topic_index, truncate_row, CandidateSet, CoverageStats, PruningPolicy,
 };
 pub use context::{JraView, PairMatrix, ScoreContext};
-pub use gain::{group_score_view, GainProvider, GainTable, LegacyGains, PaperGain};
+pub use gain::{group_score_view, GainProvider, GainTable, PaperGain};
 pub use pages::{PageTable, PagedVec};
 pub use solver::{
     BrggSolver, GreedySolver, IlpSolver, JraBbaSolver, SdgaSolver, SdgaSraSolver, Solver,

@@ -55,8 +55,15 @@ impl Solver for IlpSolver {
 /// Best Reviewer Group Greedy (§5.2 "BRGG").
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BrggSolver {
-    /// Candidate pruning (`TopK` shrinks each per-paper BBA pool; `Auto`
-    /// falls back to the dense pool — see [`brgg::solve_ctx_with`]).
+    /// Candidate pruning.
+    ///
+    /// Under [`PruningPolicy::TopK`] each per-paper exact JRA searches only
+    /// the paper's candidates (the branch-and-bound pool shrinks from `R`
+    /// to at most `k`), falling back to the full pool for a paper whose
+    /// feasible candidates dip below `δp`. [`PruningPolicy::Auto`] runs the
+    /// dense path: BBA may return any of several equally-scoring optimal
+    /// groups and its choice depends on pool order, so pruning cannot be
+    /// certified bit-identical even with a zero exclusion bound.
     pub pruning: PruningPolicy,
 }
 
@@ -73,8 +80,21 @@ impl Solver for BrggSolver {
 /// The 1/3-approximation greedy of Long et al. (§4.1), CELF-accelerated.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedySolver {
-    /// Candidate pruning (`Auto` is certified bit-identical to `Exact`
-    /// here — see [`greedy::solve_ctx_with`]).
+    /// Candidate pruning.
+    ///
+    /// Under [`PruningPolicy::Auto`] the initial heap holds only each
+    /// paper's positive-score candidates; the moment the zero-gain regime
+    /// begins (a fresh heap top at gain `≤ 0`, or the candidate heap
+    /// running dry) the remaining excluded pairs are *spilled* into the
+    /// heap. Because an excluded reviewer's gain is identically zero under
+    /// every group state (the `Auto` certificate), the spill restores the
+    /// exact heap content the dense path would have at that decision step
+    /// — so `Auto` assignments are **bit-identical** to
+    /// [`PruningPolicy::Exact`] while the positive regime (where nearly all
+    /// the work happens) scans only candidates. [`PruningPolicy::TopK`]
+    /// prunes the same way but may exclude positive-score reviewers,
+    /// losing at most [`bound(p)`](CandidateSet::bound) per decision until
+    /// the spill.
     pub pruning: PruningPolicy,
 }
 
@@ -93,9 +113,18 @@ impl Solver for GreedySolver {
 pub struct SdgaSolver {
     /// The linear-assignment backend each stage runs on.
     pub backend: LapBackend,
-    /// Candidate pruning (`TopK` solves each stage over sparse candidate
-    /// edges; `Auto` keeps the dense stage — see
-    /// [`sdga::solve_ctx_pruned`]).
+    /// Candidate pruning.
+    ///
+    /// Stage assignments are linear assignment solves whose tie-breaking
+    /// depends on the solver's internal edge order, so no static
+    /// certificate can promise a pruned stage equals the dense one — under
+    /// [`PruningPolicy::Auto`] SDGA therefore runs the dense (exact)
+    /// stages. Under [`PruningPolicy::TopK`] each stage solves over
+    /// candidate edges only ([`SparseMatrix`](wgrap_lap::SparseMatrix),
+    /// `O(P·k)` instead of `O(P·R)` score state): lossy, but each stage
+    /// objective is within [`Σ_p bound(p)`](CandidateSet::stage_loss_bound)
+    /// of the dense stage optimum, and a stage that cannot place every
+    /// paper inside the candidate edges falls back to the dense stage.
     pub pruning: PruningPolicy,
 }
 
@@ -117,7 +146,7 @@ pub struct SdgaSraSolver {
     pub sra: SraOptions,
     /// Candidate pruning, applied to the SDGA stages (under `TopK`) and the
     /// SRA removal model (under `TopK` and `Auto`; `Auto` is certified
-    /// bit-identical — see [`sra::refine_ctx_pruned`]).
+    /// bit-identical — see [`sra::refine`]).
     pub pruning: PruningPolicy,
 }
 
@@ -176,11 +205,6 @@ impl Solver for JraBbaSolver {
 }
 
 impl CraAlgorithm {
-    /// The engine solver implementing this algorithm (no pruning).
-    pub fn solver(self) -> Box<dyn Solver> {
-        self.solver_with(PruningPolicy::Exact)
-    }
-
     /// The engine solver implementing this algorithm under a candidate
     /// [`PruningPolicy`]. SM and ILP rank whole `P × R` objectives and take
     /// no pruning knob; they ignore the policy.

@@ -269,7 +269,7 @@ coi alice p-17
     #[test]
     fn roundtrip_assignment() {
         let inst = parse_instance(SAMPLE).unwrap();
-        let a = crate::cra::sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let a = crate::cra::CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
         let text = write_assignment(&inst, &a);
         let back = parse_assignment(&inst, &text).unwrap();
         for p in 0..inst.num_papers() {

@@ -41,10 +41,12 @@
 //! # Ok::<(), wgrap_core::error::Error>(())
 //! ```
 //!
-//! The engine is an *exact* refactoring: every kernel reproduces the legacy
-//! boxed-vector arithmetic bit for bit (see `tests/proptests.rs`'s
-//! `engine_equivalence` module), and each algorithm module keeps its
-//! `solve(inst, scoring)` entry as the reference path.
+//! The engine is an *exact* refactoring: every kernel reproduces the seed's
+//! boxed-vector arithmetic bit for bit. Each CRA algorithm has one public
+//! way in, over a [`engine::ScoreContext`]; the boxed-vector path survives
+//! only as a test oracle (the `#[cfg(test)]` `legacy` module in
+//! `src/legacy.rs`, whose `cra_algorithms_bit_identical` proptest pins every
+//! CRA algorithm and the bids extension to it).
 //!
 //! ### Feature flags
 //!
@@ -67,6 +69,8 @@ pub mod engine;
 pub mod error;
 pub mod io;
 pub mod jra;
+#[cfg(test)]
+mod legacy;
 pub mod metrics;
 pub mod problem;
 pub mod reductions;

@@ -150,7 +150,7 @@ mod tests {
     use super::*;
     use crate::cra::ideal::{ideal_assignment, IdealMode};
     use crate::cra::testutil::random_instance;
-    use crate::cra::{greedy, sdga};
+    use crate::cra::CraAlgorithm;
 
     #[test]
     fn optimality_ratio_bounds() {
@@ -158,7 +158,7 @@ mod tests {
             let inst = random_instance(8, 6, 4, 2, seed);
             let ideal =
                 ideal_assignment(&inst, Scoring::WeightedCoverage, IdealMode::Exact).unwrap();
-            let a = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+            let a = CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
             let ratio = optimality_ratio(&inst, Scoring::WeightedCoverage, &a, &ideal);
             assert!(ratio > 0.0 && ratio <= 1.0 + 1e-9);
         }
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn superiority_is_reflexively_all_ties() {
         let inst = random_instance(6, 5, 4, 2, 1);
-        let a = greedy::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let a = CraAlgorithm::Greedy.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
         let s = superiority_ratio(&inst, Scoring::WeightedCoverage, &a, &a);
         assert_eq!(s.strictly_better, 0.0);
         assert_eq!(s.tied, 1.0);
@@ -178,8 +178,8 @@ mod tests {
     fn superiority_complementarity() {
         // strictly_better(X,Y) + strictly_better(Y,X) + ties = 1.
         let inst = random_instance(10, 7, 5, 3, 5);
-        let x = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
-        let y = greedy::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let x = CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
+        let y = CraAlgorithm::Greedy.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
         let sx = superiority_ratio(&inst, Scoring::WeightedCoverage, &x, &y);
         let sy = superiority_ratio(&inst, Scoring::WeightedCoverage, &y, &x);
         assert!((sx.strictly_better + sy.strictly_better + sx.tied - 1.0).abs() < 1e-12);
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn lowest_coverage_is_min_of_paper_scores() {
         let inst = random_instance(7, 6, 4, 2, 9);
-        let a = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let a = CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
         let low = lowest_coverage(&inst, Scoring::WeightedCoverage, &a);
         let scores = a.paper_scores(&inst, Scoring::WeightedCoverage);
         assert_eq!(low, scores.iter().cloned().fold(f64::INFINITY, f64::min));
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn case_study_shape() {
         let inst = random_instance(5, 6, 8, 3, 2);
-        let a = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let a = CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
         let cs = case_study(&inst, Scoring::WeightedCoverage, &a, 2, 5);
         assert_eq!(cs.topics.len(), 5);
         assert_eq!(cs.paper_weights.len(), 5);
@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn papers_improved_counts() {
         let inst = random_instance(8, 6, 4, 2, 4);
-        let x = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+        let x = CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
         let better = papers_improved(&inst, Scoring::WeightedCoverage, &x, &x);
         assert_eq!(better, 0);
     }

@@ -65,7 +65,9 @@
 //! plain `{"ok":false,...}` and the session continues. On the metrics
 //! endpoint, a request line plus headers longer than
 //! [`MAX_METRICS_REQUEST_BYTES`] is answered `431` and the connection
-//! closed.
+//! closed, and a client that sends nothing for [`METRICS_READ_TIMEOUT`]
+//! is disconnected, which frees its thread and socket. NDJSON sessions
+//! get no read timeout: router-to-shard links sit idle between requests.
 //!
 //! # Framing
 //!
@@ -124,6 +126,11 @@ pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Longest request line plus headers the metrics endpoint reads, in bytes.
 pub const MAX_METRICS_REQUEST_BYTES: u64 = 8 << 10;
+
+/// How long the metrics endpoint waits for each read of a request before
+/// it drops the connection. Scrapers send their request at once; a client
+/// that stays silent would otherwise hold a thread and a socket forever.
+pub const METRICS_READ_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// After answering an oversized metrics request, the most request bytes
 /// read and discarded before closing. Closing a socket with unread input
@@ -298,8 +305,9 @@ fn accept_loop(
     }
 }
 
-fn serve_metrics_once(mut socket: TcpStream, telemetry: &Telemetry) -> io::Result<()> {
-    let mut reader = BufReader::new(socket.try_clone()?.take(MAX_METRICS_REQUEST_BYTES));
+fn serve_metrics_once(socket: TcpStream, telemetry: &Telemetry) -> io::Result<()> {
+    socket.set_read_timeout(Some(METRICS_READ_TIMEOUT))?;
+    let mut reader = BufReader::new((&socket).take(MAX_METRICS_REQUEST_BYTES));
     let mut request_line = Vec::new();
     let mut head_complete = false;
     if reader.read_until(b'\n', &mut request_line)? > 0 && request_line.ends_with(b"\n") {
@@ -328,15 +336,16 @@ fn serve_metrics_once(mut socket: TcpStream, telemetry: &Telemetry) -> io::Resul
     } else {
         ("404 Not Found", "not found\n".to_string())
     };
+    let mut writer = &socket;
     write!(
-        socket,
+        writer,
         "HTTP/1.1 {status}\r\n\
          Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
          Content-Length: {}\r\n\
          Connection: close\r\n\r\n{body}",
         body.len()
     )?;
-    socket.flush()?;
+    writer.flush()?;
     if oversized {
         socket.shutdown(std::net::Shutdown::Write)?;
         io::copy(&mut reader.into_inner().into_inner().take(METRICS_DRAIN_BYTES), &mut io::sink())?;
@@ -1625,6 +1634,31 @@ a {\"op\":\"stats\"}
         flood.join().unwrap();
         assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
         assert!(response.ends_with("request too large\n"), "{response}");
+
+        let mut client = std::net::TcpStream::connect(addr).unwrap();
+        write!(client, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    }
+
+    /// A client that connects and sends nothing is disconnected after
+    /// [`METRICS_READ_TIMEOUT`], which frees its thread and socket, and the
+    /// endpoint keeps serving normal scrapes.
+    #[test]
+    fn metrics_http_silent_client_is_disconnected() {
+        let service = test_service();
+        let telemetry = Arc::clone(service.service().telemetry());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || serve_metrics(listener, telemetry));
+
+        let silent = std::net::TcpStream::connect(addr).unwrap();
+        // Fail rather than hang if the server never lets go.
+        silent.set_read_timeout(Some(2 * METRICS_READ_TIMEOUT)).unwrap();
+        let mut response = Vec::new();
+        (&silent).read_to_end(&mut response).expect("EOF within twice the read timeout");
+        assert!(response.is_empty(), "{}", String::from_utf8_lossy(&response));
 
         let mut client = std::net::TcpStream::connect(addr).unwrap();
         write!(client, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();

@@ -11,7 +11,7 @@
 
 use wgrap::core::cra::ideal::{ideal_assignment, IdealMode};
 use wgrap::core::cra::CraAlgorithm;
-use wgrap::core::engine::ScoreContext;
+use wgrap::core::engine::{PruningPolicy, ScoreContext};
 use wgrap::core::metrics;
 use wgrap::datagen::areas::DB08;
 use wgrap::datagen::vectors::area_instance;
@@ -41,7 +41,7 @@ fn main() -> Result<()> {
     let mut results = Vec::new();
     for algo in CraAlgorithm::ALL {
         let start = std::time::Instant::now();
-        let a = algo.solver().solve(&ctx)?;
+        let a = algo.solver_with(PruningPolicy::Exact).solve(&ctx)?;
         let elapsed = start.elapsed();
         a.validate(&inst)?;
         println!(

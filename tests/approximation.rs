@@ -8,7 +8,8 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use wgrap::core::cra::sdga::approx_ratio_general;
-use wgrap::core::cra::{exact, greedy, sdga, sra};
+use wgrap::core::cra::{exact, sra};
+use wgrap::core::engine::{PruningPolicy, ScoreContext};
 use wgrap::prelude::*;
 
 fn random_instance(p: usize, r: usize, dim: usize, delta_p: usize, seed: u64) -> Instance {
@@ -35,7 +36,7 @@ fn sdga_respects_theorem2_bound() {
         let delta_p = 2 + (seed as usize % 2);
         let inst = random_instance(3, 4 + (seed as usize % 2), 3, delta_p, seed);
         let opt = exact::solve(&inst, scoring).unwrap().coverage_score(&inst, scoring);
-        let got = sdga::solve(&inst, scoring).unwrap().coverage_score(&inst, scoring);
+        let got = CraAlgorithm::Sdga.run(&inst, scoring, 0).unwrap().coverage_score(&inst, scoring);
         let ratio = got / opt;
         worst = worst.min(ratio);
         assert!(
@@ -54,7 +55,8 @@ fn greedy_respects_one_third_bound() {
     for seed in 0..20 {
         let inst = random_instance(3, 5, 3, 2, 1000 + seed);
         let opt = exact::solve(&inst, scoring).unwrap().coverage_score(&inst, scoring);
-        let got = greedy::solve(&inst, scoring).unwrap().coverage_score(&inst, scoring);
+        let got =
+            CraAlgorithm::Greedy.run(&inst, scoring, 0).unwrap().coverage_score(&inst, scoring);
         assert!(got / opt >= 1.0 / 3.0 - 1e-9, "seed {seed}: greedy ratio {}", got / opt);
     }
 }
@@ -65,13 +67,13 @@ fn sra_sits_between_sdga_and_optimum() {
     for seed in 0..10 {
         let inst = random_instance(3, 4, 3, 2, 2000 + seed);
         let opt = exact::solve(&inst, scoring).unwrap().coverage_score(&inst, scoring);
-        let initial = sdga::solve(&inst, scoring).unwrap();
+        let initial = CraAlgorithm::Sdga.run(&inst, scoring, 0).unwrap();
         let base = initial.coverage_score(&inst, scoring);
         let out = sra::refine(
-            &inst,
-            scoring,
+            &ScoreContext::new(&inst, scoring),
             initial,
             &sra::SraOptions { omega: 20, seed, ..Default::default() },
+            PruningPolicy::Exact,
         );
         assert!(out.score >= base - 1e-12);
         assert!(out.score <= opt + 1e-9);
@@ -88,7 +90,8 @@ fn guarantee_holds_for_alternative_scorings() {
             if opt <= 0.0 {
                 continue;
             }
-            let got = sdga::solve(&inst, scoring).unwrap().coverage_score(&inst, scoring);
+            let got =
+                CraAlgorithm::Sdga.run(&inst, scoring, 0).unwrap().coverage_score(&inst, scoring);
             assert!(got / opt >= 0.5 - 1e-9, "{scoring:?} seed {seed}: ratio {}", got / opt);
         }
     }

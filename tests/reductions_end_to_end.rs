@@ -3,7 +3,7 @@
 //! §2.3 end to end: SGRAP instances solved through the WGRAP machinery, and
 //! the ARAP extension linearising the objective.
 
-use wgrap::core::cra::{exact, sdga};
+use wgrap::core::cra::exact;
 use wgrap::core::reductions::{
     arap_paper_objective, extend_for_arap, set_coverage, sgrap_to_wgrap,
 };
@@ -20,7 +20,7 @@ fn sgrap_sets() -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
 fn sgrap_solved_as_wgrap_matches_set_semantics() {
     let (papers, reviewers) = sgrap_sets();
     let inst = sgrap_to_wgrap(&papers, &reviewers, 6, 2, 2).unwrap();
-    let a = sdga::solve(&inst, Scoring::WeightedCoverage).unwrap();
+    let a = CraAlgorithm::Sdga.run(&inst, Scoring::WeightedCoverage, 0).unwrap();
     a.validate(&inst).unwrap();
 
     // Every group's vector score equals the set coverage ratio.
@@ -71,7 +71,7 @@ fn arap_extension_agrees_on_full_groups() {
 
     // Any assignment scored on the extended instance equals (1/R) times the
     // ARAP pair-sum on the original — here checked through SDGA's output.
-    let a = sdga::solve(&ext, s).unwrap();
+    let a = CraAlgorithm::Sdga.run(&ext, s, 0).unwrap();
     let r_count = inst.num_reviewers() as f64;
     for p in 0..inst.num_papers() {
         let grouped = a.paper_score(&ext, s, p);
