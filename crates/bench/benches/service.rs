@@ -19,14 +19,10 @@
 //!   few hundred nanoseconds — single-digit percent of this ~4µs
 //!   worst-case line, < 2% of any request that actually solves.
 //! * **Concurrent serving** — N client threads race the same 16 cold
-//!   ad-hoc queries through the `Frontend` coalescer
-//!   (`serve_concurrent_c{N}` records: q/s, coalesced-batch occupancy,
-//!   p50/p99 per-request latency). One run: 1/4/8 clients at
-//!   2.1–2.6 q/s with occupancy 1.0/2.0/4.0 — emergent batching holds
-//!   cold-solve throughput at sequential parity on one core (and ~2× the
-//!   0.6–1.3 q/s dense one-at-a-time baseline) while 8 clients share the
-//!   single solve slot; under `--features rayon` on a multi-core box the
-//!   coalesced batch additionally fans out across cores.
+//!   ad-hoc queries through `Frontend::jra` at the default admission
+//!   bounds (`serve_concurrent_c{N}` records: q/s, p50/p99 per-request
+//!   latency). Each query takes its own solve slot, so N clients solve on
+//!   up to `max_inflight` cores at once.
 //! * **Wire round trip** — 50 sequential cache-hit `jra` round trips from
 //!   a loopback client through `serve_tcp` (`serve_tcp_round_trip`, one
 //!   sample per round trip). A reply that leaves the server in several
@@ -353,7 +349,7 @@ fn bench_result_cache(report: &mut BenchReport) {
 
 /// Telemetry overhead on the serve hot path: the same NDJSON request line
 /// driven through the full protocol dispatch (`handle_line`: parse → plan
-/// → admission → coalescer → cache probe → render) against a telemetry-on
+/// → admission → cache probe → render) against a telemetry-on
 /// service and a telemetry-off one (`ServeOptions { telemetry: false }`
 /// swaps in the disabled registry, so every counter bump, histogram
 /// observation, and span record is a dropped single-branch no-op). The
@@ -442,13 +438,9 @@ fn bench_telemetry_overhead(report: &mut BenchReport) {
 
 /// Concurrent serving through the [`Frontend`]: N client threads submit
 /// distinct ad-hoc `Auto` queries through `Frontend::jra` at the same
-/// time. With one solve slot (the container has a single core) the first
-/// submitter becomes the drainer and coalesces the rest of the wave into
-/// one `JraBatch`, so the pooled `O(|pool|·T)` setup amortises across the
-/// group exactly as in the explicit-batch benchmark — but here the
-/// batching is *emergent* from concurrency, not requested by any client.
-/// Records per-config q/s, mean coalesced-batch occupancy, and p50/p99
-/// per-request latency (`serve_concurrent_c{N}` lines).
+/// time, under [`FrontendOptions::default`] admission bounds. Records
+/// per-config q/s and p50/p99 per-request latency
+/// (`serve_concurrent_c{N}` lines).
 fn bench_concurrent_frontend(report: &mut BenchReport, dense_qps: f64) {
     use std::time::Duration;
     use wgrap_service::api::{JraSpec, PaperRef, ServeOptions, Service};
@@ -463,9 +455,6 @@ fn bench_concurrent_frontend(report: &mut BenchReport, dense_qps: f64) {
         store,
         ServeOptions { cache_cap: 0, ..ServeOptions::default() },
     ));
-    // One solve slot: coalescing is the only route to occupancy > 1, which
-    // is what this benchmark isolates. (More slots help on multi-core.)
-    let options = FrontendOptions { max_inflight: 1, queue_depth: 64, linger: 32 };
 
     const TOTAL: usize = 16;
     let papers = sparse_vectors(TOTAL, T, PAPER_NNZ, &mut rng);
@@ -473,10 +462,7 @@ fn bench_concurrent_frontend(report: &mut BenchReport, dense_qps: f64) {
     for &clients in &[1usize, 4, 8] {
         let per_client = TOTAL / clients;
         let total = clients * per_client;
-        let frontend = Arc::new(Frontend::new(Arc::clone(&service), options));
-        // Counters live in the service's telemetry registry and accumulate
-        // across the per-config frontends sharing it — measure deltas.
-        let base = frontend.counters();
+        let frontend = Arc::new(Frontend::new(Arc::clone(&service), FrontendOptions::default()));
         let start = Instant::now();
         let handles: Vec<_> = (0..clients)
             .map(|cid| {
@@ -508,11 +494,6 @@ fn bench_concurrent_frontend(report: &mut BenchReport, dense_qps: f64) {
         latencies.sort();
         let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
         let (p50, p99) = (pct(0.50), pct(0.99));
-        let counters = frontend.counters();
-        let batched = counters.batched_requests - base.batched_requests;
-        let batches = counters.batches - base.batches;
-        assert_eq!(batched, total as u64, "every request coalesced");
-        let occupancy = batched as f64 / batches as f64;
         let qps = total as f64 / elapsed.as_secs_f64();
         if clients == 1 {
             baseline_qps = qps;
@@ -520,8 +501,7 @@ fn bench_concurrent_frontend(report: &mut BenchReport, dense_qps: f64) {
         last_qps = qps;
         println!(
             "serve_concurrent_p{P}_r{R}_t{T}: {clients} clients  {total:>2} queries in \
-             {elapsed:<10.2?} ({qps:.2} q/s, occupancy {occupancy:.1}, \
-             p50 {p50:.2?}, p99 {p99:.2?})"
+             {elapsed:<10.2?} ({qps:.2} q/s, p50 {p50:.2?}, p99 {p99:.2?})"
         );
         report.record(
             &format!("serve_concurrent_c{clients}"),
@@ -531,7 +511,6 @@ fn bench_concurrent_frontend(report: &mut BenchReport, dense_qps: f64) {
                 ("topics", T as f64),
                 ("clients", clients as f64),
                 ("queries", total as f64),
-                ("occupancy", occupancy),
                 ("p50_ms", p50.as_secs_f64() * 1e3),
                 ("p99_ms", p99.as_secs_f64() * 1e3),
             ],
@@ -540,7 +519,7 @@ fn bench_concurrent_frontend(report: &mut BenchReport, dense_qps: f64) {
         );
     }
     println!(
-        "serve_concurrent_p{P}_r{R}_t{T}: 8-client coalesced {:.1}x vs dense one-at-a-time, \
+        "serve_concurrent_p{P}_r{R}_t{T}: 8 clients {:.1}x vs dense one-at-a-time, \
          {:.1}x vs 1-client sequential Auto",
         last_qps / dense_qps.max(1e-9),
         last_qps / baseline_qps.max(1e-9)

@@ -172,63 +172,77 @@ pub fn solve_ctx(
 }
 
 /// BBA for paper `p` under a candidate [`PruningPolicy`]: the per-paper
-/// setup (the `T` topic-sorted lists, an `O(R·T)` scan over the dense
-/// reviewer range) runs over the paper's candidate row instead.
-/// When the context already carries a maintained
-/// [`CandidateSet`](crate::engine::CandidateSet) (a service snapshot) its
-/// row is reused; otherwise only *this* paper's row is scored — never an
-/// all-papers candidate build for a single query.
-///
-/// Under [`PruningPolicy::Auto`] the pool is the certified positive-score
-/// candidate list: every excluded reviewer's gain is identically `+0.0`
-/// under any group state, so whenever the pool can field a full group the
-/// optimal *score* is preserved bit-for-bit (the returned group may differ
-/// from the dense search's only among zero-gain-tied completions — the
-/// `bba_candidate_routing` proptest pins the score contract). With
-/// `top_k > 1` the certificate covers the best score only: deeper ranks
-/// may omit groups padded with zero-gain reviewers the pool excludes.
-/// Under [`PruningPolicy::TopK`] the pool is additionally truncated
-/// ([`truncate_row`]), which is lossy but bounded by the paper's exclusion
-/// bound. Either way, a pool with fewer than `δp` non-conflicted members
-/// falls back to the dense scan, so the entry point is total wherever
-/// [`solve_ctx`] is.
+/// setup runs over the paper's candidate row instead of all `R`
+/// reviewers ([`solve_view_pruned`]). When the context already carries a
+/// maintained [`CandidateSet`](crate::engine::CandidateSet) (a service
+/// snapshot) its row is reused; otherwise only *this* paper's row is
+/// scored — never an all-papers candidate build for a single query.
 pub fn solve_ctx_pruned(
     ctx: &ScoreContext<'_>,
     paper: usize,
     opts: &BbaOptions,
     pruning: PruningPolicy,
 ) -> Option<Vec<JraResult>> {
-    let view = ctx.jra_view(paper);
+    let row = || {
+        Some(match ctx.cached_auto_candidates() {
+            Some(cs) => {
+                let (rs, ss) = cs.candidates(paper);
+                rs.iter().copied().zip(ss.iter().copied()).collect()
+            }
+            None => (0..ctx.num_reviewers())
+                .filter_map(|r| {
+                    let s = ctx.pair_score(r, paper);
+                    (s > 0.0).then_some((r as u32, s))
+                })
+                .collect(),
+        })
+    };
+    solve_view_pruned(&ctx.jra_view(paper), pruning, row, opts)
+}
+
+/// BBA over `view` under a candidate [`PruningPolicy`] — the one routing
+/// of a pruned search. `row` yields the paper's candidate row: every
+/// reviewer with a positive pair score, as `(id, score)` ascending by id,
+/// or `None` when no such row exists (the search then scans densely). It
+/// is called only under `Auto` and `TopK`.
+///
+/// Under [`PruningPolicy::Auto`] the pool is the row's ids: every excluded
+/// reviewer's gain is identically `+0.0` under any group state, so
+/// whenever the pool can field a full group the optimal *score* is
+/// preserved bit-for-bit (the returned group may differ from the dense
+/// search's only among zero-gain-tied completions — the
+/// `bba_candidate_routing` proptest pins the score contract). With
+/// `top_k > 1` the certificate covers the best score only: deeper ranks
+/// may omit groups padded with zero-gain reviewers the pool excludes.
+/// Under [`PruningPolicy::TopK`] the row is first truncated
+/// ([`truncate_row`]), which is lossy but bounded by the paper's exclusion
+/// bound. Either way, a pool with fewer than `view.delta_p` members
+/// outside `view.forbidden` falls back to the dense scan, so the search
+/// is total wherever [`solve_view`] is.
+pub fn solve_view_pruned(
+    view: &JraView<'_>,
+    pruning: PruningPolicy,
+    row: impl FnOnce() -> Option<Vec<(u32, f64)>>,
+    opts: &BbaOptions,
+) -> Option<Vec<JraResult>> {
     let pool: Option<Vec<u32>> = match pruning {
         PruningPolicy::Exact => None,
-        PruningPolicy::Auto | PruningPolicy::TopK(_) => {
-            let mut row: Vec<(u32, f64)> = match ctx.cached_auto_candidates() {
-                Some(cs) => {
-                    let (rs, ss) = cs.candidates(paper);
-                    rs.iter().copied().zip(ss.iter().copied()).collect()
-                }
-                None => (0..ctx.num_reviewers())
-                    .filter_map(|r| {
-                        let s = ctx.pair_score(r, paper);
-                        (s > 0.0).then_some((r as u32, s))
-                    })
-                    .collect(),
-            };
+        PruningPolicy::Auto | PruningPolicy::TopK(_) => row().map(|mut row| {
             if let PruningPolicy::TopK(k) = pruning {
                 truncate_row(&mut row, k);
             }
-            Some(row.into_iter().map(|(r, _)| r).collect())
-        }
+            row.into_iter().map(|(r, _)| r).collect()
+        }),
     };
     match pool {
         Some(pool)
             if pool.iter().filter(|&&r| !view.forbidden[r as usize]).count() >= view.delta_p =>
         {
-            solve_view_pool(&view, &pool, opts)
+            solve_view_pool(view, &pool, opts)
         }
         // Candidate starvation (or Exact): the best group may need
         // zero-score reviewers — only the dense scan sees them.
-        _ => solve_view(&view, opts),
+        _ => solve_view(view, opts),
     }
 }
 
@@ -242,7 +256,7 @@ pub fn solve_view(view: &JraView<'_>, opts: &BbaOptions) -> Option<Vec<JraResult
 /// [`solve_view`] restricted to an explicit reviewer pool (ascending ids):
 /// the topic-sorted lists are built over `pool ∩ ¬forbidden` only, so setup
 /// scans `O(|pool|·T)` cells instead of `O(R·T)`. Exactness is
-/// relative to the pool — see [`solve_ctx_pruned`] for when a candidate
+/// relative to the pool — see [`solve_view_pruned`] for when a candidate
 /// pool preserves the dense optimum.
 pub fn solve_view_pool(
     view: &JraView<'_>,

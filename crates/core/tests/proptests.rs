@@ -160,14 +160,13 @@ proptest! {
     }
 }
 
-/// Engine equivalence: the engine's entry points agree with each other and
-/// with the seed's boxed-`TopicVector` JRA path. The CRA algorithms' engine
+/// Engine equivalence: JRA BBA over the engine's context agrees with the
+/// seed's boxed-`TopicVector` path. The CRA algorithms' engine
 /// ≡ legacy proptest, `cra_algorithms_bit_identical`, runs inside
 /// `wgrap-core` (`src/legacy.rs`), because its oracle is test-only code.
 mod engine_equivalence {
     use proptest::prelude::*;
-    use wgrap_core::cra::CraAlgorithm;
-    use wgrap_core::engine::{PruningPolicy, ScoreContext};
+    use wgrap_core::engine::ScoreContext;
     use wgrap_core::jra::{bba, JraProblem};
     use wgrap_core::prelude::*;
 
@@ -197,51 +196,8 @@ mod engine_equivalence {
             })
     }
 
-    fn instance_strategy(dim: usize) -> impl Strategy<Value = (Instance, u64)> {
-        (
-            proptest::collection::vec(sparse_topic_vector(dim), 2..6),
-            proptest::collection::vec(topic_vector(dim), 4..8),
-            1usize..4,
-            0u64..1_000,
-            proptest::collection::vec(any::<bool>(), 48),
-        )
-            .prop_map(move |(papers, reviewers, delta_p, seed, coi)| {
-                let delta_p = delta_p.min(reviewers.len() - 1).max(1);
-                let delta_r = Instance::minimal_delta_r(papers.len(), reviewers.len(), delta_p);
-                // Leave headroom so COIs cannot make the instance infeasible.
-                let mut inst =
-                    Instance::new(papers, reviewers, delta_p, delta_r + 1).expect("valid");
-                let mut k = 0usize;
-                for r in 0..inst.num_reviewers() {
-                    for p in 0..inst.num_papers() {
-                        // Sparse COIs, never more than one per paper.
-                        if coi[k % coi.len()] && r == p % inst.num_reviewers() {
-                            inst.add_coi(r, p);
-                        }
-                        k += 1;
-                    }
-                }
-                (inst, seed)
-            })
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Solver-trait dispatch equals the enum entry point.
-        #[test]
-        fn solver_trait_matches_run((inst, seed) in instance_strategy(4)) {
-            let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage).with_seed(seed);
-            for algo in CraAlgorithm::ALL {
-                let via_trait = algo.solver_with(PruningPolicy::Exact).solve(&ctx);
-                let via_run = algo.run(&inst, Scoring::WeightedCoverage, seed);
-                match (via_trait, via_run) {
-                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-                    (Err(_), Err(_)) => {}
-                    (a, b) => prop_assert!(false, "{algo:?}: {a:?} vs {b:?}"),
-                }
-            }
-        }
 
         /// JRA BBA through the engine context equals the legacy problem
         /// path: same groups, same scores, same node counts.
@@ -435,8 +391,9 @@ mod pruning_equivalence {
         }
 
         /// The routed per-paper setup ([`bba::solve_ctx_pruned`], which the
-        /// [`JraBbaSolver`] and the service's batch executor dispatch
-        /// through): under `Auto` the optimal score is bit-identical to the
+        /// [`JraBbaSolver`] dispatches through, over
+        /// [`bba::solve_view_pruned`], the routing the service's batch
+        /// executor shares): under `Auto` the optimal score is bit-identical to the
         /// dense scan on every paper, including starved ones (dense
         /// fallback) and conflicted pools; under a huge `TopK` likewise
         /// (nothing truncated). The returned group must always be feasible

@@ -21,8 +21,8 @@
 //!    keys (proptested).
 //! 3. **[`Service::execute`]** — the [`Plan`] runs against its admitted
 //!    snapshot and returns an [`Outcome`]: the answer plus structured
-//!    [`Diagnostics`] (epoch, cache hit/miss, plan/exec timings, candidate
-//!    support stats, `TopK` stage-loss bound).
+//!    [`Diagnostics`] (epoch, cache hit/miss, plan/exec timings, `TopK`
+//!    stage-loss bound).
 //!
 //! # The per-epoch result cache
 //!
@@ -310,8 +310,6 @@ pub struct Diagnostics {
     pub plan_time: Duration,
     /// Wall time spent executing (zero-ish on a pure cache hit).
     pub exec_time: Duration,
-    /// Per-paper candidate-support stats of the admitted snapshot.
-    pub support: Option<CoverageStats>,
     /// Upper bound on the objective loss `TopK` pruning can cause for this
     /// request (`None` under `Exact`/`Auto`, or when no bound is known
     /// pre-execution).
@@ -420,7 +418,7 @@ pub enum Answer {
 pub struct Outcome {
     /// The answer payload.
     pub answer: Answer,
-    /// Epoch, cache disposition, timings, support stats, loss bound.
+    /// Epoch, cache disposition, timings, loss bound.
     pub diag: Diagnostics,
     /// The request's recorded span tree (also retained in the telemetry
     /// trace ring and slow-query log). Span names, order, nesting, and
@@ -473,7 +471,7 @@ enum CachedAnswer {
 /// only ever *removes* entries, it never mutates a stored answer.
 #[derive(Debug)]
 struct ResultCache {
-    /// The epoch every entry (and the memoized `support`) belongs to.
+    /// The epoch every entry belongs to.
     /// Advances monotonically — see [`ResultCache::roll_to`].
     epoch: u64,
     /// Capacity bound; entries never exceed it.
@@ -482,10 +480,6 @@ struct ResultCache {
     /// Recency index: tick of last use → key. Oldest tick = LRU victim.
     order: BTreeMap<u64, RequestKey>,
     tick: u64,
-    /// Memoized per-epoch candidate-support stats: identical for every
-    /// request admitted at one epoch, so computed (an `O(P log P)` sort)
-    /// at most once per epoch instead of per request.
-    support: Option<Option<CoverageStats>>,
     /// Lifetime accounting lives in the telemetry registry (the `stats`
     /// op and the Prometheus endpoint read the same counters).
     hits: Arc<Counter>,
@@ -503,7 +497,6 @@ impl ResultCache {
             entries: HashMap::new(),
             order: BTreeMap::new(),
             tick: 0,
-            support: None,
             hits: telemetry.counter("cache_hits_total"),
             misses: telemetry.counter("cache_misses_total"),
             evictions: telemetry.counter("cache_evictions_total"),
@@ -518,7 +511,6 @@ impl ResultCache {
         if epoch > self.epoch {
             self.entries.clear();
             self.order.clear();
-            self.support = None;
             self.epoch = epoch;
             self.size.set(0);
         }
@@ -690,21 +682,6 @@ impl Service {
         }
     }
 
-    /// The snapshot's candidate-support stats, memoized per epoch in the
-    /// result cache (every request at one epoch shares the same stats, so
-    /// the `O(P log P)` computation runs once, not per request — cache
-    /// hits stay microseconds). A straggler snapshot from an older epoch
-    /// computes directly rather than disturb the memo.
-    fn support_stats(&self, epoch: u64, snapshot: &Snapshot) -> Option<CoverageStats> {
-        let mut cache = self.cache.lock().expect("cache lock");
-        cache.roll_to(epoch);
-        if cache.epoch != epoch {
-            drop(cache);
-            return snapshot.candidates().coverage_stats();
-        }
-        *cache.support.get_or_insert_with(|| snapshot.candidates().coverage_stats())
-    }
-
     /// Stage 2 of the pipeline: admit the request at the current epoch and
     /// canonicalize it into a [`Plan`]. Planning never solves anything and
     /// never blocks on an in-flight update build.
@@ -750,10 +727,10 @@ impl Service {
     }
 
     /// Admit one JRA spec at the current epoch and canonicalize it — the
-    /// front-end coalescer's planning entry point ([`crate::frontend`]):
-    /// plan *before* queueing, so queue entries always carry a pinned
-    /// snapshot plus a canonical query, and malformed requests fail fast
-    /// without occupying a queue slot.
+    /// front-end's `jra` planning entry point ([`crate::frontend`]): it
+    /// plans *before* asking for a solve slot, so the request pins its
+    /// snapshot at admission and a malformed request fails fast without
+    /// waiting for a slot.
     pub(crate) fn plan_jra_one(
         &self,
         spec: &JraSpec,
@@ -894,7 +871,6 @@ impl Service {
     fn execute_plan_core(&self, plan: Plan, trace: &Trace) -> Result<Outcome> {
         let start = Instant::now();
         let epoch = plan.epoch();
-        let support = self.support_stats(epoch, &plan.snapshot);
         match plan.action {
             PlanAction::Cra { method, pruning, seed } => {
                 let key = plan.key.expect("CRA plans always carry a key");
@@ -956,13 +932,12 @@ impl Service {
                         cache,
                         plan_time: plan.plan_time,
                         exec_time: start.elapsed(),
-                        support,
                         loss_bound,
                     },
                 })
             }
             PlanAction::Jra { queries, batched: _ } => {
-                let answers = self.exec_jra(&plan.snapshot, &queries, std::slice::from_ref(trace));
+                let answers = self.exec_jra(&plan.snapshot, &queries, trace);
                 // The request-level disposition: Hit only if every entry
                 // hit; Miss if any solved cold; Uncacheable if nothing was
                 // cacheable (e.g. every entry failed canonicalization).
@@ -989,7 +964,6 @@ impl Service {
                         cache,
                         plan_time: plan.plan_time,
                         exec_time: start.elapsed(),
-                        support,
                         loss_bound,
                     },
                 })
@@ -1025,7 +999,6 @@ impl Service {
                         cache: CacheStatus::Uncacheable,
                         plan_time: plan.plan_time,
                         exec_time: start.elapsed(),
-                        support,
                         loss_bound: None,
                     },
                 })
@@ -1039,7 +1012,7 @@ impl Service {
                     delta_p: inst.delta_p(),
                     delta_r: inst.delta_r(),
                     scoring: plan.snapshot.ctx().scoring(),
-                    support,
+                    support: plan.snapshot.candidates().coverage_stats(),
                     cache: self.cache_counters(),
                     store: self.store.stats(),
                     durability: self.store.durability().map(|d| d.stats()),
@@ -1053,7 +1026,6 @@ impl Service {
                         cache: CacheStatus::Uncacheable,
                         plan_time: plan.plan_time,
                         exec_time: start.elapsed(),
-                        support,
                         loss_bound: None,
                     },
                 })
@@ -1067,20 +1039,13 @@ impl Service {
     /// results.
     ///
     /// Each phase records a depth-1 span (`cache_probe` / `solve` /
-    /// `fanout`) into every trace in `traces` — one per request served by
-    /// this execution, so a coalesced batch's members each see the shared
-    /// stages in their own span tree.
+    /// `fanout`) into `trace`.
     pub(crate) fn exec_jra(
         &self,
         snapshot: &Arc<Snapshot>,
         queries: &[std::result::Result<PlannedQuery, String>],
-        traces: &[Trace],
+        trace: &Trace,
     ) -> Vec<std::result::Result<JraAnswer, String>> {
-        let rec_all = |name: &'static str, count: u64, dur: Duration| {
-            for t in traces {
-                t.record(name, 1, count, dur);
-            }
-        };
         let epoch = snapshot.epoch();
         // Probe phase (one lock acquisition for the whole batch).
         let probe_start = Instant::now();
@@ -1095,7 +1060,7 @@ impl Service {
             }
         }
         let probe_time = probe_start.elapsed();
-        rec_all("cache_probe", queries.len() as u64, probe_time);
+        trace.record("cache_probe", 1, queries.len() as u64, probe_time);
         self.met.probe.observe_duration(probe_time);
         // Solve phase: the misses, positionally, lock-free.
         let mut batch = JraBatch::new(Arc::clone(snapshot), self.options.pruning);
@@ -1116,7 +1081,7 @@ impl Service {
             let solve_start = Instant::now();
             let solved = batch.run().into_iter();
             let solve_time = solve_start.elapsed();
-            rec_all("solve", miss_slots.len() as u64, solve_time);
+            trace.record("solve", 1, miss_slots.len() as u64, solve_time);
             self.met.solve.observe_duration(solve_time);
             solved
         };
@@ -1159,7 +1124,7 @@ impl Service {
                 cache.store(epoch, key, value);
             }
         }
-        rec_all("fanout", queries.len() as u64, fanout_start.elapsed());
+        trace.record("fanout", 1, queries.len() as u64, fanout_start.elapsed());
         answers
     }
 }

@@ -142,8 +142,7 @@ impl JraBatch {
             }
         }
         let opts = BbaOptions { top_k: query.top_k, ..Default::default() };
-
-        let (view, pool) = match &query.paper {
+        let results = match &query.paper {
             QueryPaper::Stored(p) => {
                 let p = *p;
                 if p >= ctx.num_papers() {
@@ -154,16 +153,14 @@ impl JraBatch {
                 }
                 let mut view = ctx.jra_view(p);
                 view.delta_p = delta_p;
-                let pool = match pruning {
-                    PruningPolicy::Exact => None,
-                    PruningPolicy::Auto => {
-                        Some(self.snapshot.candidates().candidates(p).0.to_vec())
-                    }
-                    PruningPolicy::TopK(k) => {
-                        Some(top_k_pool(self.snapshot.candidates().candidates(p), k))
-                    }
+                for &r in &query.exclude {
+                    view.forbidden[r as usize] = true;
+                }
+                let row = || {
+                    let (ids, scores) = self.snapshot.candidates().candidates(p);
+                    Some(ids.iter().copied().zip(scores.iter().copied()).collect())
                 };
-                (view, pool)
+                bba::solve_view_pruned(&view, pruning, row, &opts)
             }
             QueryPaper::Adhoc(paper) => {
                 if paper.dim() != ctx.num_topics() {
@@ -173,52 +170,21 @@ impl JraBatch {
                         ctx.num_topics()
                     )));
                 }
-                let view = ctx.jra_view_adhoc(paper, vec![false; num_r], delta_p);
+                let mut forbidden = vec![false; num_r];
+                for &r in &query.exclude {
+                    forbidden[r as usize] = true;
+                }
+                let view = ctx.jra_view_adhoc(paper, forbidden, delta_p);
                 // The scored pool from the shared index ranks — and
                 // tie-breaks — exactly like the same vector stored as a
                 // paper (scores are the `raw / total` pair-score form), so
                 // `TopK` truncates without a second scoring pass.
-                let pool: Option<Vec<u32>> = match pruning {
-                    PruningPolicy::Exact => None,
-                    PruningPolicy::Auto => self
-                        .snapshot
-                        .candidate_pool_adhoc(paper)
-                        .map(|row| row.into_iter().map(|(r, _)| r).collect()),
-                    PruningPolicy::TopK(k) => {
-                        self.snapshot.candidate_pool_adhoc(paper).map(|mut row| {
-                            wgrap_core::engine::truncate_row(&mut row, k);
-                            row.into_iter().map(|(r, _)| r).collect()
-                        })
-                    }
-                };
-                (view, pool)
+                let row = || self.snapshot.candidate_pool_adhoc(paper);
+                bba::solve_view_pruned(&view, pruning, row, &opts)
             }
-        };
-
-        let mut view = view;
-        for &r in &query.exclude {
-            view.forbidden[r as usize] = true;
-        }
-        let results = match pool {
-            Some(pool)
-                if pool.iter().filter(|&&r| !view.forbidden[r as usize]).count() >= delta_p =>
-            {
-                bba::solve_view_pool(&view, &pool, &opts)
-            }
-            // Candidate starvation (or Exact): dense scan over the pool.
-            _ => bba::solve_view(&view, &opts),
         };
         results.ok_or_else(|| Error::Infeasible("fewer than δp non-conflicted reviewers".into()))
     }
-}
-
-/// The ids a `TopK(k)` truncation keeps, via the engine's shared
-/// [`truncate_row`](wgrap_core::engine::truncate_row) kernel — the same
-/// `(score desc, id asc)` ranking `CandidateSet::build(ctx, Some(k))` uses.
-fn top_k_pool((ids, scores): (&[u32], &[f64]), k: usize) -> Vec<u32> {
-    let mut row: Vec<(u32, f64)> = ids.iter().copied().zip(scores.iter().copied()).collect();
-    wgrap_core::engine::truncate_row(&mut row, k);
-    row.into_iter().map(|(r, _)| r).collect()
 }
 
 #[cfg(test)]

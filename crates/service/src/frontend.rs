@@ -1,102 +1,58 @@
-//! The concurrent front-end: admission control plus an epoch-coalescing
-//! auto-batcher over [`Service`].
+//! The concurrent front-end: admission control over [`Service`].
 //!
 //! A [`Frontend`] sits between connection handlers ([`crate::server`]) and
-//! the typed [`api`](crate::api) layer and adds the two things a
+//! the typed [`api`](crate::api) layer and adds the one thing a
 //! multi-client server needs that a single request stream does not:
+//! **admission control**. Every solve request (`jra`, `batch`, `assign`)
+//! takes a solve slot through [`Frontend::permit`] and holds it for its
+//! own execution. At most [`FrontendOptions::max_inflight`] slots are
+//! held at once, at most [`FrontendOptions::queue_depth`] requests wait
+//! for one in a single waiting room, and anything beyond that is
+//! *rejected immediately* with a structured `"busy"` response instead of
+//! queueing unboundedly. Updates and `stats` bypass admission entirely:
+//! the write path is never blocked behind reads (the store's
+//! build/publish split already makes it cheap), and observability must
+//! work precisely when the server is saturated.
 //!
-//! - **Admission control** — at most [`FrontendOptions::max_inflight`]
-//!   solves run at once, at most [`FrontendOptions::queue_depth`] requests
-//!   wait behind them, and anything beyond that is *rejected immediately*
-//!   with a structured `"busy"` response instead of queueing unboundedly.
-//!   Updates and `stats` bypass admission entirely: the write path is
-//!   never blocked behind reads (the store's build/publish split already
-//!   makes it cheap), and observability must work precisely when the
-//!   server is saturated.
-//! - **Coalescing** — concurrent single-query `jra` requests that were
-//!   admitted at the same epoch are collected into one [`JraBatch`]
-//!   execution (`Service::exec_jra`) and the answers fanned back to
-//!   their connections. The batch contract (batched answers are
-//!   bit-identical to one-at-a-time solves, proptested in
-//!   [`crate::batch`]) makes this a *pure* performance transform: response
-//!   bytes do not depend on how requests happened to be grouped. The
-//!   linger window is measured in queued-request **count**
-//!   ([`FrontendOptions::linger`]), never wall-clock time, so behaviour
-//!   stays deterministic.
-//!
-//! # Threading model
-//!
-//! There is no dedicated batcher thread. A submitting connection thread
-//! queues its planned query and then either (a) finds its answer already
-//! filled in, (b) becomes a drainer itself when a solve slot is free, or
-//! (c) parks on a condvar until a drainer fills its slot. A drainer takes
-//! the longest same-epoch prefix of the queue (up to `linger` entries),
-//! solves it as one batch, writes each answer into its submitter's slot,
-//! and wakes everyone. Because every queued entry has a live submitter in
-//! the wait loop, and every wait-loop iteration re-checks "slot free +
-//! work pending", no entry can be orphaned: work conservation holds
-//! without any background thread.
-//!
-//! [`JraBatch`]: crate::batch::JraBatch
+//! A `jra` plans before it asks for a slot: a request naming an unknown
+//! paper fails fast without waiting, and the snapshot it pins at plan
+//! time is the one it answers at, however long it waits for the slot.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::api::{JraAnswer, JraSpec, PlannedQuery, Service};
+use crate::api::{JraAnswer, JraSpec, Service};
 use crate::server::RequestCounters;
 use crate::store::Snapshot;
 use crate::telemetry::trace::{FinishedTrace, Trace};
 use crate::telemetry::{Counter, Gauge, Histogram};
 
-/// Tuning knobs for a [`Frontend`] (the CLI's `--max-inflight`,
-/// `--queue-depth`, `--linger`).
+/// Tuning knobs for a [`Frontend`] (the CLI's `--max-inflight` and
+/// `--queue-depth`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontendOptions {
-    /// Concurrent solves allowed (coalesced batches and direct ops each
-    /// hold one slot while solving). Clamped to at least 1.
+    /// Concurrent solves allowed (each `jra`, `batch` and `assign` holds
+    /// one slot while it executes). Clamped to at least 1.
     pub max_inflight: usize,
-    /// Requests allowed to wait for a slot beyond the in-flight bound;
-    /// `0` means "reject the moment every slot is taken".
+    /// Solve requests allowed to wait for a slot beyond the in-flight
+    /// bound, all ops together; `0` means "reject the moment every slot is
+    /// taken".
     pub queue_depth: usize,
-    /// Coalescing bound: a drainer batches at most this many same-epoch
-    /// queued requests into one [`JraBatch`](crate::batch::JraBatch) run.
-    /// Measured in requests, never wall-clock time (determinism). Clamped
-    /// to at least 1.
-    pub linger: usize,
 }
 
 impl Default for FrontendOptions {
     fn default() -> Self {
-        Self { max_inflight: 4, queue_depth: 64, linger: 32 }
+        Self { max_inflight: 4, queue_depth: 64 }
     }
 }
 
-/// A queued single-`jra` request: its pinned snapshot, canonical query,
-/// the slot its answer is fanned back through, and its live span recorder
-/// (the drainer records queue-wait/solve/coalesce stages into it).
-struct Entry {
-    snapshot: Arc<Snapshot>,
-    planned: PlannedQuery,
-    slot: Slot,
-    trace: Trace,
-    enqueued: Instant,
-}
-
-/// Where a drainer deposits one entry's answer (and its sealed trace).
-/// Filled exactly once. Locked only *after* (or without) the front-end
-/// state lock — never the other way around — so the two locks cannot
-/// deadlock.
-type Slot = Arc<Mutex<Option<(std::result::Result<JraAnswer, String>, Arc<FinishedTrace>)>>>;
-
 /// Everything guarded by the one front-end mutex. The lifetime counters
-/// that used to live here are registry series now ([`FrontMetrics`]).
+/// live in the registry ([`FrontMetrics`]).
 #[derive(Default)]
 struct FrontState {
-    pending: VecDeque<Entry>,
-    /// Solve slots in use (drainers + direct-op permits).
+    /// Solve slots in use.
     inflight: usize,
-    /// Direct ops parked waiting for a permit (bounded by `queue_depth`).
+    /// Requests in the waiting room (bounded by `queue_depth`).
     waiting: usize,
 }
 
@@ -109,8 +65,8 @@ struct FrontMetrics {
     rejected: Arc<Counter>,
     batches: Arc<Counter>,
     batched_requests: Arc<Counter>,
-    /// High-water mark of a single coalesced batch (a gauge so `set_max`
-    /// applies; it never decreases).
+    /// High-water mark of requests per `jra` execution (a gauge so
+    /// `set_max` applies; it never decreases).
     max_batch: Arc<Gauge>,
     inflight: Arc<Gauge>,
     queued: Arc<Gauge>,
@@ -136,32 +92,30 @@ impl FrontMetrics {
 }
 
 /// Front-end counters ([`Frontend::counters`], v2 `stats`'s `"frontend"`
-/// object). All values are deterministic for a sequential session; under
-/// real concurrency `batches`/`max_batch` depend on arrival interleaving
-/// (golden multi-client sessions therefore read v1 `stats`).
+/// object). Every `jra` executes alone, so `batches` and
+/// `batched_requests` both count executed `jra` requests and `max_batch`
+/// is at most 1; the member names are part of the v2 wire format.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontendCounters {
     /// Sessions served ([`crate::server::serve_connection`] calls).
     pub connections: u64,
-    /// Requests currently queued for a solve slot (a gauge, not a total).
+    /// Requests currently waiting for a solve slot (a gauge, not a total).
     pub queued: usize,
     /// Lifetime admissions rejected with `"busy"`.
     pub rejected: u64,
-    /// Coalesced batch executions.
+    /// Executed `jra` requests.
     pub batches: u64,
-    /// Requests served through those batches (`batched_requests /
-    /// batches` = mean occupancy).
+    /// Requests those executions served (equal to `batches`).
     pub batched_requests: u64,
-    /// Largest single coalesced batch.
+    /// Most requests one `jra` execution served (0 before the first, then 1).
     pub max_batch: u64,
 }
 
 /// The outcome of submitting one `jra` through the front-end.
 pub enum JraOutcome {
-    /// Planned (and, unless planning failed, solved — possibly coalesced
-    /// with neighbours). Everything the wire layer renders: the admitted
-    /// snapshot, the per-query answer or plan error, and the planned
-    /// `TopK` stage-loss bound.
+    /// Planned (and, unless planning failed, solved). Everything the wire
+    /// layer renders: the admitted snapshot, the answer or plan error, and
+    /// the planned `TopK` stage-loss bound.
     Done {
         /// The snapshot the request was admitted at.
         snapshot: Arc<Snapshot>,
@@ -174,43 +128,46 @@ pub enum JraOutcome {
         trace: Arc<FinishedTrace>,
     },
     /// Rejected by admission control: every solve slot busy and the
-    /// pending queue full. The request was never queued or solved.
+    /// waiting room full. The request never waited or solved.
     Busy,
 }
 
-/// A held solve slot for a direct (non-coalesced) op; released on drop.
-pub struct Permit<'a>(&'a Frontend);
+/// A held solve slot; released on drop.
+pub struct Permit<'a> {
+    frontend: &'a Frontend,
+    /// When admission accepted the request: the moment it took a free
+    /// slot or a place in the waiting room.
+    admitted_at: Instant,
+}
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        self.0.release();
+        self.frontend.release();
     }
 }
 
-/// The admission-controlled, coalescing front-end. See the
-/// [module docs](self) for the threading model. Internally synchronized:
-/// every method takes `&self`.
+/// The admission-controlled front-end. See the [module docs](self).
+/// Internally synchronized: every method takes `&self`.
 pub struct Frontend {
     service: Arc<Service>,
     max_inflight: usize,
     queue_depth: usize,
-    linger: usize,
     state: Mutex<FrontState>,
-    cv: Condvar,
+    /// Signalled when a slot frees while requests wait for one.
+    slot_freed: Condvar,
     met: FrontMetrics,
 }
 
 impl Frontend {
-    /// Wrap a service with the given admission/coalescing bounds.
+    /// Wrap a service with the given admission bounds.
     pub fn new(service: Arc<Service>, options: FrontendOptions) -> Self {
         let met = FrontMetrics::new(&service);
         Self {
             service,
             max_inflight: options.max_inflight.max(1),
             queue_depth: options.queue_depth,
-            linger: options.linger.max(1),
             state: Mutex::new(FrontState::default()),
-            cv: Condvar::new(),
+            slot_freed: Condvar::new(),
             met,
         }
     }
@@ -240,10 +197,7 @@ impl Frontend {
     /// Snapshot the front-end counters (reads the registry series; the
     /// instantaneous `queued` comes from the state under its lock).
     pub fn counters(&self) -> FrontendCounters {
-        let queued = {
-            let state = self.state.lock().expect("frontend lock");
-            state.pending.len() + state.waiting
-        };
+        let queued = self.state.lock().expect("frontend lock").waiting;
         FrontendCounters {
             connections: self.met.connections.get(),
             queued,
@@ -254,10 +208,14 @@ impl Frontend {
         }
     }
 
-    /// Submit one `jra` through the coalescer. Plans immediately (a
-    /// malformed request fails fast without occupying a queue slot), then
-    /// queues, and either drains a batch itself or parks until a
-    /// neighbouring drainer fans the answer back.
+    /// Serve one `jra`: plan it (an unknown paper fails here, before
+    /// admission), take a solve slot through [`Frontend::permit`], run its
+    /// one query at the planned snapshot, and release the slot.
+    ///
+    /// Its span tree reads `plan, admit, queue_wait`, then the execution's
+    /// `cache_probe, [solve], fanout` (depth 1) under a closing `coalesce`
+    /// span. `admit` ends when admission accepts the request, `queue_wait`
+    /// when it holds a slot.
     pub fn jra(&self, spec: &JraSpec) -> JraOutcome {
         let start = Instant::now();
         let trace = self.service.telemetry().new_trace();
@@ -271,169 +229,83 @@ impl Frontend {
             Err(e) => {
                 // Plan failures still finish (and publish) their trace —
                 // structure [plan] only, so goldens stay deterministic.
-                let finished = trace.finish("jra", None);
-                if self.service.telemetry().is_enabled() {
-                    self.service.telemetry().traces().push(finished.clone());
-                }
+                let trace = self.finish_jra(trace);
                 self.met.op_jra.observe_duration(start.elapsed());
-                return JraOutcome::Done {
-                    snapshot,
-                    answer: Err(e),
-                    loss_bound: None,
-                    trace: finished,
-                };
+                return JraOutcome::Done { snapshot, answer: Err(e), loss_bound: None, trace };
             }
         };
-        let loss_bound = planned.loss_bound;
-        let slot: Slot = Arc::new(Mutex::new(None));
-        let mut state = self.state.lock().expect("frontend lock");
-        if state.pending.len() >= self.queue_depth && state.inflight >= self.max_inflight {
-            self.met.rejected.inc();
-            // Rejected requests never queue or solve; their trace is
+        let Some(permit) = self.permit() else {
+            // Rejected requests never wait or solve; their trace is
             // dropped (the rejection itself is counted).
             return JraOutcome::Busy;
-        }
-        let admitted_at = Instant::now();
-        trace.record("admit", 0, 1, admitted_at.saturating_duration_since(planned_at));
-        state.pending.push_back(Entry {
-            snapshot: Arc::clone(&snapshot),
-            planned,
-            slot: Arc::clone(&slot),
-            trace,
-            enqueued: admitted_at,
-        });
-        self.met.queued.set((state.pending.len() + state.waiting) as i64);
-        loop {
-            // (a) A drainer (possibly ourselves, one iteration ago)
-            // already fanned our answer back. The drainer sealed the
-            // trace before filling the slot, so it is always complete.
-            if let Some((answer, trace)) = slot.lock().expect("slot lock").take() {
-                self.met.op_jra.observe_duration(start.elapsed());
-                return JraOutcome::Done { snapshot, answer, loss_bound, trace };
-            }
-            // (b) A solve slot is free and work is pending: become the
-            // drainer. One coalesced group per iteration, then re-check
-            // our own slot — keeps latency fair under sustained load.
-            if state.inflight < self.max_inflight && !state.pending.is_empty() {
-                state.inflight += 1;
-                self.met.inflight.set(state.inflight as i64);
-                drop(state);
-                self.drain_one();
-                state = self.state.lock().expect("frontend lock");
-                continue;
-            }
-            // (c) Park until a drainer or a released permit wakes us.
-            state = self.cv.wait(state).expect("frontend lock");
-        }
-    }
-
-    /// Drain one coalesced batch: the longest same-epoch prefix of the
-    /// queue, at most `linger` entries. Caller must have incremented
-    /// `inflight`; this decrements it and wakes all waiters.
-    fn drain_one(&self) {
-        let group = {
-            let mut state = self.state.lock().expect("frontend lock");
-            let mut group: Vec<Entry> = Vec::new();
-            if let Some(front) = state.pending.front() {
-                // Coalescing never mixes epochs: a batch admits at one
-                // snapshot, and answers must reflect the epoch each
-                // request was admitted at.
-                let epoch = front.snapshot.epoch();
-                while group.len() < self.linger {
-                    match state.pending.front() {
-                        Some(e) if e.snapshot.epoch() == epoch => {
-                            group.push(state.pending.pop_front().expect("front exists"));
-                        }
-                        _ => break,
-                    }
-                }
-            }
-            if group.is_empty() {
-                // Another drainer got here first; retire the slot.
-                state.inflight -= 1;
-                self.met.inflight.set(state.inflight as i64);
-                drop(state);
-                self.cv.notify_all();
-                return;
-            }
-            self.met.batches.inc();
-            self.met.batched_requests.add(group.len() as u64);
-            self.met.max_batch.set_max(group.len() as i64);
-            self.met.queued.set((state.pending.len() + state.waiting) as i64);
-            group
         };
-        // The queue wait ends at dequeue: record it before the solve so
-        // every trace reads plan, admit, queue_wait, then the solve's
-        // nested stages. One clock read covers the whole group.
-        let dequeued_at = Instant::now();
-        for e in &group {
-            e.trace.record("queue_wait", 0, 1, dequeued_at.saturating_duration_since(e.enqueued));
-        }
-        let snapshot = Arc::clone(&group[0].snapshot);
-        let batch_size = group.len() as u64;
-        let (entries, queries): (Vec<(Slot, Trace)>, Vec<_>) =
-            group.into_iter().map(|e| ((e.slot, e.trace), Ok(e.planned))).unzip();
-        let traces: Vec<Trace> = entries.iter().map(|(_, t)| t.clone()).collect();
-        // The coalesced solve: probes the result cache per query, solves
-        // the misses as one positional JraBatch, bit-identical to solving
-        // each alone. It records cache_probe/solve/fanout (depth 1) into
-        // every entry's trace.
-        let solve_start = Instant::now();
-        let answers = self.service.exec_jra(&snapshot, &queries, &traces);
-        let solve_time = solve_start.elapsed();
-        {
-            let mut state = self.state.lock().expect("frontend lock");
-            state.inflight -= 1;
-            self.met.inflight.set(state.inflight as i64);
-        }
-        // Seal every trace *before* filling its slot: a woken submitter
-        // must never observe a trace still being written.
-        for ((slot, trace), answer) in entries.iter().zip(answers) {
-            trace.record("coalesce", 0, batch_size, solve_time);
-            let finished = trace.finish("jra", None);
-            if self.service.telemetry().is_enabled() {
-                self.service.telemetry().traces().push(finished.clone());
-            }
-            *slot.lock().expect("slot lock") = Some((answer, finished));
-        }
-        self.cv.notify_all();
+        let held_at = Instant::now();
+        trace.record("admit", 0, 1, permit.admitted_at.saturating_duration_since(planned_at));
+        trace.record("queue_wait", 0, 1, held_at.saturating_duration_since(permit.admitted_at));
+        self.met.batches.inc();
+        self.met.batched_requests.inc();
+        self.met.max_batch.set_max(1);
+        let loss_bound = planned.loss_bound;
+        // Probes the result cache, solves on a miss, and records
+        // cache_probe/solve/fanout (depth 1) into the trace.
+        let answer = self.service.exec_jra(&snapshot, &[Ok(planned)], &trace).pop();
+        let answer = answer.expect("one answer per query");
+        let exec_time = held_at.elapsed();
+        drop(permit);
+        trace.record("coalesce", 0, 1, exec_time);
+        let trace = self.finish_jra(trace);
+        self.met.op_jra.observe_duration(start.elapsed());
+        JraOutcome::Done { snapshot, answer, loss_bound, trace }
     }
 
-    /// Take a solve slot for a direct (non-coalesced) op — an explicit
-    /// `batch` or a CRA `assign`. Waits if all slots are busy but the
-    /// waiting room has space; returns `None` ("busy") otherwise. The
-    /// slot is released when the [`Permit`] drops.
+    /// Seal a `jra` trace and retain it in the trace ring.
+    fn finish_jra(&self, trace: Trace) -> Arc<FinishedTrace> {
+        let finished = trace.finish("jra", None);
+        if self.service.telemetry().is_enabled() {
+            self.service.telemetry().traces().push(finished.clone());
+        }
+        finished
+    }
+
+    /// Take a solve slot — the one admission path for `jra`, `batch` and
+    /// `assign`. Waits if all slots are busy but the waiting room has
+    /// space; returns `None` ("busy") otherwise. The slot is released when
+    /// the [`Permit`] drops.
     pub fn permit(&self) -> Option<Permit<'_>> {
         let mut state = self.state.lock().expect("frontend lock");
-        if state.inflight < self.max_inflight {
-            state.inflight += 1;
-            self.met.inflight.set(state.inflight as i64);
-            return Some(Permit(self));
-        }
-        if state.waiting >= self.queue_depth {
+        let full = state.inflight >= self.max_inflight;
+        if full && state.waiting >= self.queue_depth {
             self.met.rejected.inc();
             return None;
         }
-        state.waiting += 1;
-        self.met.queued.set((state.pending.len() + state.waiting) as i64);
-        loop {
-            state = self.cv.wait(state).expect("frontend lock");
-            if state.inflight < self.max_inflight {
-                state.waiting -= 1;
-                state.inflight += 1;
-                self.met.inflight.set(state.inflight as i64);
-                self.met.queued.set((state.pending.len() + state.waiting) as i64);
-                return Some(Permit(self));
-            }
+        let admitted_at = Instant::now();
+        if full {
+            state.waiting += 1;
+            self.met.queued.set(state.waiting as i64);
+            state = self
+                .slot_freed
+                .wait_while(state, |s| s.inflight >= self.max_inflight)
+                .expect("frontend lock");
+            state.waiting -= 1;
+            self.met.queued.set(state.waiting as i64);
         }
+        state.inflight += 1;
+        self.met.inflight.set(state.inflight as i64);
+        Some(Permit { frontend: self, admitted_at })
     }
 
+    /// Free a slot and wake one waiter, if any waits. Runs in
+    /// [`Permit`]'s `Drop`, so it must not panic: a poisoned lock is
+    /// recovered, since every update leaves the two counts valid.
     fn release(&self) {
-        let mut state = self.state.lock().expect("frontend lock");
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.inflight -= 1;
         self.met.inflight.set(state.inflight as i64);
+        let waiters = state.waiting > 0;
         drop(state);
-        self.cv.notify_all();
+        if waiters {
+            self.slot_freed.notify_one();
+        }
     }
 }
 
@@ -523,81 +395,82 @@ coi alice p-17
         assert_eq!((c.queued, c.batches), (0, 0));
     }
 
-    #[test]
-    fn concurrent_submissions_coalesce_into_one_batch() {
-        // Deterministic occupancy: hold the only solve slot, queue K
-        // distinct requests behind it, release — the first woken
-        // submitter must drain all K as one batch.
-        let service = test_service();
-        let frontend = Arc::new(Frontend::new(
-            Arc::clone(&service),
-            FrontendOptions { max_inflight: 1, queue_depth: 16, linger: 32 },
-        ));
-        let permit = frontend.permit().expect("slot free");
-        const K: usize = 4;
-        let handles: Vec<_> = (0..K)
-            .map(|i| {
-                let frontend = Arc::clone(&frontend);
-                // Distinct delta_p per submitter keeps the request keys
-                // distinct, so every entry solves (no cache collapse).
-                std::thread::spawn(move || {
-                    answer_of(frontend.jra(&JraSpec { delta_p: Some(i % 2 + 1), ..spec(i % 2) }))
-                })
-            })
-            .collect();
-        wait_until(&frontend, |c| c.queued == K);
-        drop(permit);
-        for h in handles {
-            let answer = h.join().unwrap();
-            assert!(!answer.results.is_empty());
-        }
-        let c = frontend.counters();
-        assert_eq!(c.batches, 1, "all {K} must coalesce into one batch");
-        assert_eq!(c.batched_requests, K as u64);
-        assert_eq!(c.max_batch, K as u64);
-        assert_eq!(c.queued, 0);
-    }
-
+    /// A `jra` that waits for a slot while an update publishes still
+    /// executes (its `coalesce` span) at the epoch it was admitted at.
     #[test]
     fn coalescing_never_mixes_epochs() {
         let service = test_service();
         let frontend = Arc::new(Frontend::new(
             Arc::clone(&service),
-            FrontendOptions { max_inflight: 1, queue_depth: 16, linger: 32 },
+            FrontendOptions { max_inflight: 1, queue_depth: 16 },
         ));
         let permit = frontend.permit().expect("slot free");
-        let t1 = {
+        let waiting = {
             let frontend = Arc::clone(&frontend);
-            std::thread::spawn(move || answer_of(frontend.jra(&spec(0))))
+            std::thread::spawn(move || match frontend.jra(&spec(0)) {
+                JraOutcome::Done { snapshot, answer, .. } => (snapshot.epoch(), answer.unwrap()),
+                JraOutcome::Busy => panic!("unexpected busy"),
+            })
         };
         wait_until(&frontend, |c| c.queued == 1);
-        // Publish a new epoch while the first request is queued — the
-        // write path bypasses admission, so this cannot deadlock on the
-        // held permit.
+        // Publish a new epoch while the jra waits for the slot — the write
+        // path bypasses admission, so this cannot deadlock on the held
+        // permit.
         service
             .execute(&SolveRequest::Update(vec![crate::store::Update::RetireReviewer {
                 reviewer: 2,
             }]))
             .unwrap();
-        let t2 = {
+        drop(permit);
+        let (epoch, answer) = waiting.join().unwrap();
+        assert_eq!(epoch, 0, "a waiting jra answers at the epoch it was admitted at");
+        let at_epoch_0 = answer_of(Frontend::with_defaults(test_service()).jra(&spec(0)));
+        assert_eq!(answer.results[0].group, at_epoch_0.results[0].group);
+        assert_eq!(answer.results[0].score.to_bits(), at_epoch_0.results[0].score.to_bits());
+        // A jra admitted after the publish sees the retired reviewer.
+        let after = answer_of(frontend.jra(&spec(0)));
+        assert_ne!(after.results[0].score.to_bits(), answer.results[0].score.to_bits());
+        let c = frontend.counters();
+        assert_eq!((c.batches, c.batched_requests, c.max_batch, c.queued), (2, 2, 1, 0));
+    }
+
+    #[test]
+    fn one_waiting_room_for_every_solve_request() {
+        let frontend = Arc::new(Frontend::new(
+            test_service(),
+            FrontendOptions { max_inflight: 1, queue_depth: 1 },
+        ));
+        let permit = frontend.permit().expect("slot free");
+        let jra = {
             let frontend = Arc::clone(&frontend);
             std::thread::spawn(move || answer_of(frontend.jra(&spec(0))))
         };
-        wait_until(&frontend, |c| c.queued == 2);
+        wait_until(&frontend, |c| c.queued == 1);
+        // The waiting jra fills the room, so a batch is refused at once
+        // instead of waiting beside it.
+        let batch = {
+            let frontend = Arc::clone(&frontend);
+            std::thread::spawn(move || {
+                crate::server::handle_line(
+                    &*frontend,
+                    r#"{"op":"batch","queries":[{"paper_id":1}]}"#,
+                )
+            })
+        };
+        wait_until(&frontend, |c| c.rejected == 1 || c.queued == 2);
+        let waited = frontend.counters().queued;
         drop(permit);
-        t1.join().unwrap();
-        t2.join().unwrap();
-        let c = frontend.counters();
-        assert_eq!(c.batches, 2, "epoch-0 and epoch-1 entries must not share a batch");
-        assert_eq!(c.max_batch, 1);
+        let reply = batch.join().unwrap();
+        assert!(jra.join().unwrap().results[0].score > 0.0);
+        assert_eq!(waited, 1, "one waiting room bounds jra and batch together");
+        assert_eq!(reply.get("busy").and_then(crate::json::Json::as_bool), Some(true), "{reply}");
+        assert_eq!(frontend.counters().rejected, 1);
     }
 
     #[test]
     fn admission_rejects_when_saturated() {
-        let frontend = Frontend::new(
-            test_service(),
-            FrontendOptions { max_inflight: 1, queue_depth: 0, linger: 32 },
-        );
+        let frontend =
+            Frontend::new(test_service(), FrontendOptions { max_inflight: 1, queue_depth: 0 });
         let permit = frontend.permit().expect("first permit");
         // Queue depth 0: with the only slot held, both paths reject.
         assert!(matches!(frontend.jra(&spec(0)), JraOutcome::Busy));
@@ -608,33 +481,6 @@ coi alice p-17
         assert!(matches!(frontend.jra(&spec(0)), JraOutcome::Done { .. }));
         assert!(frontend.permit().is_some());
         assert_eq!(frontend.counters().rejected, 2);
-    }
-
-    #[test]
-    fn linger_caps_batch_size() {
-        let service = test_service();
-        let frontend = Arc::new(Frontend::new(
-            Arc::clone(&service),
-            FrontendOptions { max_inflight: 1, queue_depth: 16, linger: 2 },
-        ));
-        let permit = frontend.permit().expect("slot free");
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let frontend = Arc::clone(&frontend);
-                std::thread::spawn(move || {
-                    answer_of(frontend.jra(&JraSpec { delta_p: Some(i % 2 + 1), ..spec(i % 2) }))
-                })
-            })
-            .collect();
-        wait_until(&frontend, |c| c.queued == 4);
-        drop(permit);
-        for h in handles {
-            h.join().unwrap();
-        }
-        let c = frontend.counters();
-        assert_eq!(c.batched_requests, 4);
-        assert!(c.max_batch <= 2, "linger=2 must cap every batch, got {}", c.max_batch);
-        assert!(c.batches >= 2);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!    else routes through: a [`SolveRequest`] canonicalizes to a stable,
 //!    hashable [`RequestKey`], plans into a [`Plan`] (resolved solver,
 //!    admitted epoch, pruning bounds) and executes to an [`Outcome`]
-//!    (answer + epoch/cache/timing/support diagnostics), with a
+//!    (answer + epoch/cache/timing diagnostics), with a
 //!    **per-epoch result cache** whose hits are bit-identical to cold
 //!    solves and which every publish invalidates.
 //! 4. **Concurrent front-end** ([`frontend`] + [`server`]) — `wgrap
@@ -38,12 +38,11 @@
 //!    `assign` and `stats` in two protocol versions: v1 (byte-identical
 //!    to the pre-`api` server, golden-tested) and v2 (`"v":2` —
 //!    cache/key/loss diagnostics and stats counters). A [`Frontend`]
-//!    adds admission control (bounded in-flight solves + bounded queue,
-//!    structured `"busy"` rejections) and an epoch-coalescing
-//!    auto-batcher that collects concurrent `jra` requests admitted at
-//!    the same epoch into one [`JraBatch`] — a pure perf transform, since
-//!    batched answers are bit-identical to one-at-a-time solves. The
-//!    result cache is LRU-bounded ([`ServeOptions::cache_cap`]). The same
+//!    adds admission control: every `jra`, `batch` and `assign` takes one
+//!    solve slot through [`Frontend::permit`], with bounded in-flight
+//!    solves, one bounded waiting room and structured `"busy"`
+//!    rejections. The result cache is LRU-bounded
+//!    ([`ServeOptions::cache_cap`]). The same
 //!    wire layer serves the sharding [`Router`] (`wgrap serve --router`,
 //!    see [`shard`]) through the [`Backend`] trait. See `src/README.md`
 //!    for the migration guide and tuning flags.

@@ -99,11 +99,9 @@
 //! ([`VersionedStore`](crate::store::VersionedStore)'s build/publish
 //! split), so a `jra` admission on one TCP connection proceeds even while
 //! an update batch is mid-build on another. The front-end adds admission
-//! control and epoch-coalescing on top (see [`crate::frontend`]): a
-//! saturated server answers `{"ok":false,"busy":true,...}` instead of
-//! queueing without bound, and concurrent single-query `jra` requests at
-//! one epoch solve as a single [`JraBatch`](crate::batch::JraBatch) —
-//! with byte-identical responses, by the batch contract.
+//! control on top (see [`crate::frontend`]): every `jra`, `batch` and
+//! `assign` takes one solve slot, and a saturated server answers
+//! `{"ok":false,"busy":true,...}` instead of queueing without bound.
 
 use crate::api::{Answer, CacheStatus, JraAnswer, JraSpec, PaperRef, SolveRequest};
 use crate::frontend::{Frontend, JraOutcome};
@@ -382,7 +380,7 @@ enum MultiMsg {
 /// `<cid>\t<response>` lines, grouped by connection in first-seen order —
 /// deterministic regardless of thread scheduling, because each
 /// connection's responses depend only on its own request order and the
-/// barrier-delimited epoch (coalescing never changes response bytes).
+/// barrier-delimited epoch.
 pub fn serve_multi<B: Backend + 'static, R: BufRead, W: Write>(
     backend: &Arc<B>,
     input: R,
@@ -720,9 +718,8 @@ impl Backend for Frontend {
         Frontend::note_connection(self)
     }
 
-    /// A single `jra`: routed through the front-end coalescer, so concurrent
-    /// requests at one epoch solve as one batch. Response bytes are identical
-    /// to the direct path — the batch contract guarantees it.
+    /// A single `jra`: planned, then solved in its own solve slot
+    /// ([`Frontend::jra`]).
     fn jra(&self, request: &Json, proto: Protocol) -> Result<Json, String> {
         let pruning = request_pruning(request)?;
         let spec = parse_jra_spec(request, pruning)?;
@@ -745,9 +742,8 @@ impl Backend for Frontend {
         Ok(Json::obj(members))
     }
 
-    /// An explicit `batch`: already a coalesced unit, so it skips the
-    /// auto-batcher and takes one direct solve slot (admission still applies —
-    /// a saturated server answers `"busy"`).
+    /// An explicit `batch`: all its queries share one solve slot (a
+    /// saturated server answers `"busy"`).
     fn batch(&self, request: &Json, proto: Protocol) -> Result<Json, String> {
         let pruning = request_pruning(request)?;
         // Per-entry failure independence holds at parse time too: a malformed
@@ -923,9 +919,10 @@ impl Backend for Frontend {
                 ]),
             ));
             // Front-end counters: deterministic for a sequential session
-            // (each single jra drains as its own batch of 1); golden
-            // multi-client sessions read v1 stats instead, since batch
-            // grouping under real concurrency depends on arrival order.
+            // (each jra executes alone, so `batches` counts jra requests);
+            // golden multi-client sessions read v1 stats instead, since
+            // under real concurrency these counters depend on arrival
+            // order.
             let front = self.counters();
             members.push((
                 "frontend",
@@ -1300,7 +1297,7 @@ coi alice p-17
         // every solvable op rejects.
         let frontend = Frontend::new(
             Arc::new(crate::api::Service::new(test_instance(), Scoring::WeightedCoverage, 42)),
-            crate::frontend::FrontendOptions { max_inflight: 1, queue_depth: 0, linger: 1 },
+            crate::frontend::FrontendOptions { max_inflight: 1, queue_depth: 0 },
         );
         let _permit = frontend.permit().expect("first permit");
         let v1 = respond(&frontend, r#"{"op":"jra","paper_id":0}"#);
@@ -1329,7 +1326,7 @@ coi alice p-17
         let s = respond(&frontend, r#"{"v":2,"op":"stats"}"#);
         assert!(ok(&s), "{s}");
         let f = s.get("frontend").unwrap();
-        // Sequential sessions drain each jra as its own batch of 1.
+        // Each jra executes alone: batches counts jra requests.
         assert_eq!(f.get("batches").and_then(Json::as_usize), Some(2));
         assert_eq!(f.get("batched_requests").and_then(Json::as_usize), Some(2));
         assert_eq!(f.get("max_batch").and_then(Json::as_usize), Some(1));

@@ -11,9 +11,10 @@
 //!   on a shared lock; [`Telemetry::snapshot`] merges the shards
 //!   ([`hist`] proves merge ≡ pooling).
 //! - **Tracing** ([`trace`]) — every solve-path request records a span
-//!   tree (admit → queue wait → coalesce → plan → cache probe → solve →
-//!   fan-out) into a bounded ring buffer with a slow-query log; the v2
-//!   protocol returns it inline for `"trace":true` requests.
+//!   tree (plan → admit → queue wait → cache probe → solve → fan-out,
+//!   closed by the execution span) into a bounded ring buffer with a
+//!   slow-query log; the v2 protocol returns it inline for `"trace":true`
+//!   requests.
 //! - **Exposition** — [`MetricsSnapshot::to_prometheus`] renders the
 //!   Prometheus text format for the CLI's `--metrics-listen` endpoint,
 //!   and [`MetricsSnapshot::to_json`] backs the v2 `metrics` op. Both

@@ -1,19 +1,21 @@
-//! Per-request span trees: admit → queue wait → coalesce → plan → cache
-//! probe → solve → fan-out.
+//! Per-request span trees: plan → admit → queue wait → cache probe →
+//! solve → fan-out, closed by the execution span.
 //!
-//! Every solve-path request carries a [`Trace`] handle through the
+//! Every solve-path request carries a [`Trace`] recorder through the
 //! [`Frontend`](crate::frontend::Frontend) and
-//! [`Service`](crate::api::Service) layers; each stage records a
-//! [`SpanRec`] (name, nesting depth, a stage-specific count, and a wall
-//! duration). Finished traces land in a bounded ring buffer (fixed
-//! capacity, lock-free slot claim, per-slot write lock) and in a
-//! slow-query log retaining the worst N by total duration.
+//! [`Service`](crate::api::Service) layers on the thread that serves it;
+//! each stage records a [`SpanRec`] (name, nesting depth, a
+//! stage-specific count, and a wall duration). Finished traces land in a
+//! bounded ring buffer (fixed capacity, lock-free slot claim, per-slot
+//! write lock) and in a slow-query log retaining the worst N by total
+//! duration.
 //!
 //! Determinism contract: for a fixed session the *structure* of a trace —
 //! span names, order, nesting, counts — is deterministic and
 //! golden-tested; durations are wall-clock and only ever rendered behind
 //! the same opt-in (`"timings":true`) as every other timing field.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -24,13 +26,13 @@ use crate::json::Json;
 /// span tree (`depth` encodes nesting).
 #[derive(Clone, Debug)]
 pub struct SpanRec {
-    /// Stage name (`"admit"`, `"queue_wait"`, `"coalesce"`, `"plan"`,
-    /// `"cache_probe"`, `"solve"`, `"fanout"`, ...).
+    /// Stage name (`"plan"`, `"admit"`, `"queue_wait"`, `"cache_probe"`,
+    /// `"solve"`, `"fanout"`, `"coalesce"`, ...).
     pub name: &'static str,
     /// Nesting depth under the request root (root spans are depth 0).
     pub depth: u8,
-    /// Stage-specific cardinality (queries planned, batch size fanned
-    /// out, ...); part of the deterministic structure.
+    /// Stage-specific cardinality (queries planned, probed, solved, ...);
+    /// part of the deterministic structure.
     pub count: u64,
     /// Wall-clock duration of the stage. Never rendered without the
     /// timings opt-in.
@@ -84,12 +86,11 @@ impl FinishedTrace {
     }
 }
 
-/// A live, shareable recorder for one request's spans. Clones share the
-/// same underlying trace, so the coalescing drainer can record the solve
-/// and fan-out stages into every batched request it served.
-#[derive(Clone, Debug)]
+/// A live recorder for one request's spans, owned by the thread serving
+/// the request.
+#[derive(Debug)]
 pub struct Trace {
-    inner: Option<Arc<Mutex<Vec<SpanRec>>>>,
+    spans: Option<RefCell<Vec<SpanRec>>>,
 }
 
 impl Default for Trace {
@@ -101,7 +102,7 @@ impl Default for Trace {
 impl Trace {
     /// A fresh, empty trace.
     pub fn new() -> Self {
-        Trace { inner: Some(Arc::new(Mutex::new(Vec::with_capacity(8)))) }
+        Trace { spans: Some(RefCell::new(Vec::with_capacity(8))) }
     }
 
     /// A recorder that drops everything — the handle threaded through the
@@ -109,26 +110,22 @@ impl Trace {
     /// ([`ServeOptions::telemetry`](crate::api::ServeOptions::telemetry)),
     /// so the stage plumbing stays branch-free at the call sites.
     pub fn disabled() -> Self {
-        Trace { inner: None }
+        Trace { spans: None }
     }
 
     /// Record one finished stage (no-op on a disabled trace).
     pub fn record(&self, name: &'static str, depth: u8, count: u64, dur: Duration) {
-        if let Some(inner) = &self.inner {
-            inner.lock().unwrap().push(SpanRec { name, depth, count, dur });
+        if let Some(spans) = &self.spans {
+            spans.borrow_mut().push(SpanRec { name, depth, count, dur });
         }
     }
 
     /// Seal the trace into an immutable, shared [`FinishedTrace`] (empty
-    /// when disabled). Sealing *drains* the recorder — the spans move out
-    /// rather than copy, and the one allocation (the `Arc`) is shared by
-    /// the ring, the slow log, and the response, so the serve hot path
-    /// never duplicates a span vector.
-    pub fn finish(&self, op: &'static str, key: Option<String>) -> Arc<FinishedTrace> {
-        let spans = match &self.inner {
-            Some(inner) => std::mem::take(&mut *inner.lock().unwrap()),
-            None => Vec::new(),
-        };
+    /// when disabled). The spans move out rather than copy, and the one
+    /// allocation (the `Arc`) is shared by the ring, the slow log, and the
+    /// response, so the serve hot path never duplicates a span vector.
+    pub fn finish(self, op: &'static str, key: Option<String>) -> Arc<FinishedTrace> {
+        let spans = self.spans.map(RefCell::into_inner).unwrap_or_default();
         Arc::new(FinishedTrace { op, key, spans })
     }
 }
@@ -261,14 +258,5 @@ mod tests {
         assert!(!s.contains("us"), "durations must stay behind the timings opt-in: {s}");
         let with = f.to_json(true).to_string();
         assert!(with.contains("\"us\":123"));
-    }
-
-    #[test]
-    fn shared_clone_records_into_same_trace() {
-        let t = Trace::new();
-        let t2 = t.clone();
-        t.record("queue_wait", 0, 1, Duration::ZERO);
-        t2.record("solve", 0, 4, Duration::ZERO);
-        assert_eq!(t.finish("jra", None).spans.len(), 2);
     }
 }

@@ -10,12 +10,12 @@
 //! The second act replays a **two-client interleaved session** through the
 //! concurrent front-end (`serve_multi`, the engine behind
 //! `wgrap serve --multi`): the clients' `jra` requests race on real
-//! threads, the auto-batcher may coalesce same-epoch requests into one
-//! `JraBatch`, and the output is still deterministic — grouped per
-//! connection, byte-identical run-to-run, because batched answers are
-//! bit-identical to one-at-a-time solves. The closing v2 `stats` prints
-//! the new front-end counters (connections, coalesced batches, rejections)
-//! and the LRU result-cache counters (cap, evictions).
+//! threads, each in its own solve slot, and the output is still
+//! deterministic — grouped per connection, byte-identical run-to-run,
+//! because each answer depends only on its request and the epoch the
+//! `#sync` barriers pin. The closing v2 `stats` prints the front-end
+//! counters (connections, executed `jra` requests, rejections) and the
+//! LRU result-cache counters (cap, evictions).
 //!
 //! ```text
 //! cargo run --example serve
@@ -69,7 +69,7 @@ const SESSION: &[&str] = &[
 /// connections race; `#sync` is a global barrier, so the update's epoch
 /// bump lands deterministically between the phases.
 const MULTI_SESSION: &str = "\
-# phase 1: both clients query epoch 1 concurrently (coalescing candidates)
+# phase 1: both clients query epoch 1 concurrently
 ada {\"op\":\"jra\",\"paper_id\":0}
 bob {\"op\":\"jra\",\"paper_id\":1,\"top_k\":2}
 ada {\"v\":2,\"op\":\"jra\",\"paper_name\":\"p-23\"}
@@ -101,11 +101,10 @@ fn main() -> Result<()> {
     println!("--- responses, grouped per connection ---");
     print!("{}", String::from_utf8_lossy(&out));
 
-    // The new counters: "frontend" (connections served, coalesced batches
-    // and their occupancy, busy rejections) and the LRU-bounded "cache"
-    // (cap, evictions). Deterministic values — like batch grouping under
-    // concurrency — vary run to run; the response *bytes* of every solve
-    // above do not.
+    // The counters: "frontend" (connections served, executed jra requests,
+    // busy rejections) and the LRU-bounded "cache" (cap, evictions). Some
+    // values — like the hit/miss split between racing clients — vary run
+    // to run; the response *bytes* of every solve above do not.
     println!();
     println!("--- closing v2 stats: front-end + LRU cache counters ---");
     let stats = r#"{"v":2,"op":"stats"}"#;

@@ -24,8 +24,8 @@
 //!     --router`.
 //! wgrap serve   <instance-file> [--listen ADDR] [--scoring ...] [--seed N]
 //!               [--method sdga-sra] [--pruning ...] [--topk K]
-//!               [--threads N] [--max-inflight N] [--queue-depth N]
-//!               [--cache-cap N] [--linger N] [--multi]
+//!               [--max-inflight N] [--queue-depth N] [--cache-cap N]
+//!               [--multi]
 //!               [--metrics-listen ADDR] [--data-dir DIR]
 //!               [--fsync always|batch|never] [--checkpoint-every N]
 //!     Serve the instance: newline-delimited JSON requests on stdin (one
@@ -35,11 +35,12 @@
 //!     wgrap_service::server::serve_multi). Ops: jra, batch, update,
 //!     assign, stats — see wgrap_service::server. Protocol v2
 //!     ({"v":2,...}) adds cache/key diagnostics; v1 requests keep their
-//!     exact pre-v2 response bytes. Concurrency knobs: --threads N pins
-//!     the solver worker count (WGRAP_THREADS), --max-inflight/
-//!     --queue-depth bound admission (excess answers {"busy":true}),
-//!     --linger caps the auto-batcher's coalesced batch size, and
-//!     --cache-cap bounds the LRU result cache (0 disables caching).
+//!     exact pre-v2 response bytes. Concurrency knobs: --max-inflight N
+//!     bounds the solve requests (jra, batch, assign) running at once,
+//!     --queue-depth N bounds those waiting for a slot (excess answers
+//!     {"busy":true}), and --cache-cap bounds the LRU result cache (0
+//!     disables caching). A build with --features rayon reads its solver
+//!     worker count from the WGRAP_THREADS environment variable.
 //!     --metrics-listen HOST:PORT serves the telemetry registry as
 //!     Prometheus text on a side listener (GET /metrics) alongside any
 //!     serve mode; the v2 "metrics" op returns the same registry as JSON.
@@ -111,11 +112,9 @@ const SUBCOMMAND_FLAGS: &[(&str, &[&str])] = &[
             "--pruning",
             "--topk",
             "--listen",
-            "--threads",
             "--max-inflight",
             "--queue-depth",
             "--cache-cap",
-            "--linger",
             "--multi",
             "--metrics-listen",
             "--data-dir",
@@ -150,11 +149,9 @@ struct Flags {
     top_k: Option<usize>,
     pruning: Option<PruningPolicy>,
     listen: Option<String>,
-    threads: Option<usize>,
     max_inflight: Option<usize>,
     queue_depth: Option<usize>,
     cache_cap: Option<usize>,
-    linger: Option<usize>,
     multi: bool,
     metrics_listen: Option<String>,
     data_dir: Option<String>,
@@ -177,11 +174,9 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags> {
         top_k: None,
         pruning: None,
         listen: None,
-        threads: None,
         max_inflight: None,
         queue_depth: None,
         cache_cap: None,
-        linger: None,
         multi: false,
         metrics_listen: None,
         data_dir: None,
@@ -253,17 +248,15 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags> {
                 flags.checkpoint_every = Some(n);
             }
             "--multi" => flags.multi = true,
-            "--threads" | "--max-inflight" | "--queue-depth" | "--cache-cap" | "--linger" => {
+            "--max-inflight" | "--queue-depth" | "--cache-cap" => {
                 let flag = arg.as_str();
                 let n: usize = value(flag)?
                     .parse()
                     .map_err(|_| Error::InvalidInstance(format!("{flag} needs an integer")))?;
                 match flag {
-                    "--threads" => flags.threads = Some(n),
                     "--max-inflight" => flags.max_inflight = Some(n),
                     "--queue-depth" => flags.queue_depth = Some(n),
-                    "--cache-cap" => flags.cache_cap = Some(n),
-                    _ => flags.linger = Some(n),
+                    _ => flags.cache_cap = Some(n),
                 }
             }
             other => flags.positional.push(other.to_string()),
@@ -486,11 +479,6 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
     let [path] = &flags.positional[..] else {
         return Err(Error::InvalidInstance("serve needs exactly one instance file".into()));
     };
-    if let Some(n) = flags.threads {
-        // Must happen before anything touches the solver substrate: the
-        // worker count is read from the environment once and cached.
-        std::env::set_var("WGRAP_THREADS", n.to_string());
-    }
     let inst = io::parse_instance(&read(path)?)?;
     let service = if let Some(dir) = &flags.data_dir {
         // Durable path: recover the last durable epoch from the data dir
@@ -529,9 +517,6 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
     }
     if let Some(n) = flags.queue_depth {
         options.queue_depth = n;
-    }
-    if let Some(n) = flags.linger {
-        options.linger = n;
     }
     serve_backend(flags, Arc::new(Frontend::new(Arc::clone(&service), options)))?;
     // Drained cleanly (stdin EOF / listener closed): fsync the WAL and

@@ -87,12 +87,12 @@ fn replay_multi() -> String {
     String::from_utf8(out.stdout).expect("responses are UTF-8")
 }
 
-/// The tentpole's determinism contract: N clients race on real threads
-/// (requests within a phase are handled concurrently and may coalesce into
-/// one JraBatch), yet each connection's responses are byte-identical to
-/// its golden, run after run, rayon on or off — because batched answers
-/// are bit-identical to one-at-a-time solves and the fixture isolates
-/// epoch bumps between `#sync` barriers.
+/// The concurrent serving determinism contract: N clients race on real
+/// threads (requests within a phase are handled concurrently), yet each
+/// connection's responses are byte-identical to its golden, run after
+/// run, rayon on or off — because each answer depends only on its request
+/// and its admitted epoch, and the fixture isolates epoch bumps between
+/// `#sync` barriers.
 #[test]
 fn serve_multi_matches_per_connection_goldens() {
     let got = replay_multi();
@@ -503,6 +503,8 @@ fn confusable_flag_rejections_share_one_message_shape() {
         (vec!["check", "x.wgrap", "y.txt", "--topk", "3"], "--topk K is candidate pruning"),
         (vec!["check", "x.wgrap", "y.txt", "--pruning", "auto"], "does not take --pruning"),
         (vec!["gen", "3", "4", "1", "--listen", ":1"], "does not take --listen"),
+        (vec!["serve", "x.wgrap", "--linger", "2"], "does not take --linger"),
+        (vec!["serve", "x.wgrap", "--threads", "2"], "does not take --threads"),
     ];
     for (args, needle) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_wgrap")).args(&args).output().unwrap();
