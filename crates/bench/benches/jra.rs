@@ -18,7 +18,8 @@
 //!
 //! `counts.nodes` is the summed BBA node count over a record's queries. It
 //! is deterministic, so two builds that claim the same search must agree
-//! on it exactly while their times differ.
+//! on it exactly while their times differ; CI fails if it moves from the
+//! committed `BENCH_jra.json`.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

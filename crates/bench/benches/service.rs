@@ -308,43 +308,80 @@ fn bench_epoch_retention(report: &mut BenchReport) {
     );
 }
 
-/// The per-epoch result cache: cold solve vs cache hit on the same
-/// canonical request, through the typed `Service::execute` entry point.
+/// The per-epoch result cache: cold solves vs cache hits, through the
+/// typed `Service::execute` entry point. `cache_cold_single_query` times
+/// 20 distinct ad-hoc queries, each a miss (`counts.nodes` sums their
+/// search nodes); `cache_hit_single_query` times 20 batches of 1,000 hits
+/// on those same requests, one sample per batch (the batch's mean per
+/// hit). Both records therefore carry p10/p90.
 fn bench_result_cache(report: &mut BenchReport) {
-    use wgrap_service::api::{JraSpec, PaperRef, Service, SolveRequest};
+    use wgrap_service::api::{Answer, JraSpec, PaperRef, Service, SolveRequest};
+    const QUERIES: usize = 20;
+    const HITS: usize = 1_000;
     let mut rng = StdRng::seed_from_u64(99);
     let papers = sparse_vectors(P, T, PAPER_NNZ, &mut rng);
     let reviewers = sparse_vectors(R, T, REVIEWER_NNZ, &mut rng);
     let delta_r = Instance::minimal_delta_r(P, R, DELTA_P) + 2;
     let inst = Instance::new(papers, reviewers, DELTA_P, delta_r).expect("valid bench instance");
     let service = Service::new(inst, Scoring::WeightedCoverage, 99);
-    let query = sparse_vectors(1, T, PAPER_NNZ, &mut rng).pop().unwrap();
-    let request = SolveRequest::Jra(JraSpec {
-        pruning: Some(PruningPolicy::Auto),
-        ..JraSpec::new(PaperRef::Adhoc(query))
-    });
-    let params = [("papers", P as f64), ("reviewers", R as f64), ("topics", T as f64)];
+    let requests: Vec<SolveRequest> = sparse_vectors(QUERIES, T, PAPER_NNZ, &mut rng)
+        .into_iter()
+        .map(|query| {
+            SolveRequest::Jra(JraSpec {
+                pruning: Some(PruningPolicy::Auto),
+                ..JraSpec::new(PaperRef::Adhoc(query))
+            })
+        })
+        .collect();
+    let params = [
+        ("papers", P as f64),
+        ("reviewers", R as f64),
+        ("topics", T as f64),
+        ("queries", QUERIES as f64),
+    ];
 
-    let start = Instant::now();
-    let cold = service.execute(&request).expect("solves");
-    let cold_t = start.elapsed();
-    assert!(!cold.diag.cache.is_hit());
-    report.record("cache_cold_single_query", &params, &[cold_t], None);
-
-    const HITS: usize = 1_000;
-    let start = Instant::now();
-    for _ in 0..HITS {
-        let warm = service.execute(&request).expect("solves");
-        assert!(warm.diag.cache.is_hit());
+    let mut cold = Vec::with_capacity(QUERIES);
+    let mut nodes = 0u64;
+    for request in &requests {
+        let start = Instant::now();
+        let outcome = service.execute(request).expect("solves");
+        cold.push(start.elapsed());
+        assert!(!outcome.diag.cache.is_hit(), "every cold query is a distinct key");
+        let Answer::Jra(answers) = &outcome.answer else { unreachable!("a jra request") };
+        nodes += answers[0].as_ref().expect("feasible").results[0].nodes;
     }
-    let hit_t = start.elapsed() / HITS as u32;
+    report.record_with_counts(
+        "cache_cold_single_query",
+        &params,
+        &cold,
+        None,
+        &[("nodes", nodes as f64)],
+    );
+
+    let hits: Vec<_> = requests
+        .iter()
+        .map(|request| {
+            let start = Instant::now();
+            for _ in 0..HITS {
+                let warm = service.execute(request).expect("solves");
+                assert!(warm.diag.cache.is_hit());
+            }
+            start.elapsed() / HITS as u32
+        })
+        .collect();
+    let median = |v: &[std::time::Duration]| {
+        let mut v = v.to_vec();
+        v.sort();
+        v[v.len() / 2]
+    };
+    let (cold_t, hit_t) = (median(&cold), median(&hits));
     let hit_qps = 1.0 / hit_t.as_secs_f64();
     println!(
-        "service_cache_p{P}_r{R}_t{T}: cold {cold_t:.2?} vs hit {hit_t:.2?} \
-         ({hit_qps:.0} q/s from cache, {:.0}x)",
+        "service_cache_p{P}_r{R}_t{T}: cold {cold_t:.2?} vs hit {hit_t:.2?} (medians; \
+         {hit_qps:.0} q/s from cache, {:.0}x), {nodes} nodes over {QUERIES} cold queries",
         cold_t.as_secs_f64() / hit_t.as_secs_f64()
     );
-    report.record("cache_hit_single_query", &params, &[hit_t], Some(hit_qps));
+    report.record("cache_hit_single_query", &params, &hits, Some(hit_qps));
 }
 
 /// Telemetry overhead on the serve hot path: the same NDJSON request line

@@ -183,29 +183,15 @@ impl CandidateSet {
     /// the `n` best by `(score desc, reviewer asc)` and records the best
     /// excluded score as the paper's bound.
     ///
-    /// For sparse-safe scorings the scan walks a topic → reviewers inverted
-    /// index, touching only reviewers that overlap the paper's non-zero
-    /// topics; other scorings (reviewer coverage can score zero-overlap
-    /// pairs positively) scan all reviewers. Rows build in parallel under
-    /// the `rayon` feature, bit-identically to the serial build.
+    /// For sparse-safe scorings the scan walks the context's topic →
+    /// reviewers index ([`ScoreContext::topic_index`]), touching only
+    /// reviewers that overlap the paper's non-zero topics; other scorings
+    /// (reviewer coverage can score zero-overlap pairs positively) scan all
+    /// reviewers. Rows build in parallel under the `rayon` feature,
+    /// bit-identically to the serial build.
     pub fn build(ctx: &ScoreContext<'_>, k: Option<usize>) -> Self {
-        let by_topic = ctx.sparse().then(|| reviewer_topic_index(ctx));
-        Self::build_with_index(ctx, k, by_topic.as_deref())
-    }
-
-    /// [`CandidateSet::build`] with a caller-supplied topic → reviewers
-    /// index (as produced by [`reviewer_topic_index`]) for sparse-safe
-    /// scorings — the service store maintains that index incrementally
-    /// anyway, so sharing it avoids a second `O(R·T)` derivation pass on
-    /// every rebuild. Pass `None` to scan all reviewers (the dense path
-    /// non-sparse-safe scorings always take).
-    pub fn build_with_index(
-        ctx: &ScoreContext<'_>,
-        k: Option<usize>,
-        by_topic: Option<&[Vec<u32>]>,
-    ) -> Self {
+        let by_topic = ctx.sparse().then(|| ctx.topic_index());
         let (num_p, num_r) = (ctx.num_papers(), ctx.num_reviewers());
-        debug_assert!(by_topic.is_none() || ctx.sparse(), "index probing needs sparse safety");
 
         // (candidates sorted by reviewer asc, bound, positive support).
         type PaperRow = (Vec<(u32, f64)>, f64, u32);
@@ -471,25 +457,6 @@ impl CandidateSet {
             max: s[s.len() - 1] as usize,
         })
     }
-}
-
-/// The topic → reviewers inverted index over `ctx`'s expertise rows: per
-/// topic, the reviewers with positive expertise, ids ascending. This is the
-/// probe structure [`CandidateSet::build`] walks for sparse-safe scorings;
-/// it is exposed so long-lived callers (the service store, which maintains
-/// the index incrementally across updates) can hand a prebuilt copy to
-/// [`CandidateSet::build_with_index`] instead of paying the `O(R·T)`
-/// derivation twice.
-pub fn reviewer_topic_index(ctx: &ScoreContext<'_>) -> Vec<Vec<u32>> {
-    let mut idx = vec![Vec::new(); ctx.num_topics()];
-    for r in 0..ctx.num_reviewers() {
-        for (t, &e) in ctx.reviewer_row(r).iter().enumerate() {
-            if e > 0.0 {
-                idx[t].push(r as u32);
-            }
-        }
-    }
-    idx
 }
 
 /// The `TopK(k)` truncation of one candidate row, in place: rank by

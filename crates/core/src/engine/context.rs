@@ -49,6 +49,8 @@ use std::borrow::Cow;
 /// mutation drops the lazily-built caches (pair matrix, auto candidates);
 /// the caller may re-install an incrementally maintained candidate set via
 /// [`install_auto_candidates`](ScoreContext::install_auto_candidates).
+/// The [topic index](ScoreContext::topic_index), once built, is instead
+/// kept in order by the reviewer-row mutations themselves.
 #[derive(Debug, Clone)]
 pub struct ScoreContext<'a> {
     inst: Cow<'a, Instance>,
@@ -72,6 +74,9 @@ pub struct ScoreContext<'a> {
     ///
     /// [`PruningPolicy::Auto`]: super::candidates::PruningPolicy::Auto
     auto_candidates: std::sync::OnceLock<super::candidates::CandidateSet>,
+    /// Lazily-built topic → reviewers index ([`ScoreContext::topic_index`]),
+    /// maintained in place by the reviewer-row mutations once built.
+    topic_index: std::sync::OnceLock<Vec<Vec<u32>>>,
 }
 
 impl ScoreContext<'static> {
@@ -131,6 +136,7 @@ impl<'a> ScoreContext<'a> {
             csr_val,
             pair_cache: std::sync::OnceLock::new(),
             auto_candidates: std::sync::OnceLock::new(),
+            topic_index: std::sync::OnceLock::new(),
         }
     }
 
@@ -157,6 +163,7 @@ impl<'a> ScoreContext<'a> {
             csr_val: self.csr_val,
             pair_cache: self.pair_cache,
             auto_candidates: self.auto_candidates,
+            topic_index: self.topic_index,
         }
     }
 
@@ -302,12 +309,27 @@ impl<'a> ScoreContext<'a> {
         self.auto_candidates.take()
     }
 
+    /// The topic → reviewers index: per topic, every reviewer with positive
+    /// expertise, ordered `(expertise desc, id asc)` under
+    /// [`f64::total_cmp`] — the order in which BBA walks a topic's list
+    /// (paper Figure 5(b)). Built once per context (`O(R·T)` plus a sort of
+    /// the positive entries) and then kept in that order by
+    /// [`push_reviewer`](ScoreContext::push_reviewer) and
+    /// [`set_reviewer_row`](ScoreContext::set_reviewer_row), so a context
+    /// that outlives many updates (a service snapshot) never rebuilds it.
+    /// The other readers, the candidate probes, sort and dedup their hits.
+    pub fn topic_index(&self) -> &[Vec<u32>] {
+        self.topic_index.get_or_init(|| {
+            topic_index_over(0..self.num_reviewers() as u32, self.dim, |r| self.reviewer_row(r))
+        })
+    }
+
     /// Clone for a copy-on-write update. The paged matrices, the candidate
     /// rows and the instance's topic-vector slabs are all `Arc`-shared, so
     /// this is O(pages) refcount bumps plus a memcpy of the small unpaged
-    /// state (normalisers, CSR) — **not** O((R+P)·T). Pages are copied
-    /// lazily, one at a time, by whichever mutations follow. The cached
-    /// dense `P × R` pair matrix does **not** carry over — the first
+    /// state (normalisers, CSR, topic index) — **not** O((R+P)·T). Pages
+    /// are copied lazily, one at a time, by whichever mutations follow. The
+    /// cached dense `P × R` pair matrix does **not** carry over — the first
     /// mutation would drop it anyway, and at service scale it dwarfs
     /// everything else.
     pub fn clone_for_update(&self) -> ScoreContext<'static> {
@@ -329,6 +351,7 @@ impl<'a> ScoreContext<'a> {
             csr_val: self.csr_val.clone(),
             pair_cache: std::sync::OnceLock::new(),
             auto_candidates,
+            topic_index: self.topic_index.clone(),
         }
     }
 
@@ -350,9 +373,8 @@ impl<'a> ScoreContext<'a> {
         let _ = self.auto_candidates.set(cands);
     }
 
-    /// Drop the lazily-built caches (pair matrix, auto candidates). Called
-    /// by every mutation; also available to callers that patch state
-    /// externally.
+    /// Drop the lazily-built score caches (pair matrix, auto candidates).
+    /// Called by every mutation; the topic index is maintained instead.
     fn invalidate_caches(&mut self) {
         self.pair_cache = std::sync::OnceLock::new();
         self.auto_candidates = std::sync::OnceLock::new();
@@ -406,6 +428,7 @@ impl<'a> ScoreContext<'a> {
         }
         let r = self.inst.to_mut().push_reviewer(name, reviewer)?;
         self.reviewers.extend_from_slice(self.inst.reviewer(r).as_slice());
+        self.reindex(r, None);
         self.invalidate_caches();
         Ok(r)
     }
@@ -423,10 +446,47 @@ impl<'a> ScoreContext<'a> {
             )));
         }
         self.inst.to_mut().set_reviewer_vector(r, expertise)?;
+        let old = self.topic_index.get().is_some().then(|| self.reviewer_row(r).to_vec());
         // Copy-on-writes exactly the page holding row `r`.
         self.reviewers.write(r * self.dim, self.inst.reviewer(r).as_slice());
+        self.reindex(r, old.as_deref());
         self.invalidate_caches();
         Ok(())
+    }
+
+    /// Keep a built [`topic_index`](ScoreContext::topic_index) in order
+    /// after reviewer `r`'s row changed from `old` (`None`: a new
+    /// reviewer) to its current row: on every topic whose value changed,
+    /// `r` leaves its old position and, if still positive, is inserted at
+    /// its `(expertise desc, id asc)` position. `O(log n)` row reads per
+    /// moved entry; a no-op until the index has been built.
+    fn reindex(&mut self, r: usize, old: Option<&[f64]>) {
+        let Some(index) = self.topic_index.get_mut() else { return };
+        let (rows, dim, id) = (&self.reviewers, self.dim, r as u32);
+        let value = |x: u32, t: usize| rows.slice(x as usize * dim, dim)[t];
+        let new = rows.slice(r * dim, dim);
+        for (t, list) in index.iter_mut().enumerate() {
+            let was = old.map_or(0.0, |o| o[t]);
+            if was.to_bits() == new[t].to_bits() {
+                continue;
+            }
+            if was > 0.0 {
+                // Every other entry still sits at its own row's value; only
+                // `r`'s row moved, so compare against its old value.
+                let at = list
+                    .binary_search_by(|&x| {
+                        let v = if x == id { was } else { value(x, t) };
+                        was.total_cmp(&v).then(x.cmp(&id))
+                    })
+                    .expect("a positive entry is in its topic's list");
+                list.remove(at);
+            }
+            if new[t] > 0.0 {
+                let at = list
+                    .partition_point(|&x| new[t].total_cmp(&value(x, t)).then(x.cmp(&id)).is_lt());
+                list.insert(at, id);
+            }
+        }
     }
 
     /// Content bytes of the scoring state (paged matrices plus the unpaged
@@ -473,15 +533,19 @@ impl<'a> ScoreContext<'a> {
 
     /// Declare `(reviewer, paper)` a conflict of interest on the underlying
     /// instance. COIs feed [`jra_view`](ScoreContext::jra_view) masks only —
-    /// no score or candidate state depends on them, so caches survive.
+    /// no score, candidate or index state depends on them, so caches
+    /// survive.
     pub fn add_coi(&mut self, reviewer: usize, paper: usize) {
         self.inst.to_mut().add_coi(reviewer, paper);
     }
 
     /// A single-paper JRA view over this context's flat rows, with the
-    /// instance's COI mask for `p`.
+    /// instance's COI mask for `p` (set from the paper's own conflicts).
     pub fn jra_view(&self, p: usize) -> JraView<'_> {
-        let forbidden = (0..self.num_reviewers()).map(|r| self.inst.is_coi(r, p)).collect();
+        let mut forbidden = vec![false; self.num_reviewers()];
+        for &r in self.inst.conflicts(p) {
+            forbidden[r as usize] = true;
+        }
         self.jra_view_with_forbidden(p, forbidden)
     }
 
@@ -499,6 +563,7 @@ impl<'a> ScoreContext<'a> {
             total: self.paper_totals[p],
             inv_total: self.paper_inv_totals[p],
             rows: Rows::Paged { data: &self.reviewers, dim: self.dim, len: self.num_reviewers() },
+            index: Some(&self.topic_index),
             active,
             forbidden,
             delta_p: self.inst.delta_p(),
@@ -526,6 +591,7 @@ impl<'a> ScoreContext<'a> {
             total,
             inv_total: if total > 0.0 { 1.0 / total } else { 0.0 },
             rows: Rows::Paged { data: &self.reviewers, dim: self.dim, len: self.num_reviewers() },
+            index: Some(&self.topic_index),
             active: Cow::Owned(active_topics(paper.as_slice(), self.scoring)),
             forbidden,
             delta_p,
@@ -597,6 +663,31 @@ fn active_topics(paper: &[f64], scoring: Scoring) -> Vec<u32> {
     }
 }
 
+/// [`ScoreContext::topic_index`] over the rows of `ids` (`dim` topics
+/// each): one scan of those rows, then a sort of each topic's positive
+/// entries.
+fn topic_index_over<'r>(
+    ids: impl Iterator<Item = u32>,
+    dim: usize,
+    row: impl Fn(usize) -> &'r [f64],
+) -> Vec<Vec<u32>> {
+    let mut lists: Vec<Vec<(f64, u32)>> = vec![Vec::new(); dim];
+    for r in ids {
+        for (list, &e) in lists.iter_mut().zip(row(r as usize)) {
+            if e > 0.0 {
+                list.push((e, r));
+            }
+        }
+    }
+    lists
+        .into_iter()
+        .map(|mut list| {
+            list.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            list.into_iter().map(|(_, r)| r).collect()
+        })
+        .collect()
+}
+
 /// A single-paper reviewer-selection view: the common substrate the exact
 /// JRA solvers run on, whether fed from a legacy
 /// [`JraProblem`](crate::jra::JraProblem) or a [`ScoreContext`].
@@ -609,6 +700,9 @@ pub struct JraView<'a> {
     /// `1/total`, or 0 for a zero paper.
     pub inv_total: f64,
     rows: Rows<'a>,
+    /// The context's memoized topic index, if the rows are a context's
+    /// (see [`JraView::topic_index`]).
+    index: Option<&'a std::sync::OnceLock<Vec<Vec<u32>>>>,
     /// See [`JraView::active_topics`].
     active: Cow<'a, [u32]>,
     /// Conflicted / unavailable candidates.
@@ -634,6 +728,7 @@ impl<'a> JraView<'a> {
             total,
             inv_total: if total > 0.0 { 1.0 / total } else { 0.0 },
             rows: Rows::Boxed(reviewers),
+            index: None,
             active: Cow::Owned(active_topics(paper.as_slice(), scoring)),
             forbidden,
             delta_p,
@@ -674,6 +769,38 @@ impl<'a> JraView<'a> {
     /// Number of non-forbidden candidates.
     pub fn num_feasible(&self) -> usize {
         self.forbidden.iter().filter(|f| !**f).count()
+    }
+
+    /// The topic → reviewers index over this view's rows, in
+    /// [`ScoreContext::topic_index`]'s order: borrowed from the context
+    /// (built there on first use) when the rows are a context's, derived
+    /// per call over boxed rows.
+    pub(crate) fn topic_index(&self) -> Cow<'a, [Vec<u32>]> {
+        let all = 0..self.num_reviewers() as u32;
+        let build = || topic_index_over(all, self.paper.len(), |r| self.row(r));
+        match self.index {
+            Some(cell) => Cow::Borrowed(cell.get_or_init(build)),
+            None => Cow::Owned(build()),
+        }
+    }
+
+    /// The topic index as a search over `pool` (ascending ids) walks it:
+    /// the context's index, whose outsiders the search skips, when it is
+    /// built and holds no more entries than the pool's rows have topics;
+    /// otherwise the index of the pool's own rows — an `O(|pool|·T)` scan
+    /// and a sort of their positive entries, cheaper for a small pool than
+    /// walking the whole index past every outsider.
+    pub(crate) fn pool_topic_index(&self, pool: &[u32]) -> Cow<'a, [Vec<u32>]> {
+        match self.index.and_then(|cell| cell.get()) {
+            Some(index)
+                if index.iter().map(Vec::len).sum::<usize>() <= pool.len() * self.paper.len() =>
+            {
+                Cow::Borrowed(index)
+            }
+            _ => Cow::Owned(topic_index_over(pool.iter().copied(), self.paper.len(), |r| {
+                self.row(r)
+            })),
+        }
     }
 }
 

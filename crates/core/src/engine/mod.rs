@@ -81,9 +81,7 @@ pub mod par;
 mod solver;
 pub mod spec;
 
-pub use candidates::{
-    reviewer_topic_index, truncate_row, CandidateSet, CoverageStats, PruningPolicy,
-};
+pub use candidates::{truncate_row, CandidateSet, CoverageStats, PruningPolicy};
 pub use context::{JraView, PairMatrix, ScoreContext};
 pub use gain::{group_score_view, GainProvider, GainTable, PaperGain};
 pub use pages::{PageTable, PagedVec};

@@ -20,29 +20,41 @@
 //!
 //! # Cost model
 //!
-//! Let `n` be the eligible pool, `T` the topic count and `s` the paper's
+//! Let `R` be the reviewer count, `T` the topic count and `s` the paper's
 //! support — its non-zero topics under weighted, paper and dot coverage
 //! (all `T` under reviewer coverage; see [`JraView::active_topics`]). A
 //! topic outside the support adds an exact zero to every gain and to the
 //! Eq. 3 bound, so both are summed over the support only:
 //!
-//! * **setup** — one `O(n·T)` scan collects each topic's reviewers with
-//!   positive expertise, and only those are sorted. Each topic's list is
-//!   that sorted part followed by an implicit tail: the remaining eligible
-//!   reviewers in id order (`+0.0` rows, then `-0.0` rows), materialised
-//!   only if a cursor reaches it. Together they are exactly the
-//!   `(expertise desc, id asc)` order of a full sort.
-//! * **per node** — all `T` cursor heads are still scanned, so the
-//!   branching order (and with it every answer, tie-break and node count)
-//!   is the dense search's. A head's gain costs `O(s)` and is cached per
-//!   stage until its cursor moves; the bound costs `O(s)`.
+//! * **setup** — `O(R)` marks. The sorted part of each topic's list is
+//!   borrowed from the context's maintained topic index
+//!   ([`ScoreContext::topic_index`]), and forbidden or out-of-pool
+//!   reviewers become pre-set `blocked` marks that the cursors skip. A
+//!   topic's zero-expertise tail is materialised per query only if a
+//!   cursor reaches it. Skipping outsiders costs up to the index's size,
+//!   so a pool whose rows have fewer topics than the index has entries
+//!   (`|pool|·T` below it, e.g. a small `TopK` pool) lists its own
+//!   members instead: an `O(|pool|·T)` scan and a sort of their positive
+//!   entries. A view over boxed rows (a [`JraProblem`]) has no context,
+//!   so it derives the index per call: one `O(R·T)` scan (`O(|pool|·T)`
+//!   under a pool) and a sort of the positive entries.
+//! * **per node** — two passes over contiguous `T`-arrays: one moves the
+//!   cursors whose head was the reviewer just branched on, one picks the
+//!   first head with the largest cached gain. Each moved head costs `O(s)`
+//!   to re-score, and the bound costs `O(s)`. Entering a stage copies the
+//!   parent's heads and scores all `T` of them once, unless the bound
+//!   prunes the stage first.
 //!
-//! At the served shapes (`T = 300`, papers of at most 4 topics) this took
-//! a δp=2 query at R=1000 from 35 ms to 1.8 ms on a 2-core host
+//! The branching order — and with it every answer, tie-break and node
+//! count — is the dense search's: `crates/core/tests/bba_oracle.rs` keeps
+//! that search as the oracle. At the served shape (`T = 300`, papers of 4
+//! topics, δp=2) a query at R=1000 takes ~0.35 ms on a 2-core host, and
+//! ~2.4 ms at R=10000 once the context's index is built
 //! (`BENCH_jra.json`).
 
 use super::{JraProblem, JraResult};
 use crate::engine::{truncate_row, JraView, PaperGain, PruningPolicy, ScoreContext};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -125,8 +137,10 @@ struct TopK {
 }
 
 impl TopK {
+    /// The heap grows with the groups actually found: `k` comes from the
+    /// caller (a request's `top_k`) and may be far above the group count.
     fn new(k: usize, init: f64) -> Self {
-        Self { k, init, heap: BinaryHeap::with_capacity(k + 1) }
+        Self { k, init, heap: BinaryHeap::new() }
     }
 
     /// Current pruning threshold: the k-th best score (or the caller's
@@ -171,9 +185,9 @@ pub fn solve_ctx(
     solve_view(&ctx.jra_view(paper), opts)
 }
 
-/// BBA for paper `p` under a candidate [`PruningPolicy`]: the per-paper
-/// setup runs over the paper's candidate row instead of all `R`
-/// reviewers ([`solve_view_pruned`]). When the context already carries a
+/// BBA for paper `p` under a candidate [`PruningPolicy`]: the search runs
+/// over the paper's candidate row instead of all `R` reviewers
+/// ([`solve_view_pruned`]). When the context already carries a
 /// maintained [`CandidateSet`](crate::engine::CandidateSet) (a service
 /// snapshot) its row is reused; otherwise only *this* paper's row is
 /// scored — never an all-papers candidate build for a single query.
@@ -254,8 +268,9 @@ pub fn solve_view(view: &JraView<'_>, opts: &BbaOptions) -> Option<Vec<JraResult
 }
 
 /// [`solve_view`] restricted to an explicit reviewer pool (ascending ids):
-/// the topic-sorted lists are built over `pool ∩ ¬forbidden` only, so setup
-/// scans `O(|pool|·T)` cells instead of `O(R·T)`. Exactness is
+/// every reviewer outside `pool ∩ ¬forbidden` starts blocked, a small
+/// pool lists only its own members, and the zero-expertise list tails
+/// range over the pool's ids only. Exactness is
 /// relative to the pool — see [`solve_view_pruned`] for when a candidate
 /// pool preserves the dense optimum.
 pub fn solve_view_pool(
@@ -266,79 +281,109 @@ pub fn solve_view_pool(
     search(view, Some(pool), opts)
 }
 
-/// Algorithm 1's `T` topic-sorted reviewer lists over the eligible pool
-/// (paper Figure 5(b)), each ordered `(expertise desc, id asc)` as
-/// [`f64::total_cmp`] orders them. A list has two parts:
+/// Head reviewer of an exhausted list.
+const NONE: u32 = u32::MAX;
+
+/// Algorithm 1's `T` topic-sorted reviewer lists (paper Figure 5(b)), each
+/// ordered `(expertise desc, id asc)` as [`f64::total_cmp`] orders them. A
+/// list has two parts:
 ///
-/// * the eligible reviewers with positive expertise on the topic, sorted;
-/// * an implicit tail of the remaining eligible reviewers in id order —
-///   `+0.0` rows before `-0.0` rows, since `total_cmp` ranks `-0.0` below
-///   `+0.0`. A tail is materialised the first time a cursor reaches it.
+/// * the topic's entry in the view's topic index — every reviewer with
+///   positive expertise, already in that order and borrowed from the
+///   context ([`JraView::topic_index`]), or, for a small pool, only the
+///   pool's members ([`JraView::pool_topic_index`]);
+/// * a tail of the searched reviewers (all of them, or the pool's) with
+///   zero expertise in id order — `+0.0` rows before `-0.0` rows, since
+///   `total_cmp` ranks `-0.0` below `+0.0` — materialised by one pass over
+///   those ids the first time a cursor reaches it.
 ///
-/// Building the lists is one `O(|eligible|·T)` scan plus sorting the
-/// positive entries; no full list of zeros is ever sorted.
-struct TopicLists {
-    eligible: Vec<u32>,
-    positive: Vec<Vec<(f64, u32)>>,
+/// Reviewers outside the search (forbidden, or outside the pool) that a
+/// list holds are skipped through pre-set `blocked` marks, just as visited
+/// reviewers are, so every cursor head is the dense search's.
+struct Lists<'a, 'v> {
+    view: &'v JraView<'a>,
+    pool: Option<&'v [u32]>,
+    index: Cow<'a, [Vec<u32>]>,
     tails: Vec<Option<Vec<u32>>>,
 }
 
-impl TopicLists {
-    fn new(view: &JraView<'_>, eligible: Vec<u32>) -> Self {
-        let t_dim = view.paper.len();
-        let mut positive: Vec<Vec<(f64, u32)>> = vec![Vec::new(); t_dim];
-        for &r in &eligible {
-            for (list, &v) in positive.iter_mut().zip(view.row(r as usize)) {
-                if v > 0.0 {
-                    list.push((v, r));
-                }
-            }
-        }
-        for list in &mut positive {
-            list.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        }
-        Self { eligible, positive, tails: vec![None; t_dim] }
+impl<'a, 'v> Lists<'a, 'v> {
+    fn new(view: &'v JraView<'a>, pool: Option<&'v [u32]>) -> Self {
+        let index = match pool {
+            Some(ids) => view.pool_topic_index(ids),
+            None => view.topic_index(),
+        };
+        Self { view, pool, index, tails: vec![None; view.paper.len()] }
     }
 
-    /// Move `pos` on topic `t`'s list past blocked reviewers (the lazy form
-    /// of Algorithm 1 lines 17-18), materialising the tail if it gets there.
-    fn skip_blocked(&mut self, view: &JraView<'_>, t: usize, pos: &mut usize, blocked: &[u32]) {
-        let positive = &self.positive[t];
-        while *pos < positive.len() && blocked[positive[*pos].1 as usize] > 0 {
-            *pos += 1;
+    /// The first unblocked entry at or after `pos` on topic `t`'s list (the
+    /// lazy form of Algorithm 1 lines 17-18): `(pos, reviewer, expertise)`,
+    /// with expertise `0.0` in the tail and reviewer [`NONE`] past the end.
+    fn seek(&mut self, t: usize, mut pos: usize, blocked: &[u32]) -> (usize, u32, f64) {
+        let (view, pool) = (self.view, self.pool);
+        let positive = &self.index[t];
+        while let Some(&r) = positive.get(pos) {
+            if blocked[r as usize] == 0 {
+                return (pos, r, view.row(r as usize)[t]);
+            }
+            pos += 1;
         }
-        if *pos < positive.len() || *pos >= self.eligible.len() {
-            return;
-        }
-        let eligible = &self.eligible;
         let tail = self.tails[t].get_or_insert_with(|| {
-            let zeros = |negative: bool| {
-                eligible.iter().copied().filter(move |&r| {
-                    let v = view.row(r as usize)[t];
-                    v == 0.0 && v.is_sign_negative() == negative
-                })
+            // One pass over the searched ids. Forbidden ids stay in: their
+            // pre-set marks skip them.
+            let (mut zeros, mut negative) = (Vec::new(), Vec::new());
+            let mut classify = |r: u32| {
+                let v = view.row(r as usize)[t];
+                if v == 0.0 {
+                    if v.is_sign_negative() { &mut negative } else { &mut zeros }.push(r);
+                }
             };
-            zeros(false).chain(zeros(true)).collect()
+            match pool {
+                Some(ids) => ids.iter().for_each(|&r| classify(r)),
+                None => (0..view.num_reviewers() as u32).for_each(classify),
+            }
+            zeros.append(&mut negative);
+            zeros
         });
         let m = positive.len();
-        while *pos < self.eligible.len() && blocked[tail[*pos - m] as usize] > 0 {
-            *pos += 1;
+        while let Some(&r) = tail.get(pos - m) {
+            if blocked[r as usize] == 0 {
+                return (pos, r, 0.0);
+            }
+            pos += 1;
         }
+        (pos, NONE, 0.0)
+    }
+}
+
+/// One stage's cursors as flat per-topic arrays: list position, head
+/// reviewer, head expertise, and the head's marginal gain against the
+/// stage's group.
+#[derive(Clone)]
+struct Heads {
+    pos: Vec<usize>,
+    reviewer: Vec<u32>,
+    value: Vec<f64>,
+    gain: Vec<f64>,
+    /// Topics whose head moved since their gain was last computed.
+    moved: Vec<u32>,
+    /// Every gain is stale: the stage was just entered.
+    fresh: bool,
+}
+
+impl Heads {
+    /// Point topic `t`'s cursor at the first unblocked entry from `pos` on.
+    fn seek(&mut self, lists: &mut Lists<'_, '_>, t: usize, pos: usize, blocked: &[u32]) {
+        (self.pos[t], self.reviewer[t], self.value[t]) = lists.seek(t, pos, blocked);
     }
 
-    /// The `(expertise, reviewer)` at `pos` on topic `t`'s list — expertise
-    /// reads `0.0` in the tail — or `None` past the end. A tail position
-    /// must have been reached through [`TopicLists::skip_blocked`].
-    fn at(&self, t: usize, pos: usize) -> Option<(f64, u32)> {
-        let positive = &self.positive[t];
-        if pos < positive.len() {
-            Some(positive[pos])
-        } else if pos < self.eligible.len() {
-            let tail = self.tails[t].as_ref().expect("tail materialised by skip_blocked");
-            Some((0.0, tail[pos - positive.len()]))
-        } else {
-            None
-        }
+    /// Enter this stage from `parent`'s cursors (Algorithm 1 lines 16-20).
+    fn enter_from(&mut self, parent: &Heads) {
+        self.pos.copy_from_slice(&parent.pos);
+        self.reviewer.copy_from_slice(&parent.reviewer);
+        self.value.copy_from_slice(&parent.value);
+        self.moved.clear();
+        self.fresh = true;
     }
 }
 
@@ -346,26 +391,42 @@ fn search(view: &JraView<'_>, pool: Option<&[u32]>, opts: &BbaOptions) -> Option
     let r_total = view.num_reviewers();
     let t_dim = view.paper.len();
     let k = view.delta_p;
-    let eligible: Vec<u32> = match pool {
-        Some(ids) => ids.iter().copied().filter(|&r| !view.forbidden[r as usize]).collect(),
-        None => (0..r_total as u32).filter(|&r| !view.forbidden[r as usize]).collect(),
+    // Pre-set marks: a reviewer outside the search is blocked for good.
+    let mut blocked: Vec<u32> = match pool {
+        Some(ids) => {
+            let mut blocked = vec![1; r_total];
+            for &r in ids {
+                blocked[r as usize] = u32::from(view.forbidden[r as usize]);
+            }
+            blocked
+        }
+        None => view.forbidden.iter().map(|&f| u32::from(f)).collect(),
     };
-    if eligible.len() < k {
+    if blocked.iter().filter(|&&b| b == 0).count() < k {
         return None;
     }
     assert!(opts.top_k >= 1);
 
-    let mut lists = TopicLists::new(view, eligible);
+    let mut lists = Lists::new(view, pool);
     let active = view.active_topics();
 
     // Per-stage state. The gain states stack one `PaperGain` per deepened
     // stage — each level owns only its `gmax` on the active topics. Within
-    // a stage `gmax` is fixed, so each topic head's gain is cached against
-    // the cursor position it was computed at.
-    let mut cursors: Vec<Vec<usize>> = vec![vec![0usize; t_dim]; k];
-    let mut head_gains: Vec<Vec<(usize, f64)>> = vec![vec![(usize::MAX, 0.0); t_dim]; k];
+    // a stage `gmax` is fixed, so a head's gain stays valid until its
+    // cursor moves.
+    let empty = Heads {
+        pos: vec![0; t_dim],
+        reviewer: vec![NONE; t_dim],
+        value: vec![0.0; t_dim],
+        gain: vec![f64::NEG_INFINITY; t_dim],
+        moved: Vec::new(),
+        fresh: true,
+    };
+    let mut stages: Vec<Heads> = vec![empty; k];
+    for t in 0..t_dim {
+        stages[0].seek(&mut lists, t, 0, &blocked);
+    }
     let mut visited: Vec<Vec<u32>> = vec![Vec::new(); k];
-    let mut blocked: Vec<u32> = vec![0; r_total];
     let mut rg_stack: Vec<PaperGain> = Vec::with_capacity(k + 1);
     rg_stack.push(PaperGain::new(view));
     let mut path: Vec<usize> = Vec::with_capacity(k);
@@ -375,39 +436,49 @@ fn search(view: &JraView<'_>, pool: Option<&[u32]>, opts: &BbaOptions) -> Option
     let mut s = 0usize; // running stage, 0-based
 
     loop {
-        for (t, pos) in cursors[s].iter_mut().enumerate() {
-            lists.skip_blocked(view, t, pos, &blocked);
-        }
         let rg = &rg_stack[s];
+        let heads = &mut stages[s];
 
         // Upper bound from the cursor head values (line 7, Eq. 3). Only
         // the active topics can contribute.
-        let mut ub_raw = 0.0;
-        for (&g, &t) in rg.expertise().iter().zip(active) {
-            let t = t as usize;
-            let head_val = lists.at(t, cursors[s][t]).map_or(0.0, |(v, _)| v);
-            ub_raw += view.scoring.topic_contribution(g.max(head_val), view.paper[t]);
-        }
-        let ub = ub_raw * view.inv_total;
+        let prune = opts.use_bound && {
+            let mut ub_raw = 0.0;
+            for (&g, &t) in rg.expertise().iter().zip(active) {
+                let t = t as usize;
+                ub_raw += view.scoring.topic_contribution(g.max(heads.value[t]), view.paper[t]);
+            }
+            ub_raw * view.inv_total <= results.threshold()
+        };
 
         // Candidate = the first of all `T` cursor heads with the maximum
-        // marginal gain (line 6).
-        let mut best_r: Option<usize> = None;
-        let mut best_gain = f64::NEG_INFINITY;
-        for (t, cached) in head_gains[s].iter_mut().enumerate() {
-            let head = cursors[s][t];
-            let Some((_, r)) = lists.at(t, head) else { continue };
-            if cached.0 != head {
-                *cached = (head, rg.gain(view, r as usize));
+        // marginal gain (line 6). Heads are scored only when the stage is
+        // not pruned: on entry all of them, afterwards the moved ones.
+        let best = if prune {
+            None
+        } else {
+            let score =
+                |r: u32| if r == NONE { f64::NEG_INFINITY } else { rg.gain(view, r as usize) };
+            if heads.fresh {
+                for (g, &r) in heads.gain.iter_mut().zip(&heads.reviewer) {
+                    *g = score(r);
+                }
+                heads.fresh = false;
+            } else {
+                for t in heads.moved.drain(..) {
+                    heads.gain[t as usize] = score(heads.reviewer[t as usize]);
+                }
             }
-            if cached.1 > best_gain {
-                best_gain = cached.1;
-                best_r = Some(r as usize);
+            let mut best = None;
+            let mut best_gain = f64::NEG_INFINITY;
+            for (t, &g) in heads.gain.iter().enumerate() {
+                if g > best_gain {
+                    best_gain = g;
+                    best = Some(t);
+                }
             }
-        }
-
-        let prune = opts.use_bound && ub <= results.threshold();
-        let Some(r) = best_r.filter(|_| !prune) else {
+            best.map(|t| (heads.reviewer[t] as usize, best_gain))
+        };
+        let Some((r, best_gain)) = best else {
             // Backtrack (lines 8-11): reset visited marks at this stage.
             for r in visited[s].drain(..) {
                 blocked[r as usize] -= 1;
@@ -421,12 +492,19 @@ fn search(view: &JraView<'_>, pool: Option<&[u32]>, opts: &BbaOptions) -> Option
             continue;
         };
 
-        // Branch (line 12).
+        // Branch (line 12), and move this stage's cursors off `r` now: the
+        // blocked marks they skip are the ones a return to this stage sees.
         nodes += 1;
         blocked[r] += 1;
         visited[s].push(r as u32);
         path.truncate(s);
         path.push(r);
+        for t in 0..t_dim {
+            if heads.reviewer[t] == r as u32 {
+                heads.seek(&mut lists, t, heads.pos[t], &blocked);
+                heads.moved.push(t as u32);
+            }
+        }
 
         if s + 1 == k {
             // Complete assignment (lines 13-15): record, stay at this stage.
@@ -435,10 +513,9 @@ fn search(view: &JraView<'_>, pool: Option<&[u32]>, opts: &BbaOptions) -> Option
             group.sort_unstable();
             results.offer(score, group);
         } else {
-            // Deepen (lines 16-20): clone cursors into the next stage.
-            let (head, tail) = cursors.split_at_mut(s + 1);
-            tail[0].copy_from_slice(&head[s]);
-            head_gains[s + 1].fill((usize::MAX, 0.0));
+            // Deepen (lines 16-20): the next stage starts from these cursors.
+            let (head, tail) = stages.split_at_mut(s + 1);
+            tail[0].enter_from(&head[s]);
             let mut next = rg_stack[s].clone();
             next.add(view, r);
             rg_stack.push(next);
@@ -589,8 +666,10 @@ mod tests {
         let vecs = random_vectors(5, 3, 31);
         let (paper, reviewers) = vecs.split_first().unwrap();
         let problem = JraProblem::new(paper, reviewers, 2);
-        let top = solve_top_k(&problem, 100).unwrap();
-        assert_eq!(top.len(), 6); // C(4,2)
+        for k in [100, usize::MAX] {
+            let top = solve_top_k(&problem, k).unwrap();
+            assert_eq!(top.len(), 6); // C(4,2)
+        }
     }
 
     #[test]

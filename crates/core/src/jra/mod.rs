@@ -53,7 +53,10 @@ impl<'a> JraProblem<'a> {
     /// View paper `p` of a multi-paper instance as a JRA problem, carrying
     /// over that paper's COI reviewers.
     pub fn from_instance(inst: &'a Instance, p: usize) -> Self {
-        let forbidden = (0..inst.num_reviewers()).map(|r| inst.is_coi(r, p)).collect();
+        let mut forbidden = vec![false; inst.num_reviewers()];
+        for &r in inst.conflicts(p) {
+            forbidden[r as usize] = true;
+        }
         Self {
             paper: inst.paper(p),
             reviewers: inst.reviewers(),

@@ -7,7 +7,7 @@
 
 use crate::error::{Error, Result};
 use crate::topic::TopicVector;
-use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A WGRAP instance: `P` papers, `R` reviewers, constraints, COIs.
 #[derive(Debug, Clone)]
@@ -16,7 +16,10 @@ pub struct Instance {
     reviewers: Vec<TopicVector>,
     delta_p: usize,
     delta_r: usize,
-    coi: HashSet<(u32, u32)>,
+    /// Per paper, its conflicted reviewer ids, ascending and distinct
+    /// (shorter than `papers` when the last papers have none). Shared
+    /// between clones until one of them adds a conflict.
+    coi: Arc<Vec<Vec<u32>>>,
     paper_names: Option<Vec<String>>,
     reviewer_names: Option<Vec<String>>,
 }
@@ -66,7 +69,7 @@ impl Instance {
             reviewers,
             delta_p,
             delta_r,
-            coi: HashSet::new(),
+            coi: Arc::default(),
             paper_names: None,
             reviewer_names: None,
         })
@@ -92,20 +95,38 @@ impl Instance {
     /// Declare `(reviewer, paper)` a conflict of interest.
     pub fn add_coi(&mut self, reviewer: usize, paper: usize) {
         assert!(reviewer < self.reviewers.len() && paper < self.papers.len());
-        self.coi.insert((reviewer as u32, paper as u32));
+        let coi = Arc::make_mut(&mut self.coi);
+        if coi.len() <= paper {
+            coi.resize_with(paper + 1, Vec::new);
+        }
+        let list = &mut coi[paper];
+        if let Err(at) = list.binary_search(&(reviewer as u32)) {
+            list.insert(at, reviewer as u32);
+        }
     }
 
     /// Is `(reviewer, paper)` conflicted?
     #[inline]
     pub fn is_coi(&self, reviewer: usize, paper: usize) -> bool {
-        !self.coi.is_empty() && self.coi.contains(&(reviewer as u32, paper as u32))
+        self.conflicts(paper).binary_search(&(reviewer as u32)).is_ok()
+    }
+
+    /// Paper `paper`'s conflicted reviewer ids, ascending — what a
+    /// single-paper COI mask is built from, without probing every reviewer.
+    #[inline]
+    pub fn conflicts(&self, paper: usize) -> &[u32] {
+        self.coi.get(paper).map_or(&[], Vec::as_slice)
     }
 
     /// Every declared COI as `(reviewer, paper)` pairs, sorted — the
-    /// canonical enumeration the durable-store checkpoint serializes
-    /// (iteration order of the backing set is not deterministic).
+    /// canonical enumeration the durable-store checkpoint serializes.
     pub fn coi_pairs(&self) -> Vec<(u32, u32)> {
-        let mut pairs: Vec<(u32, u32)> = self.coi.iter().copied().collect();
+        let mut pairs: Vec<(u32, u32)> = self
+            .coi
+            .iter()
+            .enumerate()
+            .flat_map(|(p, rs)| rs.iter().map(move |&r| (r, p as u32)))
+            .collect();
         pairs.sort_unstable();
         pairs
     }

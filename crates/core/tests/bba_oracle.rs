@@ -7,7 +7,8 @@
 //! the oracle. The property: on every view, pool and option set,
 //! [`bba::solve_view`] / [`bba::solve_view_pool`] return the same
 //! `Vec<JraResult>` as the oracle — score bits, groups, rank order and
-//! `nodes`.
+//! `nodes` — including over a context whose topic index was kept in order
+//! through a random sequence of reviewer-row updates.
 
 use proptest::prelude::*;
 use wgrap_core::engine::{truncate_row, JraView, ScoreContext};
@@ -257,9 +258,30 @@ enum Pool {
     Auto,
     /// `Auto` truncated to its best `k` (`PruningPolicy::TopK(k)`).
     TopK(usize),
+    /// An arbitrary subset of the ids, zero-score reviewers included: its
+    /// outsiders sit in a walked topic index as pre-blocked entries, and
+    /// its zero-expertise members make up the list tails.
+    Subset,
 }
 
-fn pool_ids(view: &JraView<'_>, ctx: &ScoreContext<'_>, pool: Pool) -> Option<Vec<u32>> {
+impl Pool {
+    fn from_kind(kind: usize) -> Self {
+        match kind {
+            0 => Pool::Dense,
+            1 => Pool::Auto,
+            4 => Pool::Subset,
+            k => Pool::TopK(k),
+        }
+    }
+}
+
+/// The pool's ids, ascending; `draws` picks the `Subset` members.
+fn pool_ids(
+    view: &JraView<'_>,
+    ctx: &ScoreContext<'_>,
+    pool: Pool,
+    draws: &[usize],
+) -> Option<Vec<u32>> {
     let mut row: Vec<(u32, f64)> = (0..view.num_reviewers())
         .filter_map(|r| {
             let s = ctx.pair_score(r, 0);
@@ -272,8 +294,74 @@ fn pool_ids(view: &JraView<'_>, ctx: &ScoreContext<'_>, pool: Pool) -> Option<Ve
         Pool::TopK(k) => {
             truncate_row(&mut row, k);
         }
+        Pool::Subset => {
+            let n = view.num_reviewers() as u32;
+            return Some((0..n).filter(|&r| draws[(r as usize + 5) % draws.len()] != 1).collect());
+        }
     }
     Some(row.into_iter().map(|(r, _)| r).collect())
+}
+
+/// One reviewer-row update of an owned context, with the reviewer id
+/// resolved modulo the pool size when it is applied.
+#[derive(Debug, Clone)]
+enum RowUpdate {
+    /// `push_reviewer` with a row of [`weight`] draws.
+    Add(Vec<usize>),
+    /// `set_reviewer_row` to a row of [`weight`] draws.
+    Patch(usize, Vec<usize>),
+    /// `set_reviewer_row` keeping the row's support: every positive value
+    /// is redrawn from the positive weights, so it moves or ties.
+    Reweigh(usize, Vec<usize>),
+    /// `set_reviewer_row` to zeros (what retiring a reviewer does).
+    Retire(usize),
+}
+
+fn row_updates(dim: usize) -> impl Strategy<Value = Vec<RowUpdate>> {
+    proptest::collection::vec(
+        (0usize..4, 0usize..64, proptest::collection::vec(0usize..7, dim)),
+        0..8,
+    )
+    .prop_map(|draws| {
+        draws
+            .into_iter()
+            .map(|(kind, who, w)| match kind {
+                0 => RowUpdate::Add(w),
+                1 => RowUpdate::Patch(who, w),
+                2 => RowUpdate::Reweigh(who, w),
+                _ => RowUpdate::Retire(who),
+            })
+            .collect()
+    })
+}
+
+fn apply_row_updates(ctx: &mut ScoreContext<'static>, updates: &[RowUpdate]) {
+    let row = |w: &[usize]| TopicVector::new(w.iter().map(|&i| weight(i)).collect());
+    for update in updates {
+        let r_count = ctx.num_reviewers();
+        match update {
+            RowUpdate::Add(w) => {
+                ctx.push_reviewer(None, row(w)).expect("dimension matches");
+            }
+            RowUpdate::Patch(who, w) => {
+                ctx.set_reviewer_row(who % r_count, row(w)).expect("in range");
+            }
+            RowUpdate::Reweigh(who, w) => {
+                let r = who % r_count;
+                let values: Vec<f64> = ctx
+                    .reviewer_row(r)
+                    .iter()
+                    .zip(w)
+                    .map(|(&e, &i)| if e > 0.0 { weight(2 + i % 5) } else { e })
+                    .collect();
+                ctx.set_reviewer_row(r, TopicVector::new(values)).expect("in range");
+            }
+            RowUpdate::Retire(who) => {
+                let dim = ctx.num_topics();
+                ctx.set_reviewer_row(who % r_count, TopicVector::zeros(dim)).expect("in range");
+            }
+        }
+    }
 }
 
 fn assert_same(
@@ -310,20 +398,20 @@ proptest! {
         delta_p in 1usize..5,
         top_k in 1usize..4,
         use_bound in any::<bool>(),
-        pool_kind in 0usize..4,
+        pool_kind in 0usize..5,
         seed_bound in 0usize..3,
     ) {
         let r = reviewers.len();
         let forbidden: Vec<bool> = (0..r).map(|i| forbid[i % forbid.len()] == 0).collect();
         let delta_p = delta_p.min(r);
         let inst = Instance::journal(paper.clone(), reviewers.clone(), delta_p).expect("valid");
-        let pool = match pool_kind {
-            0 => Pool::Dense,
-            1 => Pool::Auto,
-            k => Pool::TopK(k),
-        };
+        let pool = Pool::from_kind(pool_kind);
         for scoring in Scoring::ALL {
             let ctx = ScoreContext::new(&inst, scoring);
+            // Built up front, so that a pooled search over the context's
+            // rows walks it whenever it is no larger than the pool's rows;
+            // the boxed view always lists the pool's own rows.
+            ctx.topic_index();
             let views = [
                 ("boxed", JraView::from_boxed(&paper, &reviewers, forbidden.clone(), delta_p, scoring)),
                 ("stored", ctx.jra_view_with_forbidden(0, forbidden.clone())),
@@ -341,7 +429,59 @@ proptest! {
                     },
                 };
                 let opts = bba::BbaOptions { top_k, use_bound, initial_bound };
-                let ids = pool_ids(view, &ctx, pool);
+                let ids = pool_ids(view, &ctx, pool, &forbid);
+                let (got, want) = match &ids {
+                    Some(ids) => {
+                        (bba::solve_view_pool(view, ids, &opts), dense::search(view, Some(ids), &opts))
+                    }
+                    None => (bba::solve_view(view, &opts), dense::search(view, None, &opts)),
+                };
+                assert_same(&got, &want, &format!("{scoring:?}/{kind}/{pool:?}/{opts:?}"))?;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The borrowed index after updates: a context whose topic index was
+    /// built and then kept in order by `push_reviewer` / `set_reviewer_row`
+    /// (the path a service snapshot's updates take) holds exactly a fresh
+    /// build's index, and the searches over it match the dense oracle.
+    #[test]
+    fn maintained_index_search_matches_dense_oracle(
+        (paper, reviewers, updates, forbid) in (1usize..6).prop_flat_map(|dim| {
+            (
+                paper(dim),
+                reviewers(dim),
+                row_updates(dim),
+                proptest::collection::vec(0usize..5, 12),
+            )
+        }),
+        delta_p in 1usize..4,
+        top_k in 1usize..4,
+        use_bound in any::<bool>(),
+        pool_kind in 0usize..5,
+    ) {
+        let delta_p = delta_p.min(reviewers.len());
+        let inst = Instance::journal(paper.clone(), reviewers, delta_p).expect("valid");
+        let pool = Pool::from_kind(pool_kind);
+        let opts = bba::BbaOptions { top_k, use_bound, ..Default::default() };
+        for scoring in Scoring::ALL {
+            let mut ctx = ScoreContext::from_owned(inst.clone(), scoring);
+            ctx.topic_index();
+            apply_row_updates(&mut ctx, &updates);
+            let rebuilt = ScoreContext::new(ctx.instance(), scoring);
+            prop_assert_eq!(ctx.topic_index(), rebuilt.topic_index(), "{:?}: index", scoring);
+            let r = ctx.num_reviewers();
+            let forbidden: Vec<bool> = (0..r).map(|i| forbid[i % forbid.len()] == 0).collect();
+            let views = [
+                ("stored", ctx.jra_view_with_forbidden(0, forbidden.clone())),
+                ("adhoc", ctx.jra_view_adhoc(&paper, forbidden.clone(), delta_p)),
+            ];
+            for (kind, view) in &views {
+                let ids = pool_ids(view, &ctx, pool, &forbid);
                 let (got, want) = match &ids {
                     Some(ids) => {
                         (bba::solve_view_pool(view, ids, &opts), dense::search(view, Some(ids), &opts))

@@ -7,7 +7,9 @@
 //! A [`Snapshot`] is an immutable, self-contained view of one instance
 //! version: the owned flat scoring context, its untruncated (Auto)
 //! candidate set, and the two inverted indexes (topic → reviewers,
-//! topic → papers) that make incremental maintenance cheap. Snapshots are
+//! topic → papers) that make incremental maintenance cheap. The topic →
+//! reviewers index lives in the context ([`ScoreContext::topic_index`]),
+//! ordered the way exact JRA walks it, so every query borrows it. Snapshots are
 //! shared as `Arc<Snapshot>`; readers (JRA batches, CRA solves) **admit at
 //! an epoch** by cloning the `Arc` and then run entirely lock-free against
 //! that version — a long CRA solve never blocks updates, it just keeps an
@@ -53,13 +55,15 @@
 //! * [`Update::AddReviewer`] appends one expertise row and splices the new
 //!   reviewer into exactly the candidate lists of papers it scores
 //!   positively on (found through topic → papers); unaffected papers'
-//!   entries are copied verbatim, never re-scored.
+//!   entries are copied verbatim, never re-scored. The context inserts the
+//!   reviewer into the topic → reviewers index at its ordered positions.
 //! * [`Update::RetireReviewer`] zeroes the expertise row (every pair score
 //!   involving the reviewer becomes exactly `0.0`, so no solver prefers
 //!   them over any positive candidate — ids stay stable) and removes the
 //!   reviewer from every candidate list.
 //! * [`Update::PatchScores`] replaces an expertise row and re-scores only
-//!   papers overlapping the old or new topic support.
+//!   papers overlapping the old or new topic support; the context moves the
+//!   reviewer's index entries on every topic whose value changed.
 //!
 //! The contract — certified by this crate's `apply ≡ rebuild` proptests
 //! across all four scorings — is that after **any** update sequence the
@@ -120,9 +124,8 @@ pub enum Update {
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     epoch: u64,
+    /// Owns the topic → reviewers index too ([`ScoreContext::topic_index`]).
     ctx: ScoreContext<'static>,
-    /// topic → reviewers with positive expertise, ids ascending.
-    topic_reviewers: Vec<Vec<u32>>,
     /// topic → papers with positive weight, ids ascending.
     topic_papers: Vec<Vec<u32>>,
 }
@@ -132,16 +135,12 @@ impl Snapshot {
     /// incremental path is proptested bit-identical against.
     pub fn build(inst: Instance, scoring: Scoring, seed: u64) -> Self {
         let mut ctx = ScoreContext::from_owned(inst, scoring).with_seed(seed);
-        // One O(R·T) index derivation feeds both the stored index and the
-        // candidate build's probe structure, and the built Auto set is
-        // installed now so every clone carries it and `apply` can patch
-        // instead of rebuild.
-        let topic_reviewers = wgrap_core::engine::reviewer_topic_index(&ctx);
-        let cands = CandidateSet::build_with_index(
-            &ctx,
-            None,
-            ctx.sparse().then_some(topic_reviewers.as_slice()),
-        );
+        // The context's one topic index serves the candidate build, every
+        // JRA query and the update probes; the built Auto set is installed
+        // now so every clone carries it and `apply` can patch instead of
+        // rebuild.
+        ctx.topic_index();
+        let cands = CandidateSet::build(&ctx, None);
         ctx.install_auto_candidates(cands);
         let mut topic_papers = vec![Vec::new(); ctx.num_topics()];
         for p in 0..ctx.num_papers() {
@@ -150,7 +149,7 @@ impl Snapshot {
                 topic_papers[t as usize].push(p as u32);
             }
         }
-        Self { epoch: 0, ctx, topic_reviewers, topic_papers }
+        Self { epoch: 0, ctx, topic_papers }
     }
 
     /// [`Snapshot::build`] published under an explicit epoch — recovery
@@ -188,7 +187,7 @@ impl Snapshot {
     /// solver-visible parts.
     #[doc(hidden)]
     pub fn indexes(&self) -> (&[Vec<u32>], &[Vec<u32>]) {
-        (&self.topic_reviewers, &self.topic_papers)
+        (self.ctx.topic_index(), &self.topic_papers)
     }
 
     /// The certified candidate pool for a paper that is *not* part of the
@@ -214,7 +213,7 @@ impl Snapshot {
             .iter()
             .enumerate()
             .filter(|&(_, &w)| w > 0.0)
-            .flat_map(|(t, _)| self.topic_reviewers[t].iter().copied())
+            .flat_map(|(t, _)| self.ctx.topic_index()[t].iter().copied())
             .collect();
         hits.sort_unstable();
         hits.dedup();
@@ -239,7 +238,7 @@ impl Snapshot {
         };
         self.ctx.memory_bytes()
             + self.candidates().memory_bytes()
-            + index_bytes(&self.topic_reviewers)
+            + index_bytes(self.ctx.topic_index())
             + index_bytes(&self.topic_papers)
     }
 
@@ -478,19 +477,19 @@ impl VersionedStore {
         // candidate row slab is Arc-shared with `cur`, and the patches below
         // copy only what they touch. The cached dense pair matrix never
         // carries over (a reader may have built one through the shared
-        // snapshot; mutation would drop it unused).
+        // snapshot; mutation would drop it unused); the topic index does,
+        // and the context's row mutations keep it in order.
         let mut ctx = cur.ctx.clone_for_update();
         let mut cands =
             ctx.take_auto_candidates().unwrap_or_else(|| CandidateSet::build(&ctx, None));
-        let mut topic_reviewers = cur.topic_reviewers.clone();
         let mut topic_papers = cur.topic_papers.clone();
         mid_build();
         for update in updates {
-            apply_one(&mut ctx, &mut cands, &mut topic_reviewers, &mut topic_papers, update)?;
+            apply_one(&mut ctx, &mut cands, &mut topic_papers, update)?;
         }
         ctx.install_auto_candidates(cands);
         let epoch = cur.epoch + 1;
-        let built = Snapshot { epoch, ctx, topic_reviewers, topic_papers };
+        let built = Snapshot { epoch, ctx, topic_papers };
         let (pages_cloned, pages_shared) = built.page_delta(&cur);
         let snapshot_bytes = built.memory_bytes() as u64;
         Ok(PendingUpdate {
@@ -618,7 +617,6 @@ impl PendingUpdate<'_> {
 fn apply_one(
     ctx: &mut ScoreContext<'static>,
     cands: &mut CandidateSet,
-    topic_reviewers: &mut [Vec<u32>],
     topic_papers: &mut [Vec<u32>],
     update: &Update,
 ) -> Result<()> {
@@ -639,6 +637,7 @@ fn apply_one(
             let mut row: Vec<(u32, f64)> = Vec::new();
             if ctx.sparse() {
                 let (tidx, _) = ctx.paper_sparse(p);
+                let topic_reviewers = ctx.topic_index();
                 let mut hits: Vec<u32> = tidx
                     .iter()
                     .flat_map(|&t| topic_reviewers[t as usize].iter().copied())
@@ -672,44 +671,24 @@ fn apply_one(
             let r = ctx.push_reviewer(name.clone(), expertise.clone())?;
             let scores = scores_against_papers(ctx, topic_papers, r, None);
             cands.patch_reviewer(r as u32, &scores);
-            for (t, &e) in ctx.reviewer_row(r).iter().enumerate() {
-                if e > 0.0 {
-                    topic_reviewers[t].push(r as u32);
-                }
-            }
         }
         Update::RetireReviewer { reviewer } => {
             let dim = ctx.num_topics();
-            patch_reviewer_row(
-                ctx,
-                cands,
-                topic_reviewers,
-                topic_papers,
-                *reviewer,
-                TopicVector::zeros(dim),
-            )?;
+            patch_reviewer_row(ctx, cands, topic_papers, *reviewer, TopicVector::zeros(dim))?;
         }
         Update::PatchScores { reviewer, expertise } => {
-            patch_reviewer_row(
-                ctx,
-                cands,
-                topic_reviewers,
-                topic_papers,
-                *reviewer,
-                expertise.clone(),
-            )?;
+            patch_reviewer_row(ctx, cands, topic_papers, *reviewer, expertise.clone())?;
         }
     }
     Ok(())
 }
 
 /// Shared kernel of `RetireReviewer` / `PatchScores`: swap reviewer `r`'s
-/// expertise row, fix the topic → reviewers index, and re-score exactly the
-/// papers overlapping the old or new topic support.
+/// expertise row (the context re-sorts its topic index entries) and
+/// re-score exactly the papers overlapping the old or new topic support.
 fn patch_reviewer_row(
     ctx: &mut ScoreContext<'static>,
     cands: &mut CandidateSet,
-    topic_reviewers: &mut [Vec<u32>],
     topic_papers: &[Vec<u32>],
     reviewer: u32,
     expertise: TopicVector,
@@ -723,20 +702,6 @@ fn patch_reviewer_row(
     }
     let old: Vec<f64> = ctx.reviewer_row(r).to_vec();
     ctx.set_reviewer_row(r, expertise)?;
-    let new = ctx.reviewer_row(r);
-    for t in 0..old.len() {
-        let (was, is) = (old[t] > 0.0, new[t] > 0.0);
-        if was != is {
-            let list = &mut topic_reviewers[t];
-            match list.binary_search(&reviewer) {
-                Ok(i) if !is => {
-                    list.remove(i);
-                }
-                Err(i) if is => list.insert(i, reviewer),
-                _ => {}
-            }
-        }
-    }
     let scores = scores_against_papers(ctx, topic_papers, r, Some(&old));
     cands.patch_reviewer(reviewer, &scores);
     Ok(())

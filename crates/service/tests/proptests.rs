@@ -41,29 +41,55 @@ fn sparse_topic_vector(dim: usize) -> impl Strategy<Value = TopicVector> {
         })
 }
 
+/// Expertise weights for tied rows: a few values so that equal expertise
+/// — and with it the topic index's `(expertise desc, id asc)` tie order —
+/// is common, and zeros as both `+0.0` and `-0.0`.
+const TIED: [f64; 5] = [0.0, -0.0, 0.125, 0.25, 0.5];
+
 /// An update before id resolution: ids become concrete only while replaying
-/// (the pool grows and shrinks as the sequence applies).
+/// (the pool grows and shrinks as the sequence applies). `Reweigh` is a
+/// `PatchScores` that keeps the reviewer's support and redraws each positive
+/// value from `TIED`, so it moves or ties without changing support.
 #[derive(Debug, Clone)]
 enum RawUpdate {
     AddPaper { topics: TopicVector, coi_seed: u32 },
     AddReviewer { expertise: TopicVector },
     RetireReviewer { seed: u32 },
     PatchScores { seed: u32, expertise: TopicVector },
+    Reweigh { seed: u32, draws: Vec<usize> },
 }
 
 fn raw_update(dim: usize) -> impl Strategy<Value = RawUpdate> {
-    (0u32..4, sparse_topic_vector(dim), any::<u32>()).prop_map(|(kind, v, seed)| match kind {
-        0 => RawUpdate::AddPaper { topics: v, coi_seed: seed },
-        1 => RawUpdate::AddReviewer { expertise: v },
-        2 => RawUpdate::RetireReviewer { seed },
-        _ => RawUpdate::PatchScores { seed, expertise: v },
-    })
+    (
+        0u32..5,
+        any::<bool>(),
+        sparse_topic_vector(dim),
+        proptest::collection::vec(0usize..TIED.len(), dim),
+        any::<u32>(),
+    )
+        .prop_map(|(kind, tie, v, draws, seed)| {
+            // Added and patched rows are arbitrary normalised weights or,
+            // half the time, drawn from `TIED`.
+            let expertise = if tie {
+                TopicVector::new(draws.iter().map(|&i| TIED[i]).collect())
+            } else {
+                v.clone()
+            };
+            match kind {
+                0 => RawUpdate::AddPaper { topics: v, coi_seed: seed },
+                1 => RawUpdate::AddReviewer { expertise },
+                2 => RawUpdate::RetireReviewer { seed },
+                3 => RawUpdate::PatchScores { seed, expertise },
+                _ => RawUpdate::Reweigh { seed, draws },
+            }
+        })
 }
 
-/// Resolve raw updates into concrete ones against the evolving counts, so
+/// Resolve raw updates into concrete ones against the evolving pool, so
 /// both the incremental and the reference path replay the *same* sequence.
 fn resolve(inst: &Instance, raws: &[RawUpdate]) -> Vec<Update> {
     let (mut num_p, mut num_r) = (inst.num_papers(), inst.num_reviewers());
+    let mut rows: Vec<TopicVector> = inst.reviewers().to_vec();
     let capacity_left = |num_p: usize, num_r: usize, inst: &Instance| {
         num_r * inst.delta_r() >= (num_p + 1) * inst.delta_p()
     };
@@ -83,17 +109,31 @@ fn resolve(inst: &Instance, raws: &[RawUpdate]) -> Vec<Update> {
                 num_p += 1;
             }
             RawUpdate::AddReviewer { expertise } => {
+                rows.push(expertise.clone());
                 out.push(Update::AddReviewer { name: None, expertise: expertise.clone() });
                 num_r += 1;
             }
             RawUpdate::RetireReviewer { seed } => {
-                out.push(Update::RetireReviewer { reviewer: seed % num_r as u32 });
+                let reviewer = seed % num_r as u32;
+                rows[reviewer as usize] = TopicVector::zeros(inst.num_topics());
+                out.push(Update::RetireReviewer { reviewer });
             }
             RawUpdate::PatchScores { seed, expertise } => {
-                out.push(Update::PatchScores {
-                    reviewer: seed % num_r as u32,
-                    expertise: expertise.clone(),
-                });
+                let reviewer = seed % num_r as u32;
+                rows[reviewer as usize] = expertise.clone();
+                out.push(Update::PatchScores { reviewer, expertise: expertise.clone() });
+            }
+            RawUpdate::Reweigh { seed, draws } => {
+                let reviewer = seed % num_r as u32;
+                let row = &mut rows[reviewer as usize];
+                let values = row
+                    .as_slice()
+                    .iter()
+                    .zip(draws)
+                    .map(|(&e, &i)| if e > 0.0 { TIED[2 + i % 3] } else { e })
+                    .collect();
+                *row = TopicVector::new(values);
+                out.push(Update::PatchScores { reviewer, expertise: row.clone() });
             }
         }
     }

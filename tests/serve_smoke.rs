@@ -485,6 +485,24 @@ fn serve_keeps_accepting_after_its_fd_table_fills() {
     assert!(accept_errors >= 1, "{metrics}");
 }
 
+/// A `top_k` far above the number of groups is answered with every group,
+/// not an up-front allocation sized by `top_k`: this line used to abort
+/// the server ("memory allocation of 128000000032 bytes failed").
+#[test]
+fn serve_answers_a_huge_top_k() {
+    let wgrap = env!("CARGO_BIN_EXE_wgrap");
+    let path = std::env::temp_dir().join(format!("wgrap-smoke-topk-{}.wgrap", std::process::id()));
+    let generated = Command::new(wgrap).args(["gen", "20", "30", "2"]).output().unwrap();
+    assert!(generated.status.success());
+    std::fs::write(&path, generated.stdout).unwrap();
+    let got = run_session(
+        &["serve", path.to_str().unwrap()],
+        "{\"op\":\"jra\",\"paper_id\":0,\"top_k\":4000000000}\n",
+    );
+    std::fs::remove_file(&path).ok();
+    assert!(got.starts_with("{\"ok\":true,\"op\":\"jra\""), "{got}");
+}
+
 #[test]
 fn serve_rejects_missing_instance() {
     let out = Command::new(env!("CARGO_BIN_EXE_wgrap"))
