@@ -3,11 +3,11 @@
 //! §5.1 sweeps never reach):
 //!
 //! * **Batched JRA throughput vs batch size** — ad-hoc journal queries
-//!   through [`JraBatch`] under `Auto` candidate pruning (shared
-//!   topic → reviewers index, pool-restricted BBA setup, work-stealing
-//!   fan-out under `--features rayon`) at batch sizes 1 / 16 / 128,
-//!   against the dense one-at-a-time baseline every query used to pay
-//!   (full `R × T` sorted-list setup per query). Queries/sec per
+//!   through [`Service`] with the result cache off, so every query solves
+//!   cold: one at a time under `Exact` and under `Auto` candidate pruning
+//!   over the same 32 queries (the printed ratio compares the two
+//!   policies), and as `batch` requests of 16 and 128 queries under `Auto`
+//!   (work-stealing fan-out under `--features rayon`). Queries/sec per
 //!   configuration print as `service_jra_*` lines.
 //! * **Incremental update vs full rebuild** — [`VersionedStore::apply`]
 //!   latency per [`Update`] kind (copy-on-write clone + splice) against
@@ -29,21 +29,8 @@
 //!   `write`s waits for the client's delayed ACK, ~44 ms on Linux; one
 //!   write per reply brings the round trip down to tens of microseconds.
 //!
-//! Reference numbers from one container run (release; the container has a
-//! **single core**, so these measure the pruning/amortisation win only —
-//! under `--features rayon` on a multi-core box the batch additionally
-//! fans out on the work-stealing pool): dense one-at-a-time 1.12 q/s vs
-//! batched Auto 1.25–1.50 q/s (~1.1–1.3×: the pooled `O(|pool|·T)`
-//! setup; the exact branch-and-bound search dominates the remainder).
-//! Updates: apply add_paper 1.6 ms / add_reviewer 4.0 ms /
-//! patch_scores 4.2 ms / retire_reviewer 3.0 ms vs 271 ms–3.8 s full
-//! rebuild (~90–2400×) — the paged snapshot clone copy-on-writes only
-//! the pages an update touches (246 µs vs the 16 ms flat memcpy it
-//! replaced, `update_clone_paged` vs `update_clone_flat`), so apply cost
-//! is now the splice plus one ~64 KiB page copy, not an O(R·T) memcpy.
-//! Pre-paging baseline for the same records: 41–127 ms per apply.
-//! Retaining 17 consecutive epochs costs 196 MiB deduplicated vs
-//! 1344 MiB naive copies (6.9×, `update_epoch_retention`).
+//! The measured numbers, with the host's core count and the commit they
+//! ran on, are in `BENCH_service.json` at the repository root.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -54,8 +41,10 @@ use wgrap_bench::report::BenchReport;
 use wgrap_core::engine::PruningPolicy;
 use wgrap_core::prelude::{Instance, Scoring};
 use wgrap_core::topic::TopicVector;
-use wgrap_service::{JraBatch, JraQuery, QueryPaper, Snapshot, Update, VersionedStore};
-
+use wgrap_service::{
+    Answer, JraSpec, PaperRef, ServeOptions, Service, Snapshot, SolveRequest, Update,
+    VersionedStore,
+};
 const P: usize = 5_000;
 const R: usize = 10_000;
 const T: usize = 300;
@@ -82,37 +71,40 @@ fn build_store(seed: u64) -> (VersionedStore, StdRng) {
     (VersionedStore::new(inst, Scoring::WeightedCoverage, seed), rng)
 }
 
-fn run_batch(snapshot: &Arc<Snapshot>, queries: &[JraQuery], pruning: PruningPolicy) -> usize {
-    let mut batch = JraBatch::new(Arc::clone(snapshot), pruning);
-    for q in queries {
-        batch.push(q.clone());
-    }
-    batch.run().into_iter().filter(|r| r.is_ok()).count()
+/// Solve `queries` as one `batch` request under `pruning`; returns the
+/// best group's score per query.
+fn run_batch(service: &Service, queries: &[TopicVector], pruning: PruningPolicy) -> Vec<f64> {
+    let specs = queries
+        .iter()
+        .map(|q| JraSpec { pruning: Some(pruning), ..JraSpec::new(PaperRef::Adhoc(q.clone())) })
+        .collect();
+    let outcome = service.execute(&SolveRequest::JraBatch(specs)).expect("a batch executes");
+    let Answer::Jra(answers) = outcome.answer else { unreachable!("a jra request") };
+    answers.into_iter().map(|a| a.expect("feasible").results[0].score).collect()
 }
 
-fn bench_batched_jra(report: &mut BenchReport) -> f64 {
+fn bench_batched_jra(report: &mut BenchReport) {
     let (store, mut rng) = build_store(42);
-    let snapshot = store.snapshot();
-    let query_papers = sparse_vectors(128, T, PAPER_NNZ, &mut rng);
-    let queries: Vec<JraQuery> =
-        query_papers.iter().map(|p| JraQuery::new(QueryPaper::Adhoc(p.clone()))).collect();
+    // Caching off: every query below solves cold, whatever ran before it.
+    let service = Service::from_store(store, ServeOptions { cache_cap: 0, ..Default::default() });
+    let queries = sparse_vectors(128, T, PAPER_NNZ, &mut rng);
 
     // Correctness cross-check before timing: Auto answers must match the
     // dense baseline score-for-score on a sample.
     for i in 0..2 {
         let sample = &queries[i..i + 1];
-        let auto = run_scores(&snapshot, sample, PruningPolicy::Auto);
-        let dense = run_scores(&snapshot, sample, PruningPolicy::Exact);
+        let auto = run_batch(&service, sample, PruningPolicy::Auto);
+        let dense = run_batch(&service, sample, PruningPolicy::Exact);
         assert_eq!(auto[0].to_bits(), dense[0].to_bits(), "Auto must stay score-exact");
     }
 
-    // Throughput summary (the measured numbers the module docs quote),
-    // recorded into BENCH_service.json as it prints.
+    // Throughput per configuration, recorded into BENCH_service.json as it
+    // prints.
     let mut throughput = |label: &str, pruning: PruningPolicy, chunk: usize, total: usize| {
         let start = Instant::now();
         let mut solved = 0usize;
         for queries in queries[..total].chunks(chunk) {
-            solved += run_batch(&snapshot, queries, pruning);
+            solved += run_batch(&service, queries, pruning).len();
         }
         let elapsed = start.elapsed();
         let qps = solved as f64 / elapsed.as_secs_f64();
@@ -133,25 +125,16 @@ fn bench_batched_jra(report: &mut BenchReport) -> f64 {
         );
         qps
     };
-    let dense_qps = throughput("one_at_a_time_dense", PruningPolicy::Exact, 1, 8);
-    throughput("one_at_a_time_auto", PruningPolicy::Auto, 1, 32);
+    let dense_qps = throughput("one_at_a_time_dense", PruningPolicy::Exact, 1, 32);
+    let auto_qps = throughput("one_at_a_time_auto", PruningPolicy::Auto, 1, 32);
     throughput("batch16_auto", PruningPolicy::Auto, 16, 32);
-    let batched_qps = throughput("batch128_auto", PruningPolicy::Auto, 128, 128);
+    throughput("batch128_auto", PruningPolicy::Auto, 128, 128);
     println!(
-        "service_jra_p{P}_r{R}_t{T}: batch128/auto vs dense/one-at-a-time: {:.1}x \
-         (parallel workers: {})",
-        batched_qps / dense_qps,
+        "service_jra_p{P}_r{R}_t{T}: one at a time, auto vs dense on the same 32 queries: \
+         {:.2}x (parallel workers: {})",
+        auto_qps / dense_qps,
         if wgrap_core::engine::par::is_parallel() { "enabled" } else { "serial build" },
     );
-    dense_qps
-}
-
-fn run_scores(snapshot: &Arc<Snapshot>, queries: &[JraQuery], pruning: PruningPolicy) -> Vec<f64> {
-    let mut batch = JraBatch::new(Arc::clone(snapshot), pruning);
-    for q in queries {
-        batch.push(q.clone());
-    }
-    batch.run().into_iter().map(|r| r.expect("feasible")[0].score).collect()
 }
 
 fn bench_updates_vs_rebuild(report: &mut BenchReport) {
@@ -315,7 +298,6 @@ fn bench_epoch_retention(report: &mut BenchReport) {
 /// on those same requests, one sample per batch (the batch's mean per
 /// hit). Both records therefore carry p10/p90.
 fn bench_result_cache(report: &mut BenchReport) {
-    use wgrap_service::api::{Answer, JraSpec, PaperRef, Service, SolveRequest};
     const QUERIES: usize = 20;
     const HITS: usize = 1_000;
     let mut rng = StdRng::seed_from_u64(99);
@@ -398,7 +380,6 @@ fn bench_result_cache(report: &mut BenchReport) {
 /// pure in-memory worst-case line the same fixed cost reads as single-
 /// digit percent of a ~4µs total, and the report prints both.
 fn bench_telemetry_overhead(report: &mut BenchReport) {
-    use wgrap_service::api::{ServeOptions, Service};
     use wgrap_service::server::handle_line;
     use wgrap_service::Frontend;
     let mut rng = StdRng::seed_from_u64(23);
@@ -478,9 +459,8 @@ fn bench_telemetry_overhead(report: &mut BenchReport) {
 /// time, under [`FrontendOptions::default`] admission bounds. Records
 /// per-config q/s and p50/p99 per-request latency
 /// (`serve_concurrent_c{N}` lines).
-fn bench_concurrent_frontend(report: &mut BenchReport, dense_qps: f64) {
+fn bench_concurrent_frontend(report: &mut BenchReport) {
     use std::time::Duration;
-    use wgrap_service::api::{JraSpec, PaperRef, ServeOptions, Service};
     use wgrap_service::{Frontend, FrontendOptions, JraOutcome};
 
     let (store, mut rng) = build_store(17);
@@ -556,9 +536,7 @@ fn bench_concurrent_frontend(report: &mut BenchReport, dense_qps: f64) {
         );
     }
     println!(
-        "serve_concurrent_p{P}_r{R}_t{T}: 8 clients {:.1}x vs dense one-at-a-time, \
-         {:.1}x vs 1-client sequential Auto",
-        last_qps / dense_qps.max(1e-9),
+        "serve_concurrent_p{P}_r{R}_t{T}: 8 clients {:.1}x vs 1-client sequential Auto",
         last_qps / baseline_qps.max(1e-9)
     );
 }
@@ -571,7 +549,6 @@ fn bench_concurrent_frontend(report: &mut BenchReport, dense_qps: f64) {
 fn bench_serve_tcp_round_trip(report: &mut BenchReport) {
     use std::io::{BufRead, BufReader, Write};
     use std::net::{TcpListener, TcpStream};
-    use wgrap_service::api::{ServeOptions, Service};
     use wgrap_service::server::serve_tcp;
     use wgrap_service::Frontend;
 
@@ -625,14 +602,14 @@ fn bench_serve_tcp_round_trip(report: &mut BenchReport) {
 
 fn main() {
     let mut report = BenchReport::new("service");
-    let dense_qps = bench_batched_jra(&mut report);
+    bench_batched_jra(&mut report);
     bench_updates_vs_rebuild(&mut report);
     bench_paged_vs_flat_clone(&mut report);
     bench_epoch_retention(&mut report);
     bench_result_cache(&mut report);
     bench_telemetry_overhead(&mut report);
     bench_serve_tcp_round_trip(&mut report);
-    bench_concurrent_frontend(&mut report, dense_qps);
+    bench_concurrent_frontend(&mut report);
     match report.write() {
         Ok(path) => println!("bench records -> {}", path.display()),
         Err(e) => eprintln!("could not write bench records: {e}"),

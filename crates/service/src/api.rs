@@ -12,17 +12,23 @@
 //!    query, a JRA batch, an update batch, or a stats probe, with
 //!    per-request overrides. Requests are plain values: build them from
 //!    CLI flags, NDJSON fields, or library code, identically.
-//! 2. **[`Service::plan`]** — admission + canonicalization: the request is
-//!    admitted at the store's current epoch (an `Arc<Snapshot>` clone —
-//!    never blocked by an in-flight update build) and canonicalized into a
-//!    stable, hashable [`RequestKey`]: names resolve to ids, excludes sort
-//!    and dedup, defaulted knobs resolve to their effective values. Two
-//!    semantically equal requests — however spelled — get **identical**
-//!    keys (proptested).
+//! 2. **[`Service::plan`]** — admission, checks and canonicalization: the
+//!    request is admitted at the store's current epoch (an `Arc<Snapshot>`
+//!    clone — never blocked by an in-flight update build), each JRA query
+//!    is checked against that snapshot, and the request is canonicalized
+//!    into a stable, hashable [`RequestKey`]: names resolve to ids,
+//!    excludes sort and dedup, defaulted knobs resolve to their effective
+//!    values. Two semantically equal requests — however spelled — get
+//!    **identical** keys (proptested). Every per-query check runs here and
+//!    nowhere else (see [`PlannedQuery`]), so a bad query fails before it
+//!    takes a solve slot or probes the cache.
 //! 3. **[`Service::execute`]** — the [`Plan`] runs against its admitted
 //!    snapshot and returns an [`Outcome`]: the answer plus structured
 //!    [`Diagnostics`] (epoch, cache hit/miss, plan/exec timings, `TopK`
-//!    stage-loss bound).
+//!    stage-loss bound). JRA cache misses solve on the engine's
+//!    deterministic parallel substrate with positional writes, so a
+//!    batch's answers are bit-identical to solving its queries one at a
+//!    time, under any worker count.
 //!
 //! # The per-epoch result cache
 //!
@@ -58,11 +64,10 @@
 //! # Ok::<(), wgrap_core::error::Error>(())
 //! ```
 
-use crate::batch::{JraBatch, JraQuery, QueryPaper};
 use crate::store::{Snapshot, StoreStats, Update, VersionedStore};
 use crate::telemetry::trace::{FinishedTrace, Trace};
 use crate::telemetry::{Counter, Gauge, Histogram, Telemetry};
-use crate::Result;
+use crate::{Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
@@ -70,7 +75,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use wgrap_core::engine::candidates::CoverageStats;
 use wgrap_core::engine::spec::MethodKind;
-use wgrap_core::engine::{truncate_row, PruningPolicy};
+use wgrap_core::engine::{par, truncate_row, PruningPolicy};
+use wgrap_core::jra::bba::{self, BbaOptions};
 use wgrap_core::jra::JraResult;
 use wgrap_core::prelude::{Assignment, CraAlgorithm, Instance, Scoring};
 use wgrap_core::topic::TopicVector;
@@ -78,6 +84,11 @@ use wgrap_core::topic::TopicVector;
 /// Default result-cache capacity ([`ServeOptions::cache_cap`], the CLI's
 /// `--cache-cap`): entries retained per epoch before LRU eviction.
 pub const DEFAULT_CACHE_CAP: usize = 4096;
+
+/// The largest `top_k` a JRA query may ask for (at least Figure 15's
+/// largest k, 1000). The bound cannot prune until `top_k` groups are held,
+/// so a larger `top_k` would make the search visit and keep every group.
+pub const MAX_TOP_K: usize = 1024;
 
 /// Service-level defaults (the CLI's knobs): what a request that does not
 /// override them resolves against during planning.
@@ -204,19 +215,43 @@ impl fmt::Display for RequestKey {
     }
 }
 
-/// A canonicalized, admitted JRA query, ready to execute.
+/// The paper a planned JRA query asks about.
+#[derive(Debug, Clone)]
+pub(crate) enum QueryPaper {
+    /// A stored paper (its COI mask applies).
+    Stored(usize),
+    /// A paper that is not part of the instance.
+    Adhoc(TopicVector),
+}
+
+/// A checked, canonicalized JRA query: the one form the executor runs.
+///
+/// Only [`Service::plan`] builds one, after every per-query check passed
+/// against the admitted snapshot, in this order: the paper (a known name,
+/// an id below `P`, or an ad-hoc vector of the instance's dimension), then
+/// `delta_p`, then `top_k`, then the excludes. Its fields stay private to
+/// the crate because its ids are valid for that snapshot alone; solving it
+/// there can fail only when conflicts and excludes leave fewer than
+/// `delta_p` reviewers.
 #[derive(Debug, Clone)]
 pub struct PlannedQuery {
     /// The query's own cache key (batches probe per query).
-    pub key: RequestKey,
-    /// The resolved executor form (name → id, defaults filled, excludes
-    /// canonical, effective pruning pinned).
-    pub query: JraQuery,
+    pub(crate) key: RequestKey,
+    /// The resolved paper (a name resolves to its id).
+    pub(crate) paper: QueryPaper,
+    /// Group size, in `1..=R`.
+    pub(crate) delta_p: usize,
+    /// Number of best groups to return, in `1..=MAX_TOP_K`.
+    pub(crate) top_k: usize,
+    /// Extra conflicted reviewer ids: sorted, deduplicated, each below `R`.
+    pub(crate) exclude: Vec<u32>,
+    /// The effective candidate pruning.
+    pub(crate) pruning: PruningPolicy,
     /// Upper bound on the objective loss `TopK` truncation can cause for
     /// this query (`0.0` when nothing was truncated; `None` for stored
     /// papers only under `Exact`/`Auto`, and for ad-hoc papers, where the
     /// pool is not known until execution).
-    pub loss_bound: Option<f64>,
+    pub(crate) loss_bound: Option<f64>,
 }
 
 /// What [`Service::plan`] resolved a request into.
@@ -232,8 +267,7 @@ pub enum PlanAction {
         seed: u64,
     },
     /// Run JRA queries (one per entry, positionally). Entries that failed
-    /// canonicalization (unknown paper name) carry their error and fail
-    /// independently.
+    /// a plan-time check carry their error and fail independently.
     Jra {
         /// Per-entry planned queries or canonicalization errors.
         queries: Vec<std::result::Result<PlannedQuery, String>>,
@@ -709,8 +743,8 @@ impl Service {
                 let queries: Vec<_> =
                     specs.iter().map(|spec| self.plan_query(&snapshot, spec)).collect();
                 // A batch's identity is the ordered tuple of its entries'
-                // identities; any unresolvable entry makes the batch (but
-                // not its resolvable neighbours) uncacheable as a whole.
+                // identities; any entry that fails planning makes the batch
+                // (but not its neighbours) uncacheable as a whole.
                 let key = queries
                     .iter()
                     .map(|q| q.as_ref().ok().map(|p| p.key.as_str()))
@@ -726,11 +760,11 @@ impl Service {
         Plan { key, snapshot, action, plan_time }
     }
 
-    /// Admit one JRA spec at the current epoch and canonicalize it — the
-    /// front-end's `jra` planning entry point ([`crate::frontend`]): it
-    /// plans *before* asking for a solve slot, so the request pins its
-    /// snapshot at admission and a malformed request fails fast without
-    /// waiting for a slot.
+    /// Admit one JRA spec at the current epoch, check it and canonicalize
+    /// it — the front-end's `jra` planning entry point
+    /// ([`crate::frontend`]): it plans *before* asking for a solve slot, so
+    /// the request pins its snapshot at admission and a bad request fails
+    /// fast without waiting for a slot.
     pub(crate) fn plan_jra_one(
         &self,
         spec: &JraSpec,
@@ -742,22 +776,35 @@ impl Service {
         (snapshot, planned)
     }
 
-    /// Canonicalize one JRA query against the admitted snapshot: resolve
-    /// the paper reference, fill defaults, sort+dedup excludes, pin the
-    /// effective pruning, and derive the query's [`RequestKey`].
+    /// Check one JRA query against the admitted snapshot and canonicalize
+    /// it: resolve the paper reference, fill defaults, sort+dedup excludes,
+    /// pin the effective pruning, and derive the query's [`RequestKey`].
+    /// The checks run in [`PlannedQuery`]'s order; the first that fails is
+    /// the query's error.
     fn plan_query(
         &self,
         snapshot: &Snapshot,
         spec: &JraSpec,
     ) -> std::result::Result<PlannedQuery, String> {
         let inst = snapshot.instance();
+        let (num_p, num_r, num_t) = (inst.num_papers(), inst.num_reviewers(), inst.num_topics());
+        let invalid = |message: String| Error::InvalidInstance(message).to_string();
         let (paper, paper_key) = match &spec.paper {
+            PaperRef::Id(p) if *p >= num_p => {
+                return Err(invalid(format!("paper {p} out of range (P = {num_p})")));
+            }
             PaperRef::Id(p) => (QueryPaper::Stored(*p), format!("#{p}")),
             PaperRef::Name(name) => {
-                let p = (0..inst.num_papers())
+                let p = (0..num_p)
                     .find(|&p| inst.paper_name(p) == *name)
                     .ok_or_else(|| format!("unknown paper '{name}'"))?;
                 (QueryPaper::Stored(p), format!("#{p}"))
+            }
+            PaperRef::Adhoc(v) if v.dim() != num_t => {
+                return Err(invalid(format!(
+                    "query paper dimension {} != instance dimension {num_t}",
+                    v.dim()
+                )));
             }
             PaperRef::Adhoc(v) => {
                 // Exact canonical form: the non-zero entries' bit patterns.
@@ -774,15 +821,29 @@ impl Service {
             }
         };
         let delta_p = spec.delta_p.unwrap_or_else(|| inst.delta_p());
+        if delta_p == 0 || delta_p > num_r {
+            return Err(invalid(format!(
+                "need 1 <= delta_p <= R, got delta_p={delta_p} R={num_r}"
+            )));
+        }
+        if spec.top_k == 0 {
+            return Err(invalid("top_k must be >= 1".into()));
+        }
+        if spec.top_k > MAX_TOP_K {
+            return Err(invalid(format!("top_k must be <= {MAX_TOP_K}")));
+        }
         let mut exclude = spec.exclude.clone();
         exclude.sort_unstable();
         exclude.dedup();
+        if let Some(r) = exclude.iter().find(|&&r| r as usize >= num_r) {
+            return Err(invalid(format!("excluded reviewer {r} out of range (R = {num_r})")));
+        }
         let pruning = spec.pruning.unwrap_or(self.options.pruning);
         // The loss bound is known pre-execution for stored papers: replay
         // the `TopK` truncation of the paper's candidate row and take the
         // dropped maximum (the same CELF-style bound `CandidateSet` keeps).
         let loss_bound = match (&paper, pruning) {
-            (QueryPaper::Stored(p), PruningPolicy::TopK(k)) if *p < inst.num_papers() => {
+            (QueryPaper::Stored(p), PruningPolicy::TopK(k)) => {
                 let (ids, scores) = snapshot.candidates().candidates(*p);
                 let mut row: Vec<(u32, f64)> =
                     ids.iter().copied().zip(scores.iter().copied()).collect();
@@ -797,17 +858,7 @@ impl Service {
             snapshot.ctx().seed(),
             spec.top_k,
         ));
-        Ok(PlannedQuery {
-            key,
-            query: JraQuery {
-                paper,
-                delta_p: Some(delta_p),
-                top_k: spec.top_k,
-                exclude,
-                pruning: Some(pruning),
-            },
-            loss_bound,
-        })
+        Ok(PlannedQuery { key, paper, delta_p, top_k: spec.top_k, exclude, pruning, loss_bound })
     }
 
     /// Stage 2 + 3 in one call: plan, then execute.
@@ -1033,89 +1084,84 @@ impl Service {
         }
     }
 
-    /// Execute planned JRA queries: probe the cache per query, solve the
-    /// misses as one positional [`JraBatch`] (bit-identical to solving
-    /// them one at a time — the batch contract), then store the cold
-    /// results.
+    /// Execute planned JRA queries against the snapshot they were planned
+    /// at: probe the cache per query, [`solve`] the misses, then store the
+    /// cold results.
     ///
-    /// Each phase records a depth-1 span (`cache_probe` / `solve` /
-    /// `fanout`) into `trace`.
+    /// The misses fan out on the engine's deterministic parallel substrate
+    /// (`wgrap-par` work-stealing under the `rayon` feature) and are
+    /// written positionally, so `answers[i]` answers `queries[i]`
+    /// bit-identically to solving the queries one at a time in order,
+    /// under any worker count (the skew proptest pins that down). Each
+    /// phase records a depth-1 span (`cache_probe` / `solve` / `fanout`)
+    /// into `trace`, and each solved query one `query_solve_seconds`
+    /// observation.
     pub(crate) fn exec_jra(
         &self,
-        snapshot: &Arc<Snapshot>,
+        snapshot: &Snapshot,
         queries: &[std::result::Result<PlannedQuery, String>],
         trace: &Trace,
     ) -> Vec<std::result::Result<JraAnswer, String>> {
         let epoch = snapshot.epoch();
         // Probe phase (one lock acquisition for the whole batch).
         let probe_start = Instant::now();
-        let mut probed: Vec<Option<CachedAnswer>> = Vec::with_capacity(queries.len());
-        {
+        let probed: Vec<Option<CachedAnswer>> = {
             let mut cache = self.cache.lock().expect("cache lock");
-            for q in queries {
-                probed.push(match q {
-                    Ok(p) => cache.probe(epoch, &p.key),
-                    Err(_) => None,
-                });
-            }
-        }
+            queries
+                .iter()
+                .map(|q| q.as_ref().ok().and_then(|p| cache.probe(epoch, &p.key)))
+                .collect()
+        };
         let probe_time = probe_start.elapsed();
         trace.record("cache_probe", 1, queries.len() as u64, probe_time);
         self.met.probe.observe_duration(probe_time);
         // Solve phase: the misses, positionally, lock-free.
-        let mut batch = JraBatch::new(Arc::clone(snapshot), self.options.pruning);
-        batch.set_solve_hist(Arc::clone(&self.met.query_solve));
-        let mut miss_slots: Vec<usize> = Vec::new();
-        for (i, (q, hit)) in queries.iter().zip(&probed).enumerate() {
-            if let (Ok(p), None) = (q, hit) {
-                batch.push(p.query.clone());
-                miss_slots.push(i);
-            }
-        }
+        let misses: Vec<&PlannedQuery> = queries
+            .iter()
+            .zip(&probed)
+            .filter_map(|(q, hit)| q.as_ref().ok().filter(|_| hit.is_none()))
+            .collect();
         // A fully cache-served batch records no solve span: trace
         // structure reflects the work actually done (and the stage
         // histogram is not polluted with empty runs).
-        let mut solved = if miss_slots.is_empty() {
-            Vec::new().into_iter()
+        let mut solved = if misses.is_empty() {
+            Vec::new()
         } else {
             let solve_start = Instant::now();
-            let solved = batch.run().into_iter();
+            let query_solve = &self.met.query_solve;
+            let solved = par::map_indexed(misses.len(), |i| {
+                let start = Instant::now();
+                let result = solve(snapshot, misses[i]);
+                // Recorded on the solving worker: the histogram shards per
+                // thread, so the fan-out never contends.
+                query_solve.observe_duration(start.elapsed());
+                result
+            });
             let solve_time = solve_start.elapsed();
-            trace.record("solve", 1, miss_slots.len() as u64, solve_time);
+            trace.record("solve", 1, misses.len() as u64, solve_time);
             self.met.solve.observe_duration(solve_time);
             solved
-        };
+        }
+        .into_iter();
         let fanout_start = Instant::now();
         // Merge phase: hits, cold results, and per-entry errors, positional.
-        let mut cold: HashMap<usize, crate::Result<Vec<JraResult>>> = miss_slots
-            .iter()
-            .map(|&i| (i, solved.next().expect("one result per pushed query")))
-            .collect();
         let mut to_store: Vec<(RequestKey, CachedAnswer)> = Vec::new();
         let answers: Vec<std::result::Result<JraAnswer, String>> = queries
             .iter()
             .zip(probed)
-            .enumerate()
-            .map(|(i, (q, hit))| {
-                let planned = q.as_ref().map_err(|e| e.clone())?;
-                match hit {
-                    Some(CachedAnswer::Jra(results)) => {
-                        Ok(JraAnswer { results, cache: CacheStatus::Hit, key: planned.key.clone() })
-                    }
+            .map(|(q, hit)| {
+                let planned = q.as_ref().map_err(Clone::clone)?;
+                let (results, cache) = match hit {
+                    Some(CachedAnswer::Jra(results)) => (results, CacheStatus::Hit),
                     Some(CachedAnswer::Cra { .. }) => unreachable!("cra entry under a jra key"),
-                    None => match cold.remove(&i).expect("miss slot solved") {
-                        Ok(results) => {
-                            to_store
-                                .push((planned.key.clone(), CachedAnswer::Jra(results.clone())));
-                            Ok(JraAnswer {
-                                results,
-                                cache: CacheStatus::Miss,
-                                key: planned.key.clone(),
-                            })
-                        }
-                        Err(e) => Err(e.to_string()),
-                    },
-                }
+                    None => {
+                        let results = solved.next().expect("one result per miss");
+                        let results = results.map_err(|e| e.to_string())?;
+                        to_store.push((planned.key.clone(), CachedAnswer::Jra(results.clone())));
+                        (results, CacheStatus::Miss)
+                    }
+                };
+                Ok(JraAnswer { results, cache, key: planned.key.clone() })
             })
             .collect();
         if !to_store.is_empty() {
@@ -1127,6 +1173,42 @@ impl Service {
         trace.record("fanout", 1, queries.len() as u64, fanout_start.elapsed());
         answers
     }
+}
+
+/// Solve one planned query against the snapshot it was planned at. Its
+/// inputs were checked then, so the only failure left is BBA's
+/// `Infeasible`.
+fn solve(snapshot: &Snapshot, query: &PlannedQuery) -> Result<Vec<JraResult>> {
+    let ctx = snapshot.ctx();
+    let opts = BbaOptions { top_k: query.top_k, ..Default::default() };
+    let results = match &query.paper {
+        QueryPaper::Stored(p) => {
+            let mut view = ctx.jra_view(*p);
+            view.delta_p = query.delta_p;
+            for &r in &query.exclude {
+                view.forbidden[r as usize] = true;
+            }
+            let row = || {
+                let (ids, scores) = snapshot.candidates().candidates(*p);
+                Some(ids.iter().copied().zip(scores.iter().copied()).collect())
+            };
+            bba::solve_view_pruned(&view, query.pruning, row, &opts)
+        }
+        QueryPaper::Adhoc(paper) => {
+            let mut forbidden = vec![false; ctx.num_reviewers()];
+            for &r in &query.exclude {
+                forbidden[r as usize] = true;
+            }
+            let view = ctx.jra_view_adhoc(paper, forbidden, query.delta_p);
+            // The scored pool from the shared index ranks — and
+            // tie-breaks — exactly like the same vector stored as a paper
+            // (scores are the `raw / total` pair-score form), so `TopK`
+            // truncates without a second scoring pass.
+            let row = || snapshot.candidate_pool_adhoc(paper);
+            bba::solve_view_pruned(&view, query.pruning, row, &opts)
+        }
+    };
+    results.ok_or_else(|| Error::Infeasible("fewer than δp non-conflicted reviewers".into()))
 }
 
 /// The total `TopK(k)` stage-loss bound over the snapshot's papers:
@@ -1157,8 +1239,9 @@ mod tests {
         TopicVector::new(v.to_vec())
     }
 
-    fn service() -> Service {
-        let inst = Instance::new(
+    /// P = 2 papers, R = 4 reviewers, T = 3 topics, δp = 2, no COIs.
+    fn instance() -> Instance {
+        Instance::new(
             vec![tv(&[0.5, 0.5, 0.0]), tv(&[0.0, 0.3, 0.7])],
             vec![
                 tv(&[0.3, 0.7, 0.0]),
@@ -1169,13 +1252,125 @@ mod tests {
             2,
             2,
         )
-        .unwrap();
-        Service::new(inst, Scoring::WeightedCoverage, 7)
+        .unwrap()
+    }
+
+    fn service() -> Service {
+        Service::new(instance(), Scoring::WeightedCoverage, 7)
+    }
+
+    /// A service that solves every query cold (caching off).
+    fn cold_service() -> Service {
+        let options = ServeOptions { cache_cap: 0, ..ServeOptions::default() };
+        Service::with_options(instance(), Scoring::WeightedCoverage, 7, options)
     }
 
     fn jra_results(outcome: &Outcome) -> &[JraResult] {
         let Answer::Jra(answers) = &outcome.answer else { panic!("not a jra answer") };
         &answers[0].as_ref().unwrap().results
+    }
+
+    /// Execute `specs` as one `batch` request.
+    fn run_batch(
+        service: &Service,
+        specs: Vec<JraSpec>,
+    ) -> Vec<std::result::Result<JraAnswer, String>> {
+        let outcome = service.execute(&SolveRequest::JraBatch(specs)).unwrap();
+        let Answer::Jra(answers) = outcome.answer else { panic!("not a jra answer") };
+        answers
+    }
+
+    #[test]
+    fn batch_matches_sequential_one_at_a_time() {
+        let service = cold_service();
+        for pruning in [PruningPolicy::Exact, PruningPolicy::Auto, PruningPolicy::TopK(2)] {
+            let spec = |paper| JraSpec { pruning: Some(pruning), ..JraSpec::new(paper) };
+            let specs = vec![
+                spec(PaperRef::Id(0)),
+                spec(PaperRef::Id(1)),
+                JraSpec { top_k: 3, ..spec(PaperRef::Adhoc(tv(&[0.2, 0.2, 0.6]))) },
+                JraSpec { exclude: vec![2], ..spec(PaperRef::Id(1)) },
+                JraSpec { delta_p: Some(1), ..spec(PaperRef::Id(0)) },
+            ];
+            let batched = run_batch(&service, specs.clone());
+            assert_eq!(batched.len(), specs.len());
+            for (i, spec) in specs.into_iter().enumerate() {
+                let alone = service.execute(&SolveRequest::Jra(spec)).unwrap();
+                let (a, b) = (&batched[i].as_ref().unwrap().results, jra_results(&alone));
+                assert_eq!(a.len(), b.len(), "{pruning:?} query {i}");
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(x.group, y.group, "{pruning:?} query {i}");
+                    assert_eq!(x.score.to_bits(), y.score.to_bits());
+                    assert_eq!(x.nodes, y.nodes);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn auto_pruning_preserves_exact_scores() {
+        let service = cold_service();
+        let papers = [PaperRef::Id(0), PaperRef::Id(1), PaperRef::Adhoc(tv(&[0.9, 0.1, 0.0]))];
+        let run = |pruning| {
+            let spec = |p: &PaperRef| JraSpec { pruning: Some(pruning), ..JraSpec::new(p.clone()) };
+            run_batch(&service, papers.iter().map(spec).collect())
+        };
+        for (e, a) in run(PruningPolicy::Exact).iter().zip(&run(PruningPolicy::Auto)) {
+            let (e, a) = (&e.as_ref().unwrap().results, &a.as_ref().unwrap().results);
+            assert_eq!(e[0].score.to_bits(), a[0].score.to_bits());
+        }
+    }
+
+    #[test]
+    fn query_validation_fails_per_entry() {
+        let service = service();
+        let plan = service.plan(&SolveRequest::JraBatch(vec![
+            JraSpec::new(PaperRef::Id(99)),
+            JraSpec { delta_p: Some(0), ..JraSpec::new(PaperRef::Id(0)) },
+            JraSpec { top_k: 0, ..JraSpec::new(PaperRef::Id(0)) },
+            JraSpec { top_k: MAX_TOP_K + 1, ..JraSpec::new(PaperRef::Id(0)) },
+            JraSpec::new(PaperRef::Adhoc(tv(&[1.0]))),
+            JraSpec { exclude: vec![9], ..JraSpec::new(PaperRef::Id(0)) },
+            JraSpec { top_k: MAX_TOP_K, ..JraSpec::new(PaperRef::Id(0)) },
+        ]));
+        // Every check runs at plan time: the bad entries carry their
+        // errors in the plan, and the batch as a whole has no key.
+        assert!(plan.key.is_none());
+        let PlanAction::Jra { queries, .. } = &plan.action else { panic!() };
+        let errors: Vec<&str> =
+            queries[..6].iter().map(|q| q.as_ref().unwrap_err().as_str()).collect();
+        assert_eq!(
+            errors,
+            [
+                "invalid instance: paper 99 out of range (P = 2)",
+                "invalid instance: need 1 <= delta_p <= R, got delta_p=0 R=4",
+                "invalid instance: top_k must be >= 1",
+                "invalid instance: top_k must be <= 1024",
+                "invalid instance: query paper dimension 1 != instance dimension 3",
+                "invalid instance: excluded reviewer 9 out of range (R = 4)",
+            ]
+        );
+        let outcome = service.execute_plan(plan).unwrap();
+        let Answer::Jra(answers) = &outcome.answer else { panic!() };
+        assert!(answers[..6].iter().all(|a| a.is_err()));
+        // `top_k = MAX_TOP_K` is allowed and returns all C(4, 2) = 6 groups.
+        assert_eq!(answers[6].as_ref().unwrap().results.len(), 6);
+        assert_eq!(service.cache_counters().misses, 1, "only the valid entry probed the cache");
+    }
+
+    #[test]
+    fn excluding_everyone_is_infeasible() {
+        let service = service();
+        let outcome = service
+            .execute(&SolveRequest::Jra(JraSpec {
+                exclude: vec![0, 1, 2, 3],
+                ..JraSpec::new(PaperRef::Id(0))
+            }))
+            .unwrap();
+        assert_eq!(outcome.diag.epoch, 0);
+        let Answer::Jra(answers) = &outcome.answer else { panic!() };
+        let error = answers[0].as_ref().unwrap_err();
+        assert!(error.starts_with("infeasible: "), "{error}");
     }
 
     #[test]

@@ -14,9 +14,13 @@
 //! build/publish split already makes it cheap), and observability must
 //! work precisely when the server is saturated.
 //!
-//! A `jra` plans before it asks for a slot: a request naming an unknown
-//! paper fails fast without waiting, and the snapshot it pins at plan
-//! time is the one it answers at, however long it waits for the slot.
+//! A `jra` plans before it asks for a slot, and planning runs every
+//! per-query check ([`PlannedQuery`](crate::api::PlannedQuery)): a query
+//! naming an unknown paper, or with a paper id, `delta_p`, `top_k`,
+//! excluded reviewer or ad-hoc dimension out of range, fails fast without
+//! taking a slot, probing the cache or counting as an execution. The
+//! snapshot a `jra` pins at plan time is the one it answers at, however
+//! long it waits for the slot.
 
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -208,9 +212,9 @@ impl Frontend {
         }
     }
 
-    /// Serve one `jra`: plan it (an unknown paper fails here, before
-    /// admission), take a solve slot through [`Frontend::permit`], run its
-    /// one query at the planned snapshot, and release the slot.
+    /// Serve one `jra`: plan it (a query that fails a check fails here,
+    /// before admission), take a solve slot through [`Frontend::permit`],
+    /// run its one query at the planned snapshot, and release the slot.
     ///
     /// Its span tree reads `plan, admit, queue_wait`, then the execution's
     /// `cache_probe, [solve], fanout` (depth 1) under a closing `coalesce`
@@ -316,6 +320,7 @@ mod tests {
     use crate::Answer;
     use std::time::{Duration, Instant};
     use wgrap_core::prelude::Scoring;
+    use wgrap_core::topic::TopicVector;
 
     fn test_service() -> Arc<Service> {
         let text = "\
@@ -378,21 +383,38 @@ coi alice p-17
     #[test]
     fn plan_errors_fail_fast_without_queueing() {
         let frontend = Frontend::with_defaults(test_service());
-        let bad = JraSpec {
-            paper: PaperRef::Name("p-99".into()),
-            delta_p: None,
-            top_k: 1,
-            exclude: vec![],
-            pruning: None,
-        };
-        match frontend.jra(&bad) {
-            JraOutcome::Done { answer, .. } => {
-                assert_eq!(answer.unwrap_err(), "unknown paper 'p-99'")
+        // R = 3 reviewers over T = 3 topics, P = 2 papers.
+        let bad = [
+            (JraSpec::new(PaperRef::Name("p-99".into())), "unknown paper 'p-99'"),
+            (spec(2), "invalid instance: paper 2 out of range (P = 2)"),
+            (
+                JraSpec { delta_p: Some(0), ..spec(0) },
+                "invalid instance: need 1 <= delta_p <= R, got delta_p=0 R=3",
+            ),
+            (
+                JraSpec { delta_p: Some(4), ..spec(0) },
+                "invalid instance: need 1 <= delta_p <= R, got delta_p=4 R=3",
+            ),
+            (JraSpec { top_k: 0, ..spec(0) }, "invalid instance: top_k must be >= 1"),
+            (JraSpec { top_k: 1025, ..spec(0) }, "invalid instance: top_k must be <= 1024"),
+            (
+                JraSpec { exclude: vec![1, 3], ..spec(0) },
+                "invalid instance: excluded reviewer 3 out of range (R = 3)",
+            ),
+            (
+                JraSpec::new(PaperRef::Adhoc(TopicVector::new(vec![1.0, 0.0]))),
+                "invalid instance: query paper dimension 2 != instance dimension 3",
+            ),
+        ];
+        for (bad, want) in bad {
+            match frontend.jra(&bad) {
+                JraOutcome::Done { answer, .. } => assert_eq!(answer.unwrap_err(), want),
+                JraOutcome::Busy => panic!("plan errors must not hit admission"),
             }
-            JraOutcome::Busy => panic!("plan errors must not hit admission"),
         }
         let c = frontend.counters();
         assert_eq!((c.queued, c.batches), (0, 0));
+        assert_eq!(frontend.service().cache_counters().misses, 0, "no bad query probed the cache");
     }
 
     /// A `jra` that waits for a slot while an update publishes still

@@ -18,19 +18,22 @@
 //!    [`VersionedStore::begin_update`] builds off the read path,
 //!    [`PendingUpdate::publish`] is a bare `Arc` swap — so admissions
 //!    never wait on a build.
-//! 2. **Query executor** ([`batch`]) — a [`JraBatch`] admits a group of
-//!    JRA queries at one epoch and fans them out on the engine's
-//!    deterministic work-stealing substrate (`rayon` feature). Positional
-//!    writes keep batched answers bit-identical to one-at-a-time solves
-//!    under any worker count. CRA runs admit-at-epoch the same way, so a
-//!    long solve never blocks updates.
-//! 3. **Typed request API** ([`api`]) — the one entry point everything
-//!    else routes through: a [`SolveRequest`] canonicalizes to a stable,
-//!    hashable [`RequestKey`], plans into a [`Plan`] (resolved solver,
-//!    admitted epoch, pruning bounds) and executes to an [`Outcome`]
-//!    (answer + epoch/cache/timing diagnostics), with a
-//!    **per-epoch result cache** whose hits are bit-identical to cold
-//!    solves and which every publish invalidates.
+//! 2. **Typed request API** ([`api`]) — the one entry point everything
+//!    else routes through: a [`SolveRequest`] plans into a [`Plan`]
+//!    ([`Service::plan`]: admitted epoch, resolved solver and pruning,
+//!    and a stable, hashable [`RequestKey`]) and executes to an
+//!    [`Outcome`] (answer + epoch/cache/timing diagnostics). Planning runs
+//!    every per-query JRA check, so a bad query fails before it takes a
+//!    solve slot or probes the cache. Results go through a **per-epoch
+//!    result cache** whose hits are bit-identical to cold solves and which
+//!    every publish invalidates.
+//! 3. **Query executor** ([`Service::execute_plan`]) — a plan runs against
+//!    the snapshot it was admitted at, so a long solve never blocks
+//!    updates and an update never changes an admitted answer. A JRA
+//!    request's cache misses fan out on the engine's deterministic
+//!    work-stealing substrate (`rayon` feature); positional writes keep a
+//!    batch's answers bit-identical to one-at-a-time solves under any
+//!    worker count.
 //! 4. **Concurrent front-end** ([`frontend`] + [`server`]) — `wgrap
 //!    serve`: newline-delimited JSON over stdin/stdout, plain `std::net`
 //!    TCP (thread per connection), or a deterministic multi-session
@@ -50,8 +53,7 @@
 //! ```
 //! use wgrap_core::prelude::*;
 //! use wgrap_core::topic::TopicVector;
-//! use wgrap_service::{JraBatch, JraQuery, QueryPaper, Update, VersionedStore};
-//! use wgrap_core::engine::PruningPolicy;
+//! use wgrap_service::{Answer, PaperRef, Service, SolveRequest, Update};
 //!
 //! let inst = Instance::new(
 //!     vec![TopicVector::new(vec![0.6, 0.4])],
@@ -59,28 +61,31 @@
 //!     1,
 //!     2,
 //! )?;
-//! let mut store = VersionedStore::new(inst, Scoring::WeightedCoverage, 42);
+//! let service = Service::new(inst, Scoring::WeightedCoverage, 42);
 //!
-//! // An online query against epoch 0 ...
-//! let mut batch = JraBatch::new(store.snapshot(), PruningPolicy::Auto);
-//! batch.push(JraQuery::new(QueryPaper::Adhoc(TopicVector::new(vec![0.1, 0.9]))));
-//! let answers = batch.run();
-//! assert_eq!(answers[0].as_ref().unwrap()[0].group, vec![1]);
+//! // An online query, planned (admitted and checked) at epoch 0 ...
+//! let query = SolveRequest::jra(PaperRef::Adhoc(TopicVector::new(vec![0.1, 0.9])));
+//! let plan = service.plan(&query);
 //!
-//! // ... an incremental update publishes epoch 1; the old snapshot lives
-//! // on for any in-flight work.
-//! let epoch = store.apply(&[Update::AddReviewer {
+//! // ... an incremental update publishes epoch 1 ...
+//! let update = SolveRequest::Update(vec![Update::AddReviewer {
 //!     name: None,
-//!     expertise: TopicVector::new(vec![0.0, 1.0]),
-//! }])?;
-//! assert_eq!(epoch, 1);
+//!     expertise: TopicVector::new(vec![0.1, 0.9]),
+//! }]);
+//! assert_eq!(service.execute(&update)?.diag.epoch, 1);
+//!
+//! // ... and the planned query still answers at the epoch it was admitted
+//! // at, without the new reviewer 2 that would cover the paper fully.
+//! let outcome = service.execute_plan(plan)?;
+//! assert_eq!(outcome.diag.epoch, 0);
+//! let Answer::Jra(answers) = &outcome.answer else { unreachable!() };
+//! assert_eq!(answers[0].as_ref().unwrap().results[0].group, vec![1]);
 //! # Ok::<(), wgrap_core::error::Error>(())
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod batch;
 pub mod durable;
 pub mod frontend;
 pub mod json;
@@ -95,7 +100,6 @@ pub use api::{
     Answer, CraAnswer, Diagnostics, JraAnswer, JraSpec, Outcome, PaperRef, Plan, RequestKey,
     ServeOptions, Service, SolveRequest, StatsAnswer, UpdateAnswer,
 };
-pub use batch::{JraBatch, JraQuery, QueryPaper};
 pub use durable::{DurabilityStats, DurableOptions, FsyncPolicy, RecoveryInfo};
 pub use frontend::{Frontend, FrontendCounters, FrontendOptions, JraOutcome};
 pub use server::{

@@ -19,6 +19,16 @@
 //! [`Outcome`](crate::api::Outcome) renders in the wire shape of the requested protocol
 //! version. The server owns **no** solving or defaulting logic of its own.
 //!
+//! Checks are split by what they need. The wire layer checks what a line
+//! alone determines: JSON syntax, member names and types, and each weight
+//! vector (`paper`, `topics`, `expertise`), whose weights must be finite
+//! and non-negative and whose sum must be 0 or a finite normal number.
+//! Every check of a JRA query against the instance runs in
+//! [`Service::plan`](crate::api::Service::plan), before a `jra` takes a
+//! solve slot: paper names and ids, `delta_p`, `top_k` (at most
+//! [`MAX_TOP_K`](crate::api::MAX_TOP_K)), excludes and ad-hoc dimensions.
+//! The store checks an update batch's ids while it builds the next epoch.
+//!
 //! # Protocol versions
 //!
 //! A request opts into version 2 with `"v":2`; requests without a `"v"`
@@ -563,6 +573,10 @@ fn request_pruning(request: &Json) -> Result<Option<PruningPolicy>, String> {
     }
 }
 
+/// Parse one weight vector: the `paper` of a query, an added paper's
+/// `topics`, or an `expertise` row. A weight sum that is subnormal or
+/// infinite is refused: scores divide by it, and `1/Σ` then overflows to
+/// infinity (scores turn NaN) or underflows to 0.
 fn parse_topics(value: &Json, what: &str) -> Result<TopicVector, String> {
     let arr = value.as_arr().ok_or_else(|| format!("\"{what}\" must be an array of numbers"))?;
     let mut weights = Vec::with_capacity(arr.len());
@@ -573,7 +587,12 @@ fn parse_topics(value: &Json, what: &str) -> Result<TopicVector, String> {
         }
         weights.push(n);
     }
-    Ok(TopicVector::new(weights))
+    let topics = TopicVector::new(weights);
+    let total = topics.total();
+    if total != 0.0 && !total.is_normal() {
+        return Err(format!("\"{what}\" weights must sum to 0 or a finite normal number"));
+    }
+    Ok(topics)
 }
 
 fn parse_ids(value: Option<&Json>, what: &str) -> Result<Vec<u32>, String> {
@@ -593,8 +612,9 @@ fn parse_ids(value: Option<&Json>, what: &str) -> Result<Vec<u32>, String> {
 }
 
 /// Parse one JRA query's fields into a typed [`JraSpec`]. Purely
-/// structural — paper *names* resolve later, during planning, so an
-/// unknown name fails its own entry, not the parse.
+/// structural — names, ids and ranges are checked later, during planning,
+/// so an unknown name or an out-of-range value fails its own entry, not
+/// the parse.
 fn parse_jra_spec(request: &Json, pruning: Option<PruningPolicy>) -> Result<JraSpec, String> {
     let paper = match (request.get("paper"), request.get("paper_id"), request.get("paper_name")) {
         (Some(topics), None, None) => PaperRef::Adhoc(parse_topics(topics, "paper")?),
@@ -1203,6 +1223,29 @@ coi alice p-17
         );
         assert_eq!(lines[2], r#"{"ok":false,"error":"request line is not UTF-8"}"#);
         assert!(lines[3].contains("\"ok\":true"), "{}", lines[3]);
+    }
+
+    #[test]
+    fn weight_sums_must_be_zero_or_normal() {
+        let service = test_service();
+        for line in [
+            r#"{"op":"jra","paper":[5e-324,5e-324,0]}"#,
+            r#"{"op":"jra","paper":[3e-309,0,0]}"#,
+            r#"{"op":"jra","paper":[1e308,1e308,0]}"#,
+            r#"{"op":"update","updates":[{"kind":"add_paper","topics":[5e-324,0,0]}]}"#,
+            r#"{"op":"update","updates":[{"kind":"add_reviewer","expertise":[0,5e-324,0]}]}"#,
+        ] {
+            let v = respond(&service, line);
+            let error = v.get("error").and_then(Json::as_str).unwrap_or_default();
+            assert!(error.ends_with("weights must sum to 0 or a finite normal number"), "{v}");
+        }
+        for line in
+            [r#"{"op":"jra","paper":[1e-300,1e-300,0]}"#, r#"{"op":"jra","paper":[0,-0.0,0]}"#]
+        {
+            let v = respond(&service, line);
+            assert!(ok(&v), "{v}");
+            assert_eq!(v.get("results").unwrap().as_arr().unwrap().len(), 1, "{v}");
+        }
     }
 
     #[test]

@@ -892,17 +892,18 @@ mod tests {
     /// share a lock with the publish swap.
     #[test]
     fn jra_admitted_while_update_is_mid_build() {
-        use crate::batch::{JraBatch, JraQuery, QueryPaper};
+        use crate::api::{Answer, PaperRef, ServeOptions, Service, SolveRequest};
         use std::sync::mpsc;
-        use wgrap_core::engine::PruningPolicy;
 
-        let store = Arc::new(VersionedStore::new(base(), Scoring::WeightedCoverage, 0));
+        let store = VersionedStore::new(base(), Scoring::WeightedCoverage, 0);
+        let service = Arc::new(Service::from_store(store, ServeOptions::default()));
         let (in_build_tx, in_build_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let builder = {
-            let store = Arc::clone(&store);
+            let service = Arc::clone(&service);
             std::thread::spawn(move || {
-                let pending = store
+                let pending = service
+                    .store()
                     .begin_update_hooked(
                         &[Update::AddReviewer { name: None, expertise: tv(&[0.9, 0.1, 0.0]) }],
                         || {
@@ -916,16 +917,14 @@ mod tests {
         };
         in_build_rx.recv().expect("builder reached mid-build");
         // The build is parked right now. Admission + solve must complete.
-        let snap = store.snapshot();
-        assert_eq!(snap.epoch(), 0, "admitted at the still-current epoch");
-        let mut batch = JraBatch::new(Arc::clone(&snap), PruningPolicy::Auto);
-        batch.push(JraQuery::new(QueryPaper::Stored(0)));
-        let results = batch.run();
-        assert!(results[0].is_ok(), "jra solved during the in-flight build");
+        let outcome = service.execute(&SolveRequest::jra(PaperRef::Id(0))).expect("executes");
+        assert_eq!(outcome.diag.epoch, 0, "admitted at the still-current epoch");
+        let Answer::Jra(answers) = &outcome.answer else { unreachable!("a jra request") };
+        assert!(answers[0].is_ok(), "jra solved during the in-flight build");
         release_tx.send(()).expect("test channel");
         assert_eq!(builder.join().expect("builder thread"), 1);
-        assert_eq!(store.epoch(), 1);
-        assert_eq!(store.stats().batches, 1);
+        assert_eq!(service.store().epoch(), 1);
+        assert_eq!(service.store().stats().batches, 1);
     }
 
     #[test]

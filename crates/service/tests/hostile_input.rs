@@ -2,15 +2,21 @@
 //! request parser ([`json::parse`]) and the durable decoders
 //! ([`frame::decode_frame`], [`frame::decode_wal_record`],
 //! [`frame::decode_instance`]) return errors on hostile input, never
-//! unwind. Each property feeds arbitrary input and only requires that the
-//! call returns.
+//! unwind. Each of those properties feeds arbitrary input and only
+//! requires that the call returns.
+//!
+//! The last property sends well-formed request lines whose values sit at
+//! the edges of their ranges through the whole server ([`handle_line`]):
+//! each reply must be a structured error or a usable answer.
 
 use proptest::prelude::*;
-use wgrap_core::prelude::Instance;
+use std::sync::Arc;
+use wgrap_core::prelude::{Instance, Scoring};
 use wgrap_core::topic::TopicVector;
 use wgrap_service::durable::frame::{self, Dec, Enc};
-use wgrap_service::json::{self, MAX_DEPTH};
-use wgrap_service::Update;
+use wgrap_service::json::{self, Json, MAX_DEPTH};
+use wgrap_service::server::handle_line;
+use wgrap_service::{Frontend, Service, Update};
 
 /// JSON-flavoured fragments: structure, escapes (including broken
 /// surrogates), number edge cases, multi-byte characters and controls.
@@ -177,5 +183,196 @@ proptest! {
         }
         let _ = frame::decode_wal_record(&mutate(record, at, mask));
         let _ = frame::decode_instance(&mut Dec::new(&mutate(body, at, mask)));
+    }
+}
+
+/// Topics of the instances the hostile-values property serves.
+const T: usize = 3;
+
+/// The reviewer count the property's instances never exceed: BBA's work
+/// grows exponentially as `delta_p` approaches `R`.
+const MAX_R: usize = 12;
+
+/// Topic weights at the edges of `f64`: both zeros, the smallest
+/// subnormal, a tiny normal, a plain value and a near-overflow one.
+const EDGE_WEIGHTS: [f64; 6] = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1e308];
+
+/// A tiny instance: 1–3 papers and 3–8 reviewers over [`T`] topics,
+/// `delta_p` 1–3.
+fn tiny_instance() -> impl Strategy<Value = Instance> {
+    (
+        proptest::collection::vec(topics(T), 1..4),
+        proptest::collection::vec(topics(T), 3..9),
+        1usize..4,
+    )
+        .prop_map(|(papers, reviewers, delta_p)| {
+            let delta_r = Instance::minimal_delta_r(papers.len(), reviewers.len(), delta_p) + 2;
+            Instance::new(papers, reviewers, delta_p, delta_r).expect("valid")
+        })
+}
+
+/// One request line's draws: its kind, four indexes into
+/// [`Shape::edge`], one index into [`EDGE_WEIGHTS`] per topic, and bits
+/// that pick the optional members.
+type LineDraw = (usize, Vec<usize>, Vec<usize>, u32);
+
+fn line_draw() -> impl Strategy<Value = LineDraw> {
+    (
+        0usize..8,
+        proptest::collection::vec(0usize..8, 4),
+        proptest::collection::vec(0usize..EDGE_WEIGHTS.len(), T),
+        any::<u32>(),
+    )
+}
+
+/// The served instance's `delta_p` and current reviewer count.
+struct Shape {
+    delta_p: usize,
+    reviewers: usize,
+}
+
+impl Shape {
+    /// The `i`-th of {0, 1, δp, R−1, R, R+1, 2³¹, u32::MAX}.
+    fn edge(&self, i: usize) -> Json {
+        let r = self.reviewers;
+        let edges = [0, 1, self.delta_p, r - 1, r, r + 1, 1 << 31, u32::MAX as usize];
+        Json::Num(edges[i] as f64)
+    }
+}
+
+fn weights(draws: &[usize]) -> Json {
+    Json::nums(draws.iter().map(|&i| EDGE_WEIGHTS[i]))
+}
+
+/// The members of one JRA query (a `jra` line, or one `batch` entry).
+fn query(shape: &Shape, ints: &[usize], draws: &[usize], bits: u32) -> Json {
+    let mut members = vec![if bits & 1 == 0 {
+        ("paper", weights(draws))
+    } else {
+        ("paper_id", shape.edge(ints[0]))
+    }];
+    if bits & 2 != 0 {
+        members.push(("delta_p", shape.edge(ints[1])));
+    }
+    if bits & 4 != 0 {
+        members.push(("top_k", shape.edge(ints[2])));
+    }
+    if bits & 8 != 0 {
+        members.push(("exclude", Json::Arr(vec![shape.edge(ints[3])])));
+    }
+    if bits & 16 != 0 {
+        let pruning = ["exact", "auto", "topk:2"][(bits >> 5) as usize % 3];
+        members.push(("pruning", Json::Str(pruning.into())));
+    }
+    Json::obj(members)
+}
+
+/// Render one drawn request line: its op and its text.
+fn request(shape: &Shape, (kind, ints, draws, bits): &LineDraw) -> (&'static str, String) {
+    let kind_of = |name: &str| ("kind", Json::Str(name.into()));
+    let (op, mut members) = match kind {
+        0..=2 => {
+            let Json::Obj(members) = query(shape, ints, draws, *bits) else { unreachable!() };
+            ("jra", members)
+        }
+        3 | 4 => {
+            let swapped: Vec<usize> = ints.iter().rev().copied().collect();
+            let entries =
+                [query(shape, ints, draws, *bits), query(shape, &swapped, draws, bits >> 8)];
+            ("batch", vec![("queries".to_string(), Json::Arr(entries.to_vec()))])
+        }
+        5 | 6 => {
+            let update = match (bits >> 8) % 4 {
+                0 => vec![
+                    kind_of("add_paper"),
+                    ("topics", weights(draws)),
+                    ("coi", Json::Arr(vec![shape.edge(ints[0])])),
+                ],
+                1 if shape.reviewers < MAX_R => {
+                    vec![kind_of("add_reviewer"), ("expertise", weights(draws))]
+                }
+                2 => vec![kind_of("retire_reviewer"), ("reviewer", shape.edge(ints[0]))],
+                _ => vec![
+                    kind_of("patch_scores"),
+                    ("reviewer", shape.edge(ints[0])),
+                    ("expertise", weights(draws)),
+                ],
+            };
+            ("update", vec![("updates".to_string(), Json::Arr(vec![Json::obj(update)]))])
+        }
+        _ => {
+            let method =
+                (bits & 1 != 0).then(|| ("method".to_string(), Json::Str("greedy".into())));
+            ("assign", method.into_iter().collect())
+        }
+    };
+    members.insert(0, ("op".to_string(), Json::Str(op.into())));
+    if bits & (1 << 30) != 0 {
+        members.insert(0, ("v".to_string(), Json::Num(2.0)));
+    }
+    (op, Json::Obj(members).to_string())
+}
+
+/// Does `results` hold at least one group, each with a finite score?
+fn groups_ok(results: Option<&Json>) -> bool {
+    results.and_then(Json::as_arr).is_some_and(|groups| {
+        !groups.is_empty()
+            && groups
+                .iter()
+                .all(|g| g.get("score").and_then(Json::as_f64).is_some_and(f64::is_finite))
+    })
+}
+
+/// A structured error, or an answer whose every JRA result holds at least
+/// one group and whose every score and coverage is finite.
+fn reply_ok(op: &str, reply: &Json) -> bool {
+    let ok = |v: &Json| v.get("ok").and_then(Json::as_bool);
+    let failed = |v: &Json| ok(v) == Some(false) && v.get("error").and_then(Json::as_str).is_some();
+    match ok(reply) {
+        Some(false) => failed(reply),
+        Some(true) => match op {
+            "jra" => groups_ok(reply.get("results")),
+            "batch" => reply.get("results").and_then(Json::as_arr).is_some_and(|entries| {
+                entries
+                    .iter()
+                    .all(|e| failed(e) || (ok(e) == Some(true) && groups_ok(e.get("results"))))
+            }),
+            "assign" => reply.get("coverage").and_then(Json::as_f64).is_some_and(f64::is_finite),
+            _ => true,
+        },
+        None => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Well-formed `jra`, `batch`, `update` and `assign` lines whose integer
+    /// members are drawn from {0, 1, δp, R−1, R, R+1, 2³¹, u32::MAX} and
+    /// whose weights from [`EDGE_WEIGHTS`], through the whole server. Every
+    /// reply parses back as rendered and passes [`reply_ok`], and a closing
+    /// `stats` still answers.
+    #[test]
+    fn hostile_values_get_answers_or_structured_errors(
+        inst in tiny_instance(),
+        lines in proptest::collection::vec(line_draw(), 1..10),
+    ) {
+        let mut shape = Shape { delta_p: inst.delta_p(), reviewers: inst.num_reviewers() };
+        let service = Service::new(inst, Scoring::WeightedCoverage, 0);
+        let frontend = Frontend::with_defaults(Arc::new(service));
+        for draw in &lines {
+            let (op, line) = request(&shape, draw);
+            let reply = handle_line(&frontend, &line);
+            prop_assert!(reply_ok(op, &reply), "{line}\n -> {reply:?}");
+            let text = reply.to_string();
+            prop_assert!(json::parse(&text).is_ok_and(|back| back == reply), "{text}");
+            if op == "update" {
+                if let Some(r) = reply.get("reviewers").and_then(Json::as_usize) {
+                    shape.reviewers = r;
+                }
+            }
+        }
+        let stats = handle_line(&frontend, r#"{"op":"stats"}"#);
+        prop_assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
     }
 }

@@ -5,9 +5,10 @@
 //!    from-scratch [`Snapshot::build`] of the final instance (flat arrays,
 //!    CSR, candidate rows, inverted indexes), for all four scorings, whether
 //!    the updates land as one atomic batch or as one epoch each.
-//! 2. **Batched JRA determinism** — a [`JraBatch`] returns bit-identical
-//!    answers to solving its queries one at a time, under skewed per-query
-//!    cost, with the parallel feature on or off (positional writes).
+//! 2. **Batched JRA determinism** — a `batch` request through [`Service`]
+//!    returns bit-identical answers to solving its queries one at a time,
+//!    under skewed per-query cost, with the parallel feature on or off
+//!    (positional writes).
 //! 3. **Request canonicalization** (`api_contracts`) — semantically equal
 //!    [`SolveRequest`]s (reordered/duplicated excludes, defaulted vs
 //!    explicit knobs, paper by name vs by id) plan to identical
@@ -19,12 +20,13 @@
 //!    bound (including empty and single-observation histograms).
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use wgrap_core::engine::PruningPolicy;
 use wgrap_core::prelude::{Instance, Scoring};
 use wgrap_core::topic::TopicVector;
 use wgrap_service::testutil::{assert_snapshot_bit_eq, reference_apply};
-use wgrap_service::{JraBatch, JraQuery, QueryPaper, Update, VersionedStore};
+use wgrap_service::{
+    Answer, JraSpec, PaperRef, ServeOptions, Service, SolveRequest, Update, VersionedStore,
+};
 
 fn sparse_topic_vector(dim: usize) -> impl Strategy<Value = TopicVector> {
     (proptest::collection::vec(0.0..1.0f64, dim), proptest::collection::vec(any::<bool>(), dim))
@@ -197,9 +199,9 @@ proptest! {
     ///   feature on and off.
     /// * **Time travel** — every retained historical epoch stays readable
     ///   after later publishes: bit-identical to a reference replay of its
-    ///   update prefix, and an actual JRA solve against the oldest epoch
-    ///   completes crash-free even though newer epochs have since CoW'd
-    ///   pages away from it.
+    ///   update prefix, and a JRA query planned at the oldest epoch and
+    ///   executed after every publish answers at that epoch, crash-free,
+    ///   even though newer epochs have since CoW'd pages away from it.
     #[test]
     fn paged_equals_flat_and_retained_epochs_stay_readable(
         inst in instance_strategy(5),
@@ -208,7 +210,12 @@ proptest! {
     ) {
         let updates = resolve(&inst, &raws);
         for scoring in Scoring::ALL {
-            let store = VersionedStore::new(inst.clone(), scoring, seed);
+            let service = Service::from_store(
+                VersionedStore::new(inst.clone(), scoring, seed),
+                ServeOptions::default(),
+            );
+            let store = service.store();
+            let straggler = service.plan(&SolveRequest::jra(PaperRef::Id(0)));
             let mut retained = vec![store.snapshot()];
             for u in &updates {
                 store.apply(std::slice::from_ref(u)).expect("applies");
@@ -257,10 +264,10 @@ proptest! {
                 assert_snapshot_bit_eq(old, &want);
                 prop_assert_eq!(old.epoch(), k as u64);
             }
-            let mut batch = JraBatch::new(Arc::clone(&retained[0]), PruningPolicy::Auto);
-            batch.push(JraQuery::new(QueryPaper::Stored(0)));
-            let solved = batch.run().pop().unwrap();
-            prop_assert!(solved.is_ok(), "{:?}: time-travel solve failed: {:?}", scoring, solved);
+            let outcome = service.execute_plan(straggler).expect("a jra request executes");
+            prop_assert_eq!(outcome.diag.epoch, 0);
+            let Answer::Jra(answers) = &outcome.answer else { unreachable!("a jra request") };
+            prop_assert!(answers[0].is_ok(), "{:?}: time-travel solve failed: {:?}", scoring, answers);
         }
     }
 
@@ -287,9 +294,10 @@ proptest! {
 
 /// Batched JRA under deliberately skewed per-query cost: some queries are
 /// `δp = 3` searches over the full pool (expensive), some are `δp = 1`
-/// lookups (cheap). Under the `rayon` feature the batch self-schedules on
-/// the work-stealing pool; output must be the one-at-a-time sequence,
-/// query for query, bit for bit, under any worker count.
+/// lookups (cheap). Under the `rayon` feature the batch's misses
+/// self-schedule on the work-stealing pool; output must be the
+/// one-at-a-time sequence, query for query, bit for bit, under any worker
+/// count. Caching is off, so every query solves cold on both sides.
 #[test]
 fn skewed_batch_matches_one_at_a_time() {
     use rand::rngs::StdRng;
@@ -313,44 +321,47 @@ fn skewed_batch_matches_one_at_a_time() {
     let papers = gen(6);
     let reviewers = gen(36);
     let inst = Instance::new(papers, reviewers, 2, 1).unwrap();
-    let store = VersionedStore::new(inst, Scoring::WeightedCoverage, 0);
-    let snap = store.snapshot();
+    let options = ServeOptions { cache_cap: 0, ..ServeOptions::default() };
+    let service = Service::with_options(inst, Scoring::WeightedCoverage, 0, options);
 
     let query_papers = gen(30);
     for pruning in [PruningPolicy::Exact, PruningPolicy::Auto] {
-        let mut batch = JraBatch::new(Arc::clone(&snap), pruning);
-        let mut queries = Vec::new();
-        for (i, qp) in query_papers.iter().enumerate() {
-            let q = JraQuery {
+        let specs: Vec<JraSpec> = query_papers
+            .iter()
+            .enumerate()
+            .map(|(i, qp)| JraSpec {
                 // Skew: every 5th query is a heavy δp=3 search, the rest
                 // are cheap δp=1 lookups; sprinkle stored papers in too.
                 delta_p: Some(if i % 5 == 0 { 3 } else { 1 }),
                 top_k: 1 + i % 3,
-                ..JraQuery::new(if i % 7 == 0 {
-                    QueryPaper::Stored(i % 6)
+                pruning: Some(pruning),
+                ..JraSpec::new(if i % 7 == 0 {
+                    PaperRef::Id(i % 6)
                 } else {
-                    QueryPaper::Adhoc(qp.clone())
+                    PaperRef::Adhoc(qp.clone())
                 })
+            })
+            .collect();
+        let answers = |request: SolveRequest| {
+            let Answer::Jra(answers) = service.execute(&request).expect("executes").answer else {
+                unreachable!("a jra request")
             };
-            queries.push(q.clone());
-            batch.push(q);
-        }
-        let batched = batch.run();
-        assert_eq!(batched.len(), queries.len());
-        for (i, q) in queries.iter().enumerate() {
-            let mut single = JraBatch::new(Arc::clone(&snap), pruning);
-            single.push(q.clone());
-            let alone = single.run().pop().unwrap();
+            answers
+        };
+        let batched = answers(SolveRequest::JraBatch(specs.clone()));
+        assert_eq!(batched.len(), specs.len());
+        for (i, spec) in specs.into_iter().enumerate() {
+            let alone = answers(SolveRequest::Jra(spec)).pop().unwrap();
             match (&batched[i], &alone) {
                 (Ok(a), Ok(b)) => {
-                    assert_eq!(a.len(), b.len(), "{pruning:?} query {i}");
-                    for (x, y) in a.iter().zip(b) {
+                    assert_eq!(a.results.len(), b.results.len(), "{pruning:?} query {i}");
+                    for (x, y) in a.results.iter().zip(&b.results) {
                         assert_eq!(x.group, y.group, "{pruning:?} query {i}");
                         assert_eq!(x.score.to_bits(), y.score.to_bits(), "{pruning:?} query {i}");
                         assert_eq!(x.nodes, y.nodes, "{pruning:?} query {i}");
                     }
                 }
-                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (Err(a), Err(b)) => assert_eq!(a, b),
                 (a, b) => panic!("{pruning:?} query {i}: {a:?} vs {b:?}"),
             }
         }

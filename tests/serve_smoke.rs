@@ -485,9 +485,10 @@ fn serve_keeps_accepting_after_its_fd_table_fills() {
     assert!(accept_errors >= 1, "{metrics}");
 }
 
-/// A `top_k` far above the number of groups is answered with every group,
-/// not an up-front allocation sized by `top_k`: this line used to abort
-/// the server ("memory allocation of 128000000032 bytes failed").
+/// A `top_k` above `MAX_TOP_K` is refused at plan time with a structured
+/// error, and the session ends cleanly. This line once aborted the server
+/// ("memory allocation of 128000000032 bytes failed"), and then made the
+/// search visit and keep every group.
 #[test]
 fn serve_answers_a_huge_top_k() {
     let wgrap = env!("CARGO_BIN_EXE_wgrap");
@@ -500,7 +501,7 @@ fn serve_answers_a_huge_top_k() {
         "{\"op\":\"jra\",\"paper_id\":0,\"top_k\":4000000000}\n",
     );
     std::fs::remove_file(&path).ok();
-    assert!(got.starts_with("{\"ok\":true,\"op\":\"jra\""), "{got}");
+    assert_eq!(got, "{\"ok\":false,\"error\":\"invalid instance: top_k must be <= 1024\"}\n");
 }
 
 #[test]
