@@ -17,9 +17,10 @@
 //! coi alice p-17
 //! ```
 //!
-//! Weights must be non-negative; names must be unique per kind and contain
-//! no whitespace. The `topics`/`delta_p`/`delta_r` headers must appear
-//! before the first `reviewer`/`paper` line.
+//! Weights must be finite and non-negative, and each line's weights must
+//! sum to 0 or a finite normal number; names must be unique per kind and
+//! contain no whitespace. The `topics`/`delta_p`/`delta_r` headers must
+//! appear before the first `reviewer`/`paper` line.
 //!
 //! # Assignment format
 //!
@@ -298,6 +299,10 @@ coi alice p-17
                 "unknown reviewer",
             ),
             ("topics 1\ndelta_p 1\ndelta_r 1\nreviewer a -1.0\n", "must be finite"),
+            (
+                "topics 3\ndelta_p 1\ndelta_r 1\nreviewer a 1 0 0\npaper p 5e-324 5e-324 0\n",
+                "paper 0 weights must sum to 0 or a finite normal number",
+            ),
         ];
         for (text, needle) in cases {
             let err = parse_instance(text).unwrap_err().to_string();

@@ -28,6 +28,8 @@ impl Instance {
     /// Build and validate an instance. Checks:
     ///
     /// * consistent topic dimension across all vectors,
+    /// * every vector's weight sum is usable as a score denominator
+    ///   ([`TopicVector::has_usable_total`]),
     /// * `1 ≤ δp ≤ R`, `δr ≥ 1`,
     /// * capacity arithmetic `R·δr ≥ P·δp` (the paper's standing
     ///   assumption that there are enough reviewers).
@@ -42,6 +44,11 @@ impl Instance {
             return Err(Error::InvalidInstance(
                 "all topic vectors must share one dimension".into(),
             ));
+        }
+        for (kind, vectors) in [("paper", &papers), ("reviewer", &reviewers)] {
+            if let Some(i) = vectors.iter().position(|v| !v.has_usable_total()) {
+                return Err(unusable_total(&format!("{kind} {i}")));
+            }
         }
         if reviewers.is_empty() {
             return Err(Error::InvalidInstance("no reviewers".into()));
@@ -212,14 +219,14 @@ impl Instance {
     }
 
     /// Replace the reviewer vectors (h-index scaling, Eq. 15). The new
-    /// vectors must keep the same count and dimension.
+    /// vectors must keep the same count and pass
+    /// [`check_vector`](Self::check_vector).
     pub fn with_reviewers(mut self, reviewers: Vec<TopicVector>) -> Result<Self> {
-        if reviewers.len() != self.reviewers.len()
-            || reviewers.iter().any(|v| v.dim() != self.num_topics())
-        {
-            return Err(Error::InvalidInstance(
-                "replacement reviewers must match count and dimension".into(),
-            ));
+        if reviewers.len() != self.reviewers.len() {
+            return Err(Error::InvalidInstance("replacement reviewers must match count".into()));
+        }
+        for v in &reviewers {
+            self.check_vector("reviewer", v)?;
         }
         self.reviewers = reviewers;
         Ok(self)
@@ -235,13 +242,7 @@ impl Instance {
     /// it mutates only the paper list, so every derived view can extend
     /// itself without rebuilding.
     pub fn push_paper(&mut self, name: Option<String>, paper: TopicVector) -> Result<usize> {
-        if paper.dim() != self.num_topics() {
-            return Err(Error::InvalidInstance(format!(
-                "paper dimension {} != instance dimension {}",
-                paper.dim(),
-                self.num_topics()
-            )));
-        }
+        self.check_vector("paper", &paper)?;
         let capacity = self.reviewers.len().saturating_mul(self.delta_r);
         let demand = (self.papers.len() + 1).saturating_mul(self.delta_p);
         if capacity < demand {
@@ -259,13 +260,7 @@ impl Instance {
     /// Returns the new reviewer's index. Name handling as in
     /// [`Instance::push_paper`].
     pub fn push_reviewer(&mut self, name: Option<String>, reviewer: TopicVector) -> Result<usize> {
-        if reviewer.dim() != self.num_topics() {
-            return Err(Error::InvalidInstance(format!(
-                "reviewer dimension {} != instance dimension {}",
-                reviewer.dim(),
-                self.num_topics()
-            )));
-        }
+        self.check_vector("reviewer", &reviewer)?;
         let r = self.reviewers.len();
         self.attach_name(true, name, r);
         self.reviewers.push(reviewer);
@@ -283,14 +278,26 @@ impl Instance {
                 self.reviewers.len()
             )));
         }
-        if expertise.dim() != self.num_topics() {
+        self.check_vector("reviewer", &expertise)?;
+        self.reviewers[r] = expertise;
+        Ok(())
+    }
+
+    /// Check a vector that is to be scored against this instance as a
+    /// `kind` (`"paper"`, `"reviewer"`, `"query paper"`): it must have the
+    /// instance's dimension and a usable weight sum
+    /// ([`TopicVector::has_usable_total`]).
+    pub fn check_vector(&self, kind: &str, v: &TopicVector) -> Result<()> {
+        if v.dim() != self.num_topics() {
             return Err(Error::InvalidInstance(format!(
-                "reviewer dimension {} != instance dimension {}",
-                expertise.dim(),
+                "{kind} dimension {} != instance dimension {}",
+                v.dim(),
                 self.num_topics()
             )));
         }
-        self.reviewers[r] = expertise;
+        if !v.has_usable_total() {
+            return Err(unusable_total(kind));
+        }
         Ok(())
     }
 
@@ -320,6 +327,11 @@ impl Instance {
         inst.reviewer_names = self.reviewer_names.clone();
         Ok(inst)
     }
+}
+
+/// The error for a vector that fails [`TopicVector::has_usable_total`].
+fn unusable_total(what: &str) -> Error {
+    Error::InvalidInstance(format!("{what} weights must sum to 0 or a finite normal number"))
 }
 
 #[cfg(test)]
@@ -429,6 +441,29 @@ mod tests {
         assert!(inst.push_paper(None, tv(&[1.0, 0.0])).is_err());
         // Dimension mismatch rejected.
         assert!(inst.push_reviewer(None, tv(&[1.0])).is_err());
+    }
+
+    #[test]
+    fn unusable_weight_sums_never_enter() {
+        let sum = "weights must sum to 0 or a finite normal number";
+        let subnormal = || tv(&[5e-324, 5e-324]);
+        let err = Instance::new(vec![tv(&[1.0, 0.0]), subnormal()], vec![tv(&[0.5, 0.5])], 1, 2)
+            .unwrap_err();
+        assert_eq!(err.to_string(), format!("invalid instance: paper 1 {sum}"));
+        let err =
+            Instance::new(vec![tv(&[1.0, 0.0])], vec![tv(&[1e308, 1e308])], 1, 1).unwrap_err();
+        assert_eq!(err.to_string(), format!("invalid instance: reviewer 0 {sum}"));
+        let mut inst = tiny();
+        let err = inst.push_paper(None, subnormal()).unwrap_err();
+        assert_eq!(err.to_string(), format!("invalid instance: paper {sum}"));
+        assert!(inst.push_reviewer(None, subnormal()).is_err());
+        assert!(inst.set_reviewer_vector(0, subnormal()).is_err());
+        assert!(inst.clone().with_reviewers(vec![subnormal(); 3]).is_err());
+        assert_eq!((inst.num_papers(), inst.num_reviewers()), (2, 3));
+        assert_eq!(inst.reviewer(0), &tv(&[0.3, 0.7]));
+        // Tiny but normal sums, and zero vectors, stay welcome.
+        inst.push_paper(None, tv(&[1e-300, 1e-300])).unwrap();
+        inst.set_reviewer_vector(0, tv(&[0.0, -0.0])).unwrap();
     }
 
     #[test]

@@ -65,6 +65,15 @@ impl TopicVector {
         self.weights.iter().sum()
     }
 
+    /// Can scores divide by [`total`](Self::total)? Only when it is 0 (the
+    /// empty vector, which scores 0) or a finite normal number: a
+    /// subnormal sum overflows `1/Σ` to infinity, and an infinite sum
+    /// turns every share of it into 0 or NaN.
+    pub fn has_usable_total(&self) -> bool {
+        let total = self.total();
+        total == 0.0 || total.is_normal()
+    }
+
     /// A copy rescaled to sum to 1 (no-op direction preserved). Returns the
     /// uniform vector when the total is zero.
     pub fn normalized(&self) -> Self {
@@ -151,6 +160,16 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_weight_rejected() {
         TopicVector::new(vec![0.5, -0.1]);
+    }
+
+    #[test]
+    fn usable_totals_are_zero_or_normal() {
+        for ok in [vec![0.0, -0.0], vec![1e-300, 1e-300], vec![0.5, 0.5], vec![1e308, 0.0]] {
+            assert!(TopicVector::new(ok.clone()).has_usable_total(), "{ok:?}");
+        }
+        for bad in [vec![5e-324, 5e-324], vec![3e-309, 0.0], vec![1e308, 1e308]] {
+            assert!(!TopicVector::new(bad.clone()).has_usable_total(), "{bad:?}");
+        }
     }
 
     #[test]

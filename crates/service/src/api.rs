@@ -228,7 +228,8 @@ pub(crate) enum QueryPaper {
 ///
 /// Only [`Service::plan`] builds one, after every per-query check passed
 /// against the admitted snapshot, in this order: the paper (a known name,
-/// an id below `P`, or an ad-hoc vector of the instance's dimension), then
+/// an id below `P`, or an ad-hoc vector that passes
+/// [`Instance::check_vector`]), then
 /// `delta_p`, then `top_k`, then the excludes. Its fields stay private to
 /// the crate because its ids are valid for that snapshot alone; solving it
 /// there can fail only when conflicts and excludes leave fewer than
@@ -283,23 +284,32 @@ pub enum PlanAction {
 /// An admitted, canonicalized request: the epoch is pinned (solves run
 /// lock-free on the snapshot even while updates build), the effective
 /// knobs are resolved, and the [`RequestKey`] identifies the work.
+///
+/// Its fields are read-only outside the crate: the planned queries were
+/// checked against this snapshot alone, so the two never part.
 #[derive(Debug)]
 pub struct Plan {
-    /// The request's canonical identity (`None` for `Update`/`Stats`,
-    /// which are not cacheable).
-    pub key: Option<RequestKey>,
-    /// The snapshot the request was admitted at.
-    pub snapshot: Arc<Snapshot>,
-    /// The resolved action.
-    pub action: PlanAction,
-    /// Wall time spent planning (admission + canonicalization).
-    pub plan_time: Duration,
+    pub(crate) key: Option<RequestKey>,
+    pub(crate) snapshot: Arc<Snapshot>,
+    pub(crate) action: PlanAction,
+    pub(crate) plan_time: Duration,
 }
 
 impl Plan {
+    /// The request's canonical identity (`None` for `Update`/`Stats`,
+    /// which are not cacheable, and for a batch with a failed entry).
+    pub fn key(&self) -> Option<&RequestKey> {
+        self.key.as_ref()
+    }
+
     /// The epoch this plan was admitted at.
     pub fn epoch(&self) -> u64 {
         self.snapshot.epoch()
+    }
+
+    /// The resolved action.
+    pub fn action(&self) -> &PlanAction {
+        &self.action
     }
 }
 
@@ -787,7 +797,7 @@ impl Service {
         spec: &JraSpec,
     ) -> std::result::Result<PlannedQuery, String> {
         let inst = snapshot.instance();
-        let (num_p, num_r, num_t) = (inst.num_papers(), inst.num_reviewers(), inst.num_topics());
+        let (num_p, num_r) = (inst.num_papers(), inst.num_reviewers());
         let invalid = |message: String| Error::InvalidInstance(message).to_string();
         let (paper, paper_key) = match &spec.paper {
             PaperRef::Id(p) if *p >= num_p => {
@@ -800,13 +810,8 @@ impl Service {
                     .ok_or_else(|| format!("unknown paper '{name}'"))?;
                 (QueryPaper::Stored(p), format!("#{p}"))
             }
-            PaperRef::Adhoc(v) if v.dim() != num_t => {
-                return Err(invalid(format!(
-                    "query paper dimension {} != instance dimension {num_t}",
-                    v.dim()
-                )));
-            }
             PaperRef::Adhoc(v) => {
+                inst.check_vector("query paper", v).map_err(|e| e.to_string())?;
                 // Exact canonical form: the non-zero entries' bit patterns.
                 // Explicit zeros are dropped — adding `±0.0` terms is an
                 // exact no-op in every scoring, so vectors differing only
@@ -1358,12 +1363,31 @@ mod tests {
         assert_eq!(service.cache_counters().misses, 1, "only the valid entry probed the cache");
     }
 
+    /// Library values obey the weight-sum rule the wire parser applies: an
+    /// ad-hoc paper fails at plan time, an update fails its whole batch.
+    #[test]
+    fn unusable_weight_sums_are_refused_off_the_wire() {
+        let service = service();
+        let sum = "weights must sum to 0 or a finite normal number";
+        let plan = service.plan(&SolveRequest::jra(PaperRef::Adhoc(tv(&[5e-324, 5e-324, 0.0]))));
+        let PlanAction::Jra { queries, .. } = &plan.action else { panic!() };
+        assert_eq!(
+            queries[0].as_ref().unwrap_err(),
+            &format!("invalid instance: query paper {sum}")
+        );
+        let update = Update::AddPaper { name: None, topics: tv(&[0.0, 3e-309, 0.0]), coi: vec![] };
+        let err = service.execute(&SolveRequest::Update(vec![update])).unwrap_err();
+        assert_eq!(err.to_string(), format!("invalid instance: paper {sum}"));
+        assert_eq!((service.snapshot().epoch(), service.cache_counters().misses), (0, 0));
+    }
+
     #[test]
     fn excluding_everyone_is_infeasible() {
         let service = service();
         let outcome = service
             .execute(&SolveRequest::Jra(JraSpec {
                 exclude: vec![0, 1, 2, 3],
+                pruning: Some(PruningPolicy::Auto),
                 ..JraSpec::new(PaperRef::Id(0))
             }))
             .unwrap();

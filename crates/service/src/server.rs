@@ -22,7 +22,9 @@
 //! Checks are split by what they need. The wire layer checks what a line
 //! alone determines: JSON syntax, member names and types, and each weight
 //! vector (`paper`, `topics`, `expertise`), whose weights must be finite
-//! and non-negative and whose sum must be 0 or a finite normal number.
+//! and non-negative and whose sum must be 0 or a finite normal number
+//! (the rule [`Instance::check_vector`](wgrap_core::prelude::Instance::check_vector)
+//! applies to every vector an instance takes in).
 //! Every check of a JRA query against the instance runs in
 //! [`Service::plan`](crate::api::Service::plan), before a `jra` takes a
 //! solve slot: paper names and ids, `delta_p`, `top_k` (at most
@@ -574,9 +576,10 @@ fn request_pruning(request: &Json) -> Result<Option<PruningPolicy>, String> {
 }
 
 /// Parse one weight vector: the `paper` of a query, an added paper's
-/// `topics`, or an `expertise` row. A weight sum that is subnormal or
-/// infinite is refused: scores divide by it, and `1/Σ` then overflows to
-/// infinity (scores turn NaN) or underflows to 0.
+/// `topics`, or an `expertise` row. A weight sum scores cannot divide by
+/// ([`TopicVector::has_usable_total`]) fails the line here, naming the
+/// member; the instance and the planner refuse it too, for vectors that
+/// do not arrive over the wire.
 fn parse_topics(value: &Json, what: &str) -> Result<TopicVector, String> {
     let arr = value.as_arr().ok_or_else(|| format!("\"{what}\" must be an array of numbers"))?;
     let mut weights = Vec::with_capacity(arr.len());
@@ -588,8 +591,7 @@ fn parse_topics(value: &Json, what: &str) -> Result<TopicVector, String> {
         weights.push(n);
     }
     let topics = TopicVector::new(weights);
-    let total = topics.total();
-    if total != 0.0 && !total.is_normal() {
+    if !topics.has_usable_total() {
         return Err(format!("\"{what}\" weights must sum to 0 or a finite normal number"));
     }
     Ok(topics)

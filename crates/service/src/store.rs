@@ -892,8 +892,9 @@ mod tests {
     /// share a lock with the publish swap.
     #[test]
     fn jra_admitted_while_update_is_mid_build() {
-        use crate::api::{Answer, PaperRef, ServeOptions, Service, SolveRequest};
+        use crate::api::{Answer, JraSpec, PaperRef, ServeOptions, Service, SolveRequest};
         use std::sync::mpsc;
+        use wgrap_core::engine::PruningPolicy;
 
         let store = VersionedStore::new(base(), Scoring::WeightedCoverage, 0);
         let service = Arc::new(Service::from_store(store, ServeOptions::default()));
@@ -917,7 +918,11 @@ mod tests {
         };
         in_build_rx.recv().expect("builder reached mid-build");
         // The build is parked right now. Admission + solve must complete.
-        let outcome = service.execute(&SolveRequest::jra(PaperRef::Id(0))).expect("executes");
+        let request = SolveRequest::Jra(JraSpec {
+            pruning: Some(PruningPolicy::Auto),
+            ..JraSpec::new(PaperRef::Id(0))
+        });
+        let outcome = service.execute(&request).expect("executes");
         assert_eq!(outcome.diag.epoch, 0, "admitted at the still-current epoch");
         let Answer::Jra(answers) = &outcome.answer else { unreachable!("a jra request") };
         assert!(answers[0].is_ok(), "jra solved during the in-flight build");

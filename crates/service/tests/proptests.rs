@@ -215,7 +215,12 @@ proptest! {
                 ServeOptions::default(),
             );
             let store = service.store();
-            let straggler = service.plan(&SolveRequest::jra(PaperRef::Id(0)));
+            // Auto reads epoch 0's candidate rows and runs the pooled
+            // search on pages newer epochs copy away.
+            let straggler = service.plan(&SolveRequest::Jra(JraSpec {
+                pruning: Some(PruningPolicy::Auto),
+                ..JraSpec::new(PaperRef::Id(0))
+            }));
             let mut retained = vec![store.snapshot()];
             for u in &updates {
                 store.apply(std::slice::from_ref(u)).expect("applies");
@@ -431,7 +436,7 @@ mod api_contracts {
                 exclude: spelled_excludes,
                 pruning: Some(PruningPolicy::Exact), // the service default
             });
-            let (ka, kb) = (service.plan(&a).key, service.plan(&b).key);
+            let (ka, kb) = (service.plan(&a).key().cloned(), service.plan(&b).key().cloned());
             prop_assert!(ka.is_some());
             prop_assert_eq!(&ka, &kb);
 
@@ -443,7 +448,7 @@ mod api_contracts {
                 exclude: excludes.clone(),
                 pruning: None,
             });
-            prop_assert_ne!(&service.plan(&c).key, &ka);
+            prop_assert_ne!(service.plan(&c).key().cloned(), ka.clone());
             let d = SolveRequest::Jra(JraSpec {
                 paper: PaperRef::Id(p),
                 delta_p: None,
@@ -451,7 +456,7 @@ mod api_contracts {
                 exclude: excludes,
                 pruning: Some(PruningPolicy::Auto),
             });
-            prop_assert_ne!(&service.plan(&d).key, &ka);
+            prop_assert_ne!(service.plan(&d).key().cloned(), ka.clone());
         }
 
         /// The acceptance contract: a cache hit is bit-identical to a cold
@@ -607,7 +612,7 @@ mod lru_cache {
                     let distinct_keys: std::collections::BTreeSet<String> = picks
                         .iter()
                         .filter_map(|&(sel, k)| {
-                            reference.plan(&SolveRequest::Jra(pool(sel, k))).key
+                            reference.plan(&SolveRequest::Jra(pool(sel, k))).key().cloned()
                         })
                         .map(|key| key.to_string())
                         .collect();

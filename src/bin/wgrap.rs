@@ -357,7 +357,15 @@ fn cmd_journal(flags: &Flags) -> Result<()> {
     spec.top_k = flags.top_k.unwrap_or(1);
     let outcome = service.execute(&SolveRequest::Jra(spec))?;
     let Answer::Jra(answers) = &outcome.answer else { unreachable!("jra answer") };
-    let answer = answers[0].as_ref().map_err(|e| Error::InvalidInstance(e.clone()))?;
+    let answer = match &answers[0] {
+        Ok(answer) => answer,
+        // The query's error is already rendered (`invalid instance: …`,
+        // `infeasible: …`); report it as `main` reports an `Error`.
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    };
     let snapshot = service.snapshot();
     for (i, res) in answer.results.iter().enumerate() {
         let names: Vec<String> =

@@ -504,6 +504,41 @@ fn serve_answers_a_huge_top_k() {
     assert_eq!(got, "{\"ok\":false,\"error\":\"invalid instance: top_k must be <= 1024\"}\n");
 }
 
+/// `wgrap journal` reports a refused query or instance once, with the
+/// same `error: ` line `main` prints for every other failure, and exits 1.
+#[test]
+fn journal_reports_refusals_once() {
+    let wgrap = env!("CARGO_BIN_EXE_wgrap");
+    let journal = |args: &[&str]| {
+        let out = Command::new(wgrap).arg("journal").args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    let fixture = format!("{FIXTURES}/serve.wgrap");
+    assert_eq!(
+        journal(&[&fixture, "p-23", "--top-k", "2000"]),
+        "error: invalid instance: top_k must be <= 1024\n"
+    );
+    assert_eq!(
+        journal(&[&fixture, "p-23", "--top-k", "0"]),
+        "error: invalid instance: top_k must be >= 1\n"
+    );
+    // A weight sum scores cannot divide by never enters an instance.
+    let path = std::env::temp_dir().join(format!("wgrap-smoke-sum-{}.wgrap", std::process::id()));
+    std::fs::write(
+        &path,
+        "topics 3\ndelta_p 1\ndelta_r 1\nreviewer a 1 0 0\npaper p 5e-324 5e-324 0\n",
+    )
+    .unwrap();
+    let got = journal(&[path.to_str().unwrap(), "p"]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        got,
+        "error: invalid instance: paper 0 weights must sum to 0 or a finite normal number\n"
+    );
+}
+
 #[test]
 fn serve_rejects_missing_instance() {
     let out = Command::new(env!("CARGO_BIN_EXE_wgrap"))
