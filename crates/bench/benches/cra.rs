@@ -1,15 +1,14 @@
 //! The Table 4 story: the CRA methods on a scaled-down DB08 instance,
 //! dispatched through the engine's Solver trait over one shared
-//! ScoreContext, plus the flow-vs-Hungarian SDGA stage backend ablation.
-//! Records land in `BENCH_cra.json`.
+//! ScoreContext. Records land in `BENCH_cra.json`.
 //!
-//! `counts.coverage` is each method's total coverage `c(A)`. It is
-//! deterministic, so a kernel change that claims the same answers must
-//! leave it unchanged while the times move.
+//! `counts.coverage` is each method's total coverage `c(A)` (and
+//! `counts.rounds` the SRA rounds). Both are deterministic, so a kernel
+//! change that claims the same answers must leave them unchanged while the
+//! times move; CI pins them against the committed file.
 
 use wgrap_bench::report::BenchReport;
 use wgrap_core::assignment::Assignment;
-use wgrap_core::cra::sdga::LapBackend;
 use wgrap_core::cra::sra;
 use wgrap_core::engine::{
     GreedySolver, PruningPolicy, ScoreContext, SdgaSolver, Solver, StableMatchingSolver,
@@ -67,27 +66,9 @@ fn bench_methods(report: &mut BenchReport) {
     );
 }
 
-fn bench_sdga_backends(report: &mut BenchReport) {
-    // DESIGN.md ablation: flow vs Hungarian stage backend.
-    let inst = area_instance(&scaled_db08(8), 3, 2);
-    let ctx = ScoreContext::new(&inst, SCORING);
-    let params = params(&inst);
-    for (label, backend) in [("flow", LapBackend::Flow), ("hungarian", LapBackend::Hungarian)] {
-        let solver = SdgaSolver { backend, ..Default::default() };
-        report.timed(
-            &format!("sdga_backend_ablation/{label}"),
-            &params,
-            REPS,
-            || solver.solve(&ctx).unwrap(),
-            |a| vec![("coverage", a.coverage_score(&inst, SCORING))],
-        );
-    }
-}
-
 fn main() {
     let mut report = BenchReport::new("cra");
     bench_methods(&mut report);
-    bench_sdga_backends(&mut report);
     let path = report.write().expect("write BENCH_cra.json");
     println!("wrote {}", path.display());
 }

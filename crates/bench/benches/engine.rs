@@ -44,7 +44,7 @@ fn bench_instance() -> Instance {
 }
 
 /// One stage-matrix build: every paper's marginal-gain row over all
-/// reviewers, exactly the kernel `solve_stage` runs per SDGA stage.
+/// reviewers, the gain kernel an unpruned SDGA stage runs.
 fn build_stage_rows<G: GainProvider>(gains: &G, row: &mut [f64]) -> f64 {
     let mut acc = 0.0;
     for p in 0..gains.num_papers() {

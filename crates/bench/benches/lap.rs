@@ -1,14 +1,17 @@
-//! The linear-assignment substrate: the Hungarian algorithm vs min-cost
-//! flow on square unit-capacity problems and on the SDGA stage shape.
-//! Records land in `BENCH_lap.json`.
+//! The linear-assignment substrate: the Hungarian oracle vs the min-cost
+//! flow front-end (`SparseMatrix::solve_capacitated`, the one product
+//! kernel) on square unit-capacity problems and on the SDGA stage shape.
+//! Records land in `BENCH_lap.json`; they are the evidence a faster stage
+//! kernel must beat.
 //!
 //! `counts.weight` is each solve's matched weight. Both kernels are exact,
-//! so the two records of one shape must agree on it up to rounding.
+//! so the two records of one shape must agree on it up to rounding; CI
+//! pins it against the committed file.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use wgrap_bench::report::BenchReport;
-use wgrap_lap::{hungarian_max, CapacitatedAssignment, CostMatrix};
+use wgrap_lap::{hungarian_max, CostMatrix, SparseMatrix};
 
 const REPS: usize = 10;
 
@@ -28,12 +31,12 @@ fn bench_square(report: &mut BenchReport) {
             || hungarian_max(&w).expect("square matrix matches"),
             |sol| vec![("weight", sol.objective)],
         );
-        let caps = vec![1i64; n];
+        let (edges, caps) = (SparseMatrix::from_dense(&w), vec![1i64; n]);
         report.timed(
             &format!("lap_square_unit_caps/flow/{n}"),
             &params,
             REPS,
-            || CapacitatedAssignment::new(&w, &caps).solve(),
+            || edges.solve_capacitated(&caps).expect("weights in range"),
             |sol| vec![("weight", sol.objective)],
         );
     }
@@ -41,17 +44,17 @@ fn bench_square(report: &mut BenchReport) {
 
 fn bench_stage_shape(report: &mut BenchReport) {
     // SDGA stage shape: P papers x R reviewers, reviewer capacity cap.
-    // Hungarian needs slot expansion (R*cap columns); flow handles caps
-    // natively — this is the ablation behind defaulting to flow.
+    // Hungarian needs slot expansion (R*cap columns); flow takes the caps
+    // as column capacities.
     let (p, r, cap) = (154usize, 26usize, 6i64); // DB08 / 4 at delta_p = 3
     let w = random_weights(p, r, 9);
-    let caps = vec![cap; r];
+    let (edges, caps) = (SparseMatrix::from_dense(&w), vec![cap; r]);
     let params = [("rows", p as f64), ("cols", r as f64), ("cap", cap as f64)];
     report.timed(
         "lap_sdga_stage_shape/flow_capacitated",
         &params,
         REPS,
-        || CapacitatedAssignment::new(&w, &caps).solve(),
+        || edges.solve_capacitated(&caps).expect("weights in range"),
         |sol| vec![("weight", sol.objective)],
     );
     report.timed(

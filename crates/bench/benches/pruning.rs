@@ -32,7 +32,7 @@ use wgrap_core::engine::{
     CandidateSet, GainProvider, GainTable, PruningPolicy, ScoreContext, SdgaSolver, Solver,
 };
 use wgrap_core::prelude::{Instance, Scoring, TopicVector};
-use wgrap_lap::{CostMatrix, SparseMatrix};
+use wgrap_lap::SparseMatrix;
 
 const P: usize = 5_000;
 const R: usize = 10_000;
@@ -63,7 +63,8 @@ fn sparse_instance(p: usize, r: usize, t: usize, seed: u64) -> Instance {
 }
 
 /// One pruned SDGA stage from empty groups: candidate gain rows feeding the
-/// sparse flow solve (the kernel `solve_stage_sparse` runs per stage).
+/// sparse flow solve (what the SDGA stage builder runs per stage under
+/// `TopK`).
 fn sparse_stage(
     inst: &Instance,
     gains: &GainTable<'_, '_>,
@@ -81,19 +82,19 @@ fn sparse_stage(
     let sparse = SparseMatrix::from_rows(inst.num_reviewers(), rows);
     let nnz = sparse.memory_bytes();
     let caps = vec![stage_cap; inst.num_reviewers()];
-    let sol = sparse.solve_capacitated(&caps);
+    let sol = sparse.solve_capacitated(&caps).expect("weights in range");
     (sol.matched(), nnz)
 }
 
 /// The dense stage matrix (gain row per paper over all R reviewers) — the
 /// memory-bound build the sparse path replaces.
-fn dense_stage_matrix(inst: &Instance, gains: &GainTable<'_, '_>) -> CostMatrix {
+fn dense_stage_matrix(inst: &Instance, gains: &GainTable<'_, '_>) -> Vec<f64> {
     let num_r = inst.num_reviewers();
     let mut flat = vec![0.0f64; inst.num_papers() * num_r];
     for p in 0..inst.num_papers() {
         gains.gains_into(p, &mut flat[p * num_r..(p + 1) * num_r]);
     }
-    CostMatrix::from_flat(inst.num_papers(), num_r, flat)
+    flat
 }
 
 fn bench_full_scale(report: &mut BenchReport) {
@@ -152,9 +153,7 @@ fn bench_mid_scale_end_to_end(report: &mut BenchReport) {
     let dense = SdgaSolver::default().solve(&ctx).expect("dense sdga");
     let dense_t = dense_start.elapsed();
     let pruned_start = Instant::now();
-    let pruned = SdgaSolver { pruning: PruningPolicy::TopK(K), ..Default::default() }
-        .solve(&ctx)
-        .expect("pruned sdga");
+    let pruned = SdgaSolver { pruning: PruningPolicy::TopK(K) }.solve(&ctx).expect("pruned sdga");
     let pruned_t = pruned_start.elapsed();
     pruned.validate(&inst).expect("pruned assignment valid");
     let (ds, ps) = (

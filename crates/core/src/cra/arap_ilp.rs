@@ -14,7 +14,7 @@ use crate::engine::{PairMatrix, ScoreContext};
 use crate::error::{Error, Result};
 use crate::problem::Instance;
 use crate::score::Scoring;
-use wgrap_lap::flow::{MinCostFlow, COST_SCALE};
+use wgrap_lap::flow::{cost_shift, MinCostFlow, COST_SCALE};
 
 /// Exactly maximise the per-pair objective subject to the WGRAP constraints,
 /// over a [`ScoreContext`]'s flat pair-score matrix.
@@ -28,6 +28,12 @@ pub(crate) fn solve_impl(inst: &Instance, pairs: &PairMatrix) -> Result<Assignme
         return Ok(Assignment::empty(0));
     }
 
+    // Every pair, conflicted ones too: the shift fixes every cost, and so
+    // how equal-cost optima break ties.
+    let weights = (0..num_p).flat_map(|p| pairs.paper_row(p).iter().copied());
+    let shift = cost_shift(weights, num_p, num_p * inst.delta_p())
+        .map_err(|e| Error::InvalidInstance(format!("per-pair ILP: {e}")))?;
+
     // Node ids: 0 = source, 1..=P papers, P+1..=P+R reviewers, P+R+1 sink.
     let s = 0;
     let t = num_p + num_r + 1;
@@ -35,22 +41,13 @@ pub(crate) fn solve_impl(inst: &Instance, pairs: &PairMatrix) -> Result<Assignme
     for p in 0..num_p {
         net.add_edge(s, 1 + p, inst.delta_p() as i64, 0);
     }
-    let mut shift = 0.0f64;
-    let mut weights = vec![0.0; num_p * num_r];
-    for p in 0..num_p {
-        for r in 0..num_r {
-            let w = pairs.get(r, p);
-            weights[p * num_r + r] = w;
-            shift = shift.max(w);
-        }
-    }
     let mut pair_edge = vec![usize::MAX; num_p * num_r];
     for p in 0..num_p {
         for r in 0..num_r {
             if inst.is_coi(r, p) {
                 continue;
             }
-            let cost = ((shift - weights[p * num_r + r]) * COST_SCALE).round() as i64;
+            let cost = ((shift - pairs.get(r, p)) * COST_SCALE).round() as i64;
             pair_edge[p * num_r + r] = net.add_edge(1 + p, 1 + num_p + r, 1, cost);
         }
     }

@@ -17,7 +17,7 @@
 //! `c_B` — each stage simply maximises `gain + λ·bid` instead of `gain`,
 //! still a linear assignment problem.
 
-use super::sdga::{solve_stage_with_bonus, LapBackend};
+use super::sdga;
 use crate::assignment::Assignment;
 use crate::engine::{GainProvider, GainTable, ScoreContext};
 use crate::error::Result;
@@ -40,7 +40,7 @@ pub enum BidLevel {
 
 impl BidLevel {
     /// Numeric preference in `[0, 1]` (kept non-negative so stage weights
-    /// stay non-negative under every LAP backend).
+    /// stay non-negative).
     pub fn value(self) -> f64 {
         match self {
             BidLevel::No => 0.0,
@@ -112,34 +112,8 @@ pub(crate) fn solve_sdga_impl<P: GainProvider + Sync>(
     lambda: f64,
 ) -> Result<Assignment> {
     assert!(lambda >= 0.0, "negative preference weights are not supported");
-    let num_p = inst.num_papers();
-    let mut assignment = Assignment::empty(num_p);
-    if num_p == 0 {
-        return Ok(assignment);
-    }
-    let mut loads = vec![0usize; inst.num_reviewers()];
-    let stage_cap = inst.delta_r().div_ceil(inst.delta_p());
     let bonus = move |r: usize, p: usize| lambda * bids.get(r, p).value();
-
-    for _stage in 0..inst.delta_p() {
-        let papers: Vec<usize> = (0..num_p).collect();
-        let pairs = solve_stage_with_bonus(
-            inst,
-            gains,
-            &loads,
-            &assignment,
-            &papers,
-            stage_cap,
-            LapBackend::Flow,
-            &bonus,
-        )?;
-        for (r, p) in pairs {
-            assignment.assign(r, p);
-            gains.add(p, r);
-            loads[r] += 1;
-        }
-    }
-    Ok(assignment)
+    sdga::solve_impl(inst, gains, None, Some(&bonus))
 }
 
 #[cfg(test)]

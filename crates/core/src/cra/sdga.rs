@@ -11,13 +11,19 @@
 //! Guarantees (Theorems 1–2): `1 − 1/e` when `δp` divides `δr`, and
 //! `1 − (1 − 1/δp)^{δp−1} ≥ 1/2` in general.
 //!
-//! Two interchangeable LAP backends are provided (the paper suggests either
-//! the Hungarian algorithm or min-cost flow): flow handles reviewer slot
-//! capacities natively; Hungarian expands each reviewer into capacity-many
-//! slot columns. Their equality is an ablation bench (`benches/lap.rs`).
+//! Every stage is one linear assignment, which the paper solves "by the
+//! Hungarian algorithm or min-cost flow". Here it is one builder,
+//! `solve_stage`: each paper's edges are its feasible reviewers, or its
+//! candidate row under a pruning policy, and
+//! [`SparseMatrix::solve_capacitated`] solves them by min-cost flow with
+//! each reviewer's stage slots as a column capacity. SDGA stages, the SRA
+//! refill (§4.4) and bid-aware SDGA ([`super::bids`]) all run through it.
+//! Flow is the only product kernel: the Hungarian algorithm would expand a
+//! stage into a dense `P × Σcaps` slot matrix, the memory a pruned stage
+//! exists to avoid, so it stays in `wgrap_lap` as a test oracle.
 //!
 //! SDGA runs through [`SdgaSolver`](crate::engine::SdgaSolver), which picks
-//! the backend and the candidate pruning:
+//! the candidate pruning:
 //!
 //! ```
 //! use wgrap_core::engine::{ScoreContext, SdgaSolver, Solver};
@@ -39,46 +45,42 @@ use crate::assignment::Assignment;
 use crate::engine::{par, CandidateSet, GainProvider, GainTable, PruningPolicy, ScoreContext};
 use crate::error::{Error, Result};
 use crate::problem::Instance;
-use wgrap_lap::{hungarian_max, CapacitatedAssignment, CostMatrix, SparseMatrix};
+use wgrap_lap::SparseMatrix;
 
-/// Which linear-assignment solver runs each stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LapBackend {
-    /// Min-cost max-flow with per-reviewer slot capacities (default).
-    #[default]
-    Flow,
-    /// Hungarian algorithm on a slot-expanded matrix.
-    Hungarian,
-}
+/// An additive per-pair bonus `(reviewer, paper) → f64` on every stage
+/// gain. A *modular* bonus keeps the combined objective submodular, so the
+/// SDGA guarantee carries over; the bid-aware extension of [`super::bids`]
+/// plugs in this way.
+pub(crate) type Bonus<'a> = &'a (dyn Fn(usize, usize) -> f64 + Sync);
 
-/// Run SDGA over a [`ScoreContext`] (flat engine gains) with an explicit
-/// LAP backend under a candidate pruning policy; the certification rules
-/// are on [`SdgaSolver::pruning`](crate::engine::SdgaSolver::pruning).
+/// Run SDGA over a [`ScoreContext`] (flat engine gains) under a candidate
+/// pruning policy; the certification rules are on
+/// [`SdgaSolver::pruning`](crate::engine::SdgaSolver::pruning).
 pub(crate) fn solve_ctx_pruned(
     ctx: &ScoreContext<'_>,
-    backend: LapBackend,
     pruning: PruningPolicy,
 ) -> Result<Assignment> {
-    // Auto certifies only the dense stage; Exact is exact.
+    // Auto certifies only the full stage; Exact is exact.
     let cands = pruning.resolve_lossy(ctx);
-    solve_ctx_with_cands(ctx, backend, cands.as_ref())
+    solve_ctx_with_cands(ctx, cands.as_ref())
 }
 
 /// [`solve_ctx_pruned`] with a pre-built candidate set, so callers running
 /// several pruned phases over one context (SDGA-SRA) build the set once.
 pub(crate) fn solve_ctx_with_cands(
     ctx: &ScoreContext<'_>,
-    backend: LapBackend,
     cands: Option<&CandidateSet>,
 ) -> Result<Assignment> {
-    solve_impl(ctx.instance(), &mut GainTable::new(ctx), backend, cands)
+    solve_impl(ctx.instance(), &mut GainTable::new(ctx), cands, None)
 }
 
+/// Algorithm 2: `δp` stages, each placing one more reviewer on every paper
+/// with at most `⌈δr/δp⌉` new papers per reviewer.
 pub(crate) fn solve_impl<P: GainProvider + Sync>(
     inst: &Instance,
     gains: &mut P,
-    backend: LapBackend,
     cands: Option<&CandidateSet>,
+    bonus: Option<Bonus<'_>>,
 ) -> Result<Assignment> {
     let num_p = inst.num_papers();
     let mut assignment = Assignment::empty(num_p);
@@ -89,29 +91,7 @@ pub(crate) fn solve_impl<P: GainProvider + Sync>(
     let stage_cap = inst.delta_r().div_ceil(inst.delta_p());
 
     for _stage in 0..inst.delta_p() {
-        let papers: Vec<usize> = (0..num_p).collect();
-        let pairs = match cands {
-            Some(cs) => {
-                solve_stage_sparse(
-                    inst,
-                    gains,
-                    &loads,
-                    &assignment,
-                    &papers,
-                    stage_cap,
-                    backend,
-                    cs,
-                )
-                .or_else(|_| {
-                    // Candidate edges could not place every paper
-                    // (capacity knots outside the top-k lists): fall
-                    // back to the dense stage, which sees all pairs.
-                    solve_stage(inst, gains, &loads, &assignment, &papers, stage_cap, backend)
-                })?
-            }
-            None => solve_stage(inst, gains, &loads, &assignment, &papers, stage_cap, backend)?,
-        };
-        for (r, p) in pairs {
+        for (r, p) in solve_stage(inst, gains, &loads, &assignment, stage_cap, cands, bonus)? {
             assignment.assign(r, p);
             gains.add(p, r);
             loads[r] += 1;
@@ -120,79 +100,76 @@ pub(crate) fn solve_impl<P: GainProvider + Sync>(
     Ok(assignment)
 }
 
-/// One Stage-WGRAP solve (Definition 9): assign exactly one new reviewer to
-/// each paper in `papers`, maximising total marginal gain, with at most
-/// `stage_cap` new papers per reviewer this stage (and `δr` overall).
+/// One Stage-WGRAP solve (Definition 9): one new reviewer for every paper,
+/// maximising the total marginal gain (plus `bonus`), with at most
+/// `stage_cap` new papers per reviewer this stage and `δr` overall. The
+/// stochastic refinement's refill (§4.4) "can be completed by a linear
+/// assignment (similarly to the process at the last stage of SDGA)": it is
+/// this solve with `stage_cap = δr`. Returns `(reviewer, paper)` pairs.
 ///
-/// Shared with the stochastic refinement (§4.4), whose refill step "can be
-/// completed by a linear assignment (similarly to the process at the last
-/// stage of SDGA)".
+/// A paper's edges are its feasible reviewers (not full, not in conflict,
+/// not already in its group): those of its [`CandidateSet`] row when
+/// `cands` is given, otherwise all of them. When candidate edges cannot
+/// place every paper (capacity knots outside the top-k rows), the stage is
+/// solved again over all feasible reviewers. By submodularity a candidate
+/// stage's objective is within [`CandidateSet::stage_loss_bound`] of the
+/// full stage optimum. Rows build in parallel under the `rayon` feature,
+/// written positionally, so the edges are bit-identical either way.
 pub(crate) fn solve_stage<P: GainProvider + Sync>(
     inst: &Instance,
     gains: &P,
     loads: &[usize],
     assignment: &Assignment,
-    papers: &[usize],
     stage_cap: usize,
-    backend: LapBackend,
+    cands: Option<&CandidateSet>,
+    bonus: Option<Bonus<'_>>,
 ) -> Result<Vec<(usize, usize)>> {
-    solve_stage_with_bonus(inst, gains, loads, assignment, papers, stage_cap, backend, &|_, _| 0.0)
-}
-
-/// [`solve_stage`] with an additive per-pair bonus on every marginal gain.
-/// A *modular* bonus (constant per `(reviewer, paper)` pair) keeps the
-/// combined objective submodular, so the SDGA guarantee carries over — this
-/// is how the bid-aware extension of [`super::bids`] plugs in.
-///
-/// The cost matrix is built one paper-row at a time; rows are independent
-/// and written positionally, so with the `rayon` feature they build in
-/// parallel with bit-identical output.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_stage_with_bonus<P: GainProvider + Sync>(
-    inst: &Instance,
-    gains: &P,
-    loads: &[usize],
-    assignment: &Assignment,
-    papers: &[usize],
-    stage_cap: usize,
-    backend: LapBackend,
-    bonus: &(dyn Fn(usize, usize) -> f64 + Sync),
-) -> Result<Vec<(usize, usize)>> {
-    let num_r = inst.num_reviewers();
-    let rows = par::map_indexed(papers.len(), |i| {
-        let p = papers[i];
-        let mut row = vec![0.0f64; num_r];
-        gains.gains_into(p, &mut row);
-        for (r, w) in row.iter_mut().enumerate() {
-            if loads[r] >= inst.delta_r() || inst.is_coi(r, p) || assignment.group(p).contains(&r) {
-                *w = f64::NEG_INFINITY;
-            } else {
-                *w += bonus(r, p);
+    let (num_p, num_r) = (inst.num_papers(), inst.num_reviewers());
+    let caps = stage_caps(inst, loads, num_p, stage_cap);
+    let solve = |cands: Option<&CandidateSet>| {
+        let rows = par::map_indexed(num_p, |p| {
+            let (reviewers, row) = match cands {
+                Some(cs) => {
+                    let (rs, _) = cs.candidates(p);
+                    let mut row = vec![0.0f64; rs.len()];
+                    gains.gains_for(p, rs, &mut row);
+                    (Some(rs), row)
+                }
+                None => {
+                    let mut row = vec![0.0f64; num_r];
+                    gains.gains_into(p, &mut row);
+                    (None, row)
+                }
+            };
+            let mut edges = Vec::with_capacity(row.len());
+            for (i, &gain) in row.iter().enumerate() {
+                let r = reviewers.map_or(i, |rs| rs[i] as usize);
+                if loads[r] < inst.delta_r()
+                    && !inst.is_coi(r, p)
+                    && !assignment.group(p).contains(&r)
+                {
+                    edges.push((r as u32, bonus.map_or(gain, |b| gain + b(r, p))));
+                }
             }
-        }
-        row
-    });
-    let weights = CostMatrix::from_flat(papers.len(), num_r, rows.concat());
-    let caps = stage_caps(inst, loads, papers.len(), stage_cap);
-
-    let row_to_col = match backend {
-        LapBackend::Flow => CapacitatedAssignment::new(&weights, &caps).solve().row_to_col,
-        LapBackend::Hungarian => hungarian_slots(&weights, &caps),
+            edges
+        });
+        SparseMatrix::from_rows(num_r, rows)
+            .solve_capacitated(&caps)
+            .map_err(|e| Error::InvalidInstance(format!("stage assignment: {e}")))
     };
-
-    let mut out = Vec::with_capacity(papers.len());
-    for (i, col) in row_to_col.into_iter().enumerate() {
-        match col {
-            Some(r) => out.push((r, papers[i])),
-            None => {
-                return Err(Error::Infeasible(format!(
-                    "stage assignment could not place paper {}",
-                    papers[i]
-                )))
-            }
-        }
+    let mut sol = solve(cands)?;
+    if cands.is_some() && sol.matched() < num_p {
+        sol = solve(None)?;
     }
-    Ok(out)
+    sol.row_to_col
+        .into_iter()
+        .enumerate()
+        .map(|(p, r)| {
+            r.map(|r| (r, p)).ok_or_else(|| {
+                Error::Infeasible(format!("stage assignment could not place paper {p}"))
+            })
+        })
+        .collect()
 }
 
 /// Per-reviewer slot capacities for one stage: `min(stage_cap, δr − load)`,
@@ -231,77 +208,6 @@ fn stage_caps(inst: &Instance, loads: &[usize], num_papers: usize, stage_cap: us
     caps
 }
 
-/// [`solve_stage`] over candidate edges only: each paper's row holds its
-/// feasible [`CandidateSet`] entries (marginal gain as weight) and the
-/// linear assignment runs on the [`SparseMatrix`] entry point — `O(Σ_p k_p)`
-/// edges and score state instead of `O(P·R)`. Errors when some paper cannot
-/// be placed inside the candidate edges (the caller falls back to the dense
-/// stage); by submodularity the stage objective is within
-/// [`CandidateSet::stage_loss_bound`] of the dense stage optimum.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_stage_sparse<P: GainProvider + Sync>(
-    inst: &Instance,
-    gains: &P,
-    loads: &[usize],
-    assignment: &Assignment,
-    papers: &[usize],
-    stage_cap: usize,
-    backend: LapBackend,
-    cands: &CandidateSet,
-) -> Result<Vec<(usize, usize)>> {
-    let num_r = inst.num_reviewers();
-    let rows: Vec<Vec<(u32, f64)>> = par::map_indexed(papers.len(), |i| {
-        let p = papers[i];
-        let (rs, _) = cands.candidates(p);
-        let mut row = vec![0.0f64; rs.len()];
-        gains.gains_for(p, rs, &mut row);
-        rs.iter()
-            .zip(&row)
-            .filter(|&(&r, _)| {
-                let r = r as usize;
-                loads[r] < inst.delta_r() && !inst.is_coi(r, p) && !assignment.group(p).contains(&r)
-            })
-            .map(|(&r, &g)| (r, g))
-            .collect()
-    });
-    let caps = stage_caps(inst, loads, papers.len(), stage_cap);
-    let sparse = SparseMatrix::from_rows(num_r, rows);
-    let sol = match backend {
-        LapBackend::Flow => sparse.solve_capacitated(&caps),
-        LapBackend::Hungarian => sparse.solve_hungarian(&caps),
-    };
-    let mut out = Vec::with_capacity(papers.len());
-    for (i, col) in sol.row_to_col.into_iter().enumerate() {
-        match col {
-            Some(r) => out.push((r, papers[i])),
-            None => {
-                return Err(Error::Infeasible(format!(
-                    "sparse stage could not place paper {} within its candidates",
-                    papers[i]
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Hungarian backend: expand reviewer `r` into `caps[r]` identical slot
-/// columns, solve the rectangular max-weight matching, fold slots back.
-fn hungarian_slots(weights: &CostMatrix, caps: &[i64]) -> Vec<Option<usize>> {
-    let mut slot_owner = Vec::new();
-    for (r, &cap) in caps.iter().enumerate() {
-        for _ in 0..cap {
-            slot_owner.push(r);
-        }
-    }
-    let expanded =
-        CostMatrix::from_fn(weights.rows(), slot_owner.len(), |i, s| weights.get(i, slot_owner[s]));
-    match hungarian_max(&expanded) {
-        Some(sol) => sol.row_to_col.into_iter().map(|c| c.map(|s| slot_owner[s])).collect(),
-        None => vec![None; weights.rows()],
-    }
-}
-
 /// Analytic approximation ratio for integral cases (`δp | δr`):
 /// `1 − (1 − 1/δp)^{δp}` (Theorem 1's per-δp form; ≥ 1 − 1/e as δp → ∞).
 pub fn approx_ratio_integral(delta_p: usize) -> f64 {
@@ -327,16 +233,8 @@ mod tests {
         TopicVector::new(v.to_vec())
     }
 
-    fn solve_with_backend(
-        inst: &Instance,
-        scoring: Scoring,
-        backend: LapBackend,
-    ) -> Result<Assignment> {
-        solve_ctx_pruned(&ScoreContext::new(inst, scoring), backend, PruningPolicy::Exact)
-    }
-
     fn solve(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
-        solve_with_backend(inst, scoring, LapBackend::Flow)
+        solve_ctx_pruned(&ScoreContext::new(inst, scoring), PruningPolicy::Exact)
     }
 
     #[test]
@@ -345,22 +243,6 @@ mod tests {
             let inst = random_instance(10, 7, 5, 3, seed);
             let a = solve(&inst, Scoring::WeightedCoverage).unwrap();
             a.validate(&inst).unwrap();
-        }
-    }
-
-    #[test]
-    fn backends_agree_on_objective() {
-        for seed in 0..8 {
-            let inst = random_instance(9, 6, 4, 2, seed);
-            let flow = solve_with_backend(&inst, Scoring::WeightedCoverage, LapBackend::Flow)
-                .unwrap()
-                .coverage_score(&inst, Scoring::WeightedCoverage);
-            let hung = solve_with_backend(&inst, Scoring::WeightedCoverage, LapBackend::Hungarian)
-                .unwrap()
-                .coverage_score(&inst, Scoring::WeightedCoverage);
-            // Stage optima are equal; accumulated groups may differ on ties,
-            // so compare with modest slack.
-            assert!((flow - hung).abs() < 1e-6, "seed={seed}: {flow} vs {hung}");
         }
     }
 
@@ -386,17 +268,15 @@ mod tests {
     #[test]
     fn full_density_topk_matches_dense_stage_bitwise() {
         // With k ≥ R no positive-score reviewer is excluded; on these dense
-        // random instances every pair scores positive, so the sparse stage
-        // solves the very same network as the dense stage and the whole
+        // random instances every pair scores positive, so the candidate
+        // stage solves the very same edges as the full stage and the whole
         // assignment must be identical, reviewer for reviewer.
         for seed in 0..6 {
             let inst = random_instance(9, 6, 4, 2, seed);
             let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
-            for backend in [LapBackend::Flow, LapBackend::Hungarian] {
-                let dense = solve_ctx_pruned(&ctx, backend, PruningPolicy::Exact).unwrap();
-                let pruned = solve_ctx_pruned(&ctx, backend, PruningPolicy::TopK(1000)).unwrap();
-                assert_eq!(dense, pruned, "seed={seed} {backend:?}");
-            }
+            let dense = solve_ctx_pruned(&ctx, PruningPolicy::Exact).unwrap();
+            let pruned = solve_ctx_pruned(&ctx, PruningPolicy::TopK(1000)).unwrap();
+            assert_eq!(dense, pruned, "seed={seed}");
         }
     }
 
@@ -405,15 +285,15 @@ mod tests {
         for seed in 0..6 {
             let inst = random_instance(10, 7, 5, 3, seed);
             let ctx = ScoreContext::new(&inst, Scoring::WeightedCoverage);
-            let exact = solve_ctx_pruned(&ctx, LapBackend::Flow, PruningPolicy::Exact).unwrap();
+            let exact = solve_ctx_pruned(&ctx, PruningPolicy::Exact).unwrap();
             // Auto never prunes SDGA stages (LAP tie-breaks are not
             // certifiable), so it is the exact assignment.
-            let auto = solve_ctx_pruned(&ctx, LapBackend::Flow, PruningPolicy::Auto).unwrap();
+            let auto = solve_ctx_pruned(&ctx, PruningPolicy::Auto).unwrap();
             assert_eq!(exact, auto, "seed={seed}");
             // Aggressive top-k stays feasible (dense-stage fallback covers
             // capacity knots) and cannot beat the dense score by much more
             // than floating noise... it simply must be valid.
-            let pruned = solve_ctx_pruned(&ctx, LapBackend::Flow, PruningPolicy::TopK(3)).unwrap();
+            let pruned = solve_ctx_pruned(&ctx, PruningPolicy::TopK(3)).unwrap();
             pruned.validate(&inst).unwrap();
         }
     }
@@ -464,5 +344,160 @@ mod tests {
                 / opt.coverage_score(&inst, Scoring::WeightedCoverage);
             assert!(ratio >= 0.5 - 1e-9, "seed={seed}: ratio {ratio}");
         }
+    }
+
+    /// FNV-1a over every group, reviewer ids in assignment order.
+    fn fingerprint(a: &Assignment) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u32| {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for p in 0..a.num_papers() {
+            eat(u32::MAX);
+            for &r in a.group(p) {
+                eat(r as u32);
+            }
+        }
+        h
+    }
+
+    /// A seeded instance whose vectors keep about half their topics, with a
+    /// few conflicts: candidate rows are real subsets of the reviewers.
+    fn sparse_instance(
+        num_p: usize,
+        num_r: usize,
+        dim: usize,
+        delta_p: usize,
+        seed: u64,
+    ) -> Instance {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gen = |n: usize| -> Vec<TopicVector> {
+            (0..n)
+                .map(|_| {
+                    let mut v: Vec<f64> = (0..dim)
+                        .map(|_| if rng.random::<f64>() < 0.5 { rng.random::<f64>() } else { 0.0 })
+                        .collect();
+                    if v.iter().all(|&x| x == 0.0) {
+                        v[0] = 1.0;
+                    }
+                    TopicVector::new(v).normalized()
+                })
+                .collect()
+        };
+        let papers = gen(num_p);
+        let reviewers = gen(num_r);
+        let delta_r = Instance::minimal_delta_r(num_p, num_r, delta_p) + 1;
+        let mut inst = Instance::new(papers, reviewers, delta_p, delta_r).unwrap();
+        for p in (0..num_p).step_by(7) {
+            inst.add_coi(p % num_r, p);
+        }
+        inst
+    }
+
+    /// The stage path's output bytes, pinned: SDGA under `Exact` and
+    /// `TopK(3)`, SDGA-SRA under `Exact`, `Auto` and `TopK(3)` (context seed
+    /// 7, ω = 5) and bid-aware SDGA at λ = 0.5, under every scoring, on
+    /// three seeded instances (P=40/R=15/δp=3 with R·δr = P·δp,
+    /// P=40/R=17/δp=3 with slack, and a sparse P=30/R=12/δp=2 one with
+    /// conflicts). Each value is [`fingerprint`] of one run; rayon on and
+    /// off must read the same. The `TopK(3)` runs reach the stage's fall
+    /// back to every feasible reviewer. A change to how stage optima break
+    /// ties moves these values, and must say so.
+    #[test]
+    fn stage_path_output_fingerprints() {
+        use crate::cra::bids::{self, BidLevel, Bids};
+        use crate::cra::sra::SraOptions;
+        use crate::cra::CraAlgorithm;
+        use crate::engine::{SdgaSraSolver, Solver};
+        // Rows: instance × scoring (weighted, reviewer, paper, dot). Columns:
+        // SDGA Exact, SDGA TopK(3), SRA Exact, SRA Auto, SRA TopK(3), bids.
+        #[rustfmt::skip]
+        const EXPECTED: [[u64; 6]; 12] = [
+            [0x6cfd133d510986f5, 0xf0bd8683ca584de5, 0xc5bba09d1ade996d, 0xc5bba09d1ade996d, 0x86ada806ba50dfc5, 0xd090661a4dedf845],
+            [0xefa9f9d55548bfc5, 0xefa9f9d55548bfc5, 0x1a30a44c10f9b08d, 0x1a30a44c10f9b08d, 0x2c93b4ee43aa6f65, 0x9eb9ca7fcd8c2b65],
+            [0x255b00db0732445d, 0x2a7f8f1d9e3845f5, 0x255b00db0732445d, 0x255b00db0732445d, 0x2a7f8f1d9e3845f5, 0x9dee7f6ea14b47cd],
+            [0xdef3ec96ded4db1d, 0x9769ff8e8b1d3a6d, 0x8ee80bdc81c57bb5, 0x8ee80bdc81c57bb5, 0x53d78b19980b6dbd, 0x4a8b4c89adc03515],
+            [0x1416668568185668, 0x1416668568185668, 0x1ad38be8477bf45e, 0x1ad38be8477bf45e, 0x5a8060f0f9a3df33, 0xc863d71717e26d02],
+            [0x01696a0b5f45f7e0, 0x01696a0b5f45f7e0, 0xa146e4d80047ff60, 0xa146e4d80047ff60, 0x56b98419e0074c38, 0x214a5696b52e549f],
+            [0x6055813b71d967fc, 0x850d72da357af36d, 0x6055813b71d967fc, 0x6055813b71d967fc, 0xd0d8d90c82e2c459, 0xccf4087fdcd74b7e],
+            [0x29ef79570f6edd16, 0x0b02ac9440cd8264, 0xf3fee4b6cb1cc462, 0xf3fee4b6cb1cc462, 0x81c8721bf520011d, 0x8a2031d84cc98e1b],
+            [0x285f66499d2ba35e, 0xf5c73dc27cdca85f, 0x2fe978fbd74d508d, 0x2fe978fbd74d508d, 0x845d3770620f7253, 0x7a722eedddde0424],
+            [0x273ee50ae1b7258f, 0x273ee50ae1b7258f, 0x7d46c2f749ca2b1c, 0x7d46c2f749ca2b1c, 0x791eca7f8e023994, 0xc9ca78ce424e2211],
+            [0x5a7f5ffac2865fdc, 0x5a7f5ffac2865fdc, 0x5a7f5ffac2865fdc, 0x5a7f5ffac2865fdc, 0x5a7f5ffac2865fdc, 0x253bb78b7ba2947f],
+            [0x403035e48eac9bdd, 0x516979021f0e2e81, 0x3188a88ce20eb638, 0x3188a88ce20eb638, 0x6731c6b4ad087e43, 0x7471b7b9381b8049],
+        ];
+        let instances = [
+            random_instance(40, 15, 6, 3, 1),
+            random_instance(40, 17, 6, 3, 2),
+            sparse_instance(30, 12, 8, 2, 3),
+        ];
+        assert_eq!(instances[0].num_reviewers() * instances[0].delta_r(), 40 * 3);
+        let mut got = Vec::new();
+        for inst in &instances {
+            let mut bids = Bids::neutral(inst.num_reviewers(), inst.num_papers());
+            for r in 0..inst.num_reviewers() {
+                for p in 0..inst.num_papers() {
+                    let level = [BidLevel::No, BidLevel::Neutral, BidLevel::Maybe, BidLevel::Yes]
+                        [(r * 7 + p * 3) % 4];
+                    bids.set(r, p, level);
+                }
+            }
+            for scoring in Scoring::ALL {
+                let ctx = ScoreContext::new(inst, scoring).with_seed(7);
+                let sdga = |pruning| CraAlgorithm::Sdga.solver_with(pruning).solve(&ctx);
+                let sra = |pruning| {
+                    let sra = SraOptions { omega: 5, ..Default::default() };
+                    SdgaSraSolver { sra, pruning }.solve(&ctx)
+                };
+                let runs = [
+                    sdga(PruningPolicy::Exact),
+                    sdga(PruningPolicy::TopK(3)),
+                    sra(PruningPolicy::Exact),
+                    sra(PruningPolicy::Auto),
+                    sra(PruningPolicy::TopK(3)),
+                    bids::solve_sdga(&ctx, &bids, 0.5),
+                ];
+                got.push(runs.map(|a| fingerprint(&a.unwrap())));
+            }
+        }
+        let rows: Vec<String> = got
+            .iter()
+            .map(|row| format!("[{}],", row.map(|v| format!("0x{v:016x}")).join(", ")))
+            .collect();
+        assert!(
+            got == EXPECTED,
+            "stage path fingerprints moved; this build reads:\n{}",
+            rows.join("\n")
+        );
+    }
+
+    /// Gains far above 1 (reviewer coverage over a paper whose weights sum
+    /// to 2e-300) are refused as out of the flow kernel's range, not solved
+    /// into a false "could not place paper".
+    #[test]
+    fn out_of_range_gains_are_refused() {
+        let reviewers = vec![
+            tv(&[1.0, 0.0, 0.0]),
+            tv(&[0.0, 1.0, 0.0]),
+            tv(&[0.5, 0.5, 0.0]),
+            tv(&[0.0, 0.0, 1.0]),
+        ];
+        let papers = vec![
+            tv(&[1e-300, 1e-300, 0.0]),
+            tv(&[0.2, 0.3, 0.5]),
+            tv(&[0.5, 0.5, 0.0]),
+            tv(&[1e-300, 0.0, 1e-300]),
+        ];
+        let inst = Instance::new(papers, reviewers, 2, 2).unwrap();
+        let err = solve(&inst, Scoring::ReviewerCoverage).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, Error::InvalidInstance(_)), "{msg}");
+        assert!(msg.starts_with("invalid instance: stage assignment: weights span "), "{msg}");
+        solve(&inst, Scoring::WeightedCoverage).unwrap().validate(&inst).unwrap();
     }
 }

@@ -12,7 +12,7 @@
 //! damped toward uniform `1/R` by the decay `e^{−λI}` as rounds accumulate.
 //! The paper does not print its λ; we default to 0.1 and expose it.
 
-use super::sdga::{solve_stage, solve_stage_sparse, LapBackend};
+use super::sdga::solve_stage;
 use crate::assignment::Assignment;
 use crate::engine::{
     par, CandidateSet, GainProvider, GainTable, PairMatrix, PruningPolicy, ScoreContext,
@@ -48,8 +48,6 @@ pub struct SraOptions {
     pub max_rounds: usize,
     /// RNG seed (the process is fully deterministic given the seed).
     pub seed: u64,
-    /// LAP backend for the refill stage.
-    pub backend: LapBackend,
     /// Independent refinement chains to run, seeded `seed + t`; the best
     /// outcome wins (ties to the lowest chain index, so the reduction is
     /// deterministic). With the `rayon` feature the chains run in parallel.
@@ -65,7 +63,6 @@ impl Default for SraOptions {
             time_limit: None,
             max_rounds: 10_000,
             seed: 0,
-            backend: LapBackend::Flow,
             trials: 1,
         }
     }
@@ -101,9 +98,9 @@ pub struct SraOutcome {
 /// **bit-identical** to the dense ones (skipping a `+ 0.0` term is an IEEE
 /// no-op on these non-negative sums) — while the `P × R` matrix is never
 /// materialised. Under [`PruningPolicy::TopK`] truncated scores read as `0`
-/// (lossy), and the refill stage also solves over candidate edges with a
-/// dense fallback; under `Auto` the refill stays dense (stage-LAP
-/// tie-breaking is not certifiable — see
+/// (lossy), and the refill stage also solves over candidate edges, falling
+/// back to every feasible reviewer; under `Auto` the refill takes every
+/// feasible reviewer (stage-LAP tie-breaking is not certifiable — see
 /// [`SdgaSolver::pruning`](crate::engine::SdgaSolver::pruning)).
 pub fn refine(
     ctx: &ScoreContext<'_>,
@@ -307,23 +304,9 @@ pub(crate) fn refine_impl<P: GainProvider + Sync>(
         for p in 0..num_p {
             gains.rebuild(p, current.group(p));
         }
-        let papers: Vec<usize> = (0..num_p).collect();
-        let refilled = match pruning {
-            Some((cs, true)) => solve_stage_sparse(
-                inst,
-                gains,
-                &loads,
-                &current,
-                &papers,
-                inst.delta_r(),
-                opts.backend,
-                cs,
-            )
-            .or_else(|_| {
-                solve_stage(inst, gains, &loads, &current, &papers, inst.delta_r(), opts.backend)
-            }),
-            _ => solve_stage(inst, gains, &loads, &current, &papers, inst.delta_r(), opts.backend),
-        };
+        let refill_cands = pruning.and_then(|(cs, sparse)| sparse.then_some(cs));
+        let refilled =
+            solve_stage(inst, gains, &loads, &current, inst.delta_r(), refill_cands, None);
         match refilled {
             Ok(pairs) => {
                 for (r, p) in pairs {

@@ -4,7 +4,6 @@
 use super::candidates::{CandidateSet, PruningPolicy};
 use super::context::ScoreContext;
 use crate::assignment::Assignment;
-use crate::cra::sdga::LapBackend;
 use crate::cra::sra::SraOptions;
 use crate::cra::{arap_ilp, brgg, greedy, sdga, sra, stable_matching, CraAlgorithm};
 use crate::error::{Error, Result};
@@ -108,23 +107,23 @@ impl Solver for GreedySolver {
     }
 }
 
-/// Stage Deepening Greedy Algorithm (§4.2) with a configurable LAP backend.
+/// Stage Deepening Greedy Algorithm (§4.2), each stage one min-cost flow
+/// assignment.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SdgaSolver {
-    /// The linear-assignment backend each stage runs on.
-    pub backend: LapBackend,
     /// Candidate pruning.
     ///
     /// Stage assignments are linear assignment solves whose tie-breaking
     /// depends on the solver's internal edge order, so no static
     /// certificate can promise a pruned stage equals the dense one — under
-    /// [`PruningPolicy::Auto`] SDGA therefore runs the dense (exact)
+    /// [`PruningPolicy::Auto`] SDGA therefore runs the full (exact)
     /// stages. Under [`PruningPolicy::TopK`] each stage solves over
     /// candidate edges only ([`SparseMatrix`](wgrap_lap::SparseMatrix),
     /// `O(P·k)` instead of `O(P·R)` score state): lossy, but each stage
     /// objective is within [`Σ_p bound(p)`](CandidateSet::stage_loss_bound)
-    /// of the dense stage optimum, and a stage that cannot place every
-    /// paper inside the candidate edges falls back to the dense stage.
+    /// of the full stage optimum, and a stage that cannot place every
+    /// paper inside the candidate edges is solved again over every feasible
+    /// reviewer.
     pub pruning: PruningPolicy,
 }
 
@@ -134,7 +133,7 @@ impl Solver for SdgaSolver {
     }
 
     fn solve(&self, ctx: &ScoreContext<'_>) -> Result<Assignment> {
-        sdga::solve_ctx_pruned(ctx, self.backend, self.pruning)
+        sdga::solve_ctx_pruned(ctx, self.pruning)
     }
 }
 
@@ -160,7 +159,7 @@ impl Solver for SdgaSraSolver {
         // stages and the SRA refinement (a TopK build is a full positive-
         // score scan — worth paying a single time per solve).
         let topk = self.pruning.resolve_lossy(ctx);
-        let initial = sdga::solve_ctx_with_cands(ctx, self.sra.backend, topk.as_ref())?;
+        let initial = sdga::solve_ctx_with_cands(ctx, topk.as_ref())?;
         let removal: Option<&CandidateSet> = match self.pruning {
             PruningPolicy::Exact => None,
             PruningPolicy::Auto => Some(ctx.auto_candidates()),
@@ -214,7 +213,7 @@ impl CraAlgorithm {
             CraAlgorithm::ArapIlp => Box::new(IlpSolver),
             CraAlgorithm::Brgg => Box::new(BrggSolver { pruning }),
             CraAlgorithm::Greedy => Box::new(GreedySolver { pruning }),
-            CraAlgorithm::Sdga => Box::new(SdgaSolver { pruning, ..Default::default() }),
+            CraAlgorithm::Sdga => Box::new(SdgaSolver { pruning }),
             CraAlgorithm::SdgaSra => Box::new(SdgaSraSolver { pruning, ..Default::default() }),
         }
     }

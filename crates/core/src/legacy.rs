@@ -13,7 +13,7 @@
 
 use crate::assignment::Assignment;
 use crate::cra::bids::{self, BidLevel, Bids};
-use crate::cra::sdga::{self, LapBackend};
+use crate::cra::sdga;
 use crate::cra::{arap_ilp, brgg, greedy, sra, stable_matching, CraAlgorithm};
 use crate::engine::{par, GainProvider, JraView, PairMatrix, ScoreContext};
 use crate::error::Result;
@@ -136,7 +136,7 @@ pub(crate) fn run_legacy(
 }
 
 fn sdga_legacy(inst: &Instance, scoring: Scoring) -> Result<Assignment> {
-    sdga::solve_impl(inst, &mut LegacyGains::new(inst, scoring), LapBackend::Flow, None)
+    sdga::solve_impl(inst, &mut LegacyGains::new(inst, scoring), None, None)
 }
 
 /// Bid-aware SDGA on the boxed-vector path: the oracle for

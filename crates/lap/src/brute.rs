@@ -1,5 +1,5 @@
-//! Exhaustive assignment enumeration, used as the test oracle for the
-//! Hungarian and flow backends (feasible only for tiny matrices).
+//! Exhaustive assignment enumeration, the test oracle for the Hungarian
+//! algorithm and the flow kernel (feasible only for tiny matrices).
 
 use crate::matrix::CostMatrix;
 

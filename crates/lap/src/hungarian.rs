@@ -2,7 +2,8 @@
 //!
 //! `O(n³)` over a dense square cost matrix. The paper (§4.2) cites the
 //! Hungarian algorithm [Kuhn 1956] as one of the two classic ways to solve
-//! each SDGA stage; [`crate::flow`] is the other.
+//! each SDGA stage; [`crate::flow`] is the other, and the one the library
+//! runs. This module is the flow kernel's test oracle.
 
 use crate::matrix::CostMatrix;
 use crate::Assignment;

@@ -3,23 +3,31 @@
 //! The Stage Deepening Greedy Algorithm (SDGA, paper §4.2) solves one linear
 //! assignment problem per stage, and the stochastic refinement (SRA, §4.4)
 //! solves one per refinement round. The paper suggests either the Hungarian
-//! algorithm or a minimum-cost flow formulation; this crate provides both:
+//! algorithm or a minimum-cost flow formulation. The library runs flow, and
+//! through one front-end:
 //!
-//! * [`hungarian`] — an `O(n³)` shortest-augmenting-path (Jonker–Volgenant
-//!   style) implementation over dense square cost matrices, with helpers for
-//!   rectangular and maximisation problems.
-//! * [`flow`] — a successive-shortest-paths minimum-cost maximum-flow solver
-//!   with Johnson potentials, which natively supports node capacities (the
-//!   per-stage reviewer workload `⌈δr/δp⌉`).
-//! * [`sparse`] — the same capacitated assignment over an explicit candidate
-//!   edge list ([`SparseMatrix`], CSR) instead of a dense `P × R` matrix,
-//!   with flow and Hungarian dispatch; the entry point for top-k-pruned
-//!   SDGA stages.
+//! * [`sparse`] — [`SparseMatrix`] holds a problem's allowed
+//!   `(row, col, weight)` edges in CSR layout, and
+//!   [`SparseMatrix::solve_capacitated`] solves the maximum-weight
+//!   capacitated assignment over them. Column capacities carry the
+//!   per-stage reviewer workload `⌈δr/δp⌉` natively. Absent cells are
+//!   forbidden pairs (conflicts of interest, already-assigned reviewers).
+//! * [`flow`] — the successive-shortest-paths minimum-cost maximum-flow
+//!   kernel ([`MinCostFlow`], Johnson potentials) behind that front-end and
+//!   the per-pair ILP baseline.
 //!
-//! Both backends treat `f64::INFINITY` entries as forbidden pairs (conflicts
-//! of interest, already-assigned reviewers). The flow backend internally
-//! scales costs to integers to keep augmentation numerically exact; the
-//! scaling resolution is [`flow::COST_SCALE`].
+//! **Exact range.** The kernel scales weights to integer costs (resolution
+//! [`flow::COST_SCALE`]) so augmentations stay exact. [`flow::cost_shift`]
+//! is the one range check in front of it: a non-finite weight, or a weight
+//! span whose integer sums could leave `i64` at the network's size, is
+//! refused with a [`RangeError`] instead of solved wrongly. The check only
+//! refuses; it never changes how an in-range weight set is solved.
+//!
+//! The Hungarian algorithm ([`hungarian`], `O(n³)` over dense square
+//! matrices) and exhaustive enumeration ([`brute`]) stay as test oracles
+//! for the flow kernel, and `benches/lap.rs` times Hungarian against flow.
+//! Neither serves a product path: Hungarian needs each reviewer expanded
+//! into capacity-many slot columns, a dense `P × Σcaps` matrix.
 // Parallel-array index loops are clearer than zipped iterators here.
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)]
@@ -30,7 +38,7 @@ pub mod hungarian;
 pub mod matrix;
 pub mod sparse;
 
-pub use flow::{CapacitatedAssignment, MinCostFlow};
+pub use flow::{MinCostFlow, RangeError};
 pub use hungarian::{hungarian_max, hungarian_min, HungarianResult};
 pub use matrix::CostMatrix;
 pub use sparse::SparseMatrix;

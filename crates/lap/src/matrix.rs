@@ -1,4 +1,4 @@
-//! Dense row-major cost matrix used by the assignment backends.
+//! Dense row-major cost matrix: the Hungarian and brute-force oracles' input.
 
 /// Dense row-major matrix of `f64` costs/weights.
 ///
@@ -30,14 +30,6 @@ impl CostMatrix {
                 data.push(f(r, c));
             }
         }
-        Self { rows, cols, data }
-    }
-
-    /// Build from a pre-filled row-major buffer; panics on a size mismatch.
-    /// Lets callers assemble rows in parallel and hand the buffer over
-    /// without the per-cell closure dispatch of [`CostMatrix::from_fn`].
-    pub fn from_flat(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "flat buffer does not match rows*cols");
         Self { rows, cols, data }
     }
 

@@ -1,34 +1,23 @@
-//! Sparse capacitated assignment over explicit candidate edges.
+//! Capacitated assignment over explicit edges: the one front-end of the
+//! min-cost flow kernel.
 //!
-//! The dense per-stage SDGA matrix is `P × R` even when almost every cell is
-//! forbidden or zero — on pruned (top-k) stages only `P × k` edges carry
-//! information. [`SparseMatrix`] stores exactly those `(row, col, weight)`
-//! edges in CSR layout and solves the same maximum-weight capacitated
-//! assignment as [`CapacitatedAssignment`](crate::CapacitatedAssignment),
-//! through either backend:
-//!
-//! * [`SparseMatrix::solve_capacitated`] — min-cost max-flow over the edge
-//!   list alone. The network is built edge-for-edge in the same order as the
-//!   dense front-end (rows ascending, columns ascending within a row), so a
-//!   fully dense [`SparseMatrix`] produces **bit-identical assignments** to
-//!   the dense solver — the property the engine's `TopK(k ≥ R)` ≡ `Exact`
-//!   proptests pin down.
-//! * [`SparseMatrix::solve_hungarian`] — columns that appear in at least one
-//!   edge (and have capacity) are compacted and slot-expanded, absent cells
-//!   become forbidden, and the dense Hungarian solver runs on the reduced
-//!   matrix.
+//! An SDGA stage is a `P × R` assignment in which many cells are forbidden
+//! (conflicts, full reviewers, reviewers already in the group), and on
+//! pruned (top-k) stages only `P × k` edges carry information.
+//! [`SparseMatrix`] stores exactly the `(row, col, weight)` edges a problem
+//! offers, in CSR layout, and [`SparseMatrix::solve_capacitated`] solves the
+//! maximum-weight capacitated assignment over them by min-cost max-flow.
 //!
 //! Rows with no edge (or whose edges all hit exhausted columns) come back
 //! unmatched; callers decide whether that is an error or a fallback trigger.
 
-use crate::flow::{MinCostFlow, COST_SCALE};
-use crate::hungarian::hungarian_max;
+use crate::flow::{cost_shift, MinCostFlow, RangeError, COST_SCALE};
 use crate::matrix::CostMatrix;
 use crate::Assignment;
 
 /// CSR edge list for a sparse assignment problem: `rows` left nodes,
 /// `cols` right nodes, one weighted edge per stored entry. Absent cells are
-/// forbidden pairs (the sparse analogue of `f64::NEG_INFINITY`).
+/// forbidden pairs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseMatrix {
     cols: usize,
@@ -38,28 +27,37 @@ pub struct SparseMatrix {
 }
 
 impl SparseMatrix {
-    /// Build from per-row edge lists (`(column, weight)`). Entries with a
-    /// `NEG_INFINITY` weight are dropped (forbidden is the default for
-    /// absent cells); rows need not be sorted — they are sorted by column
-    /// here so solve order is canonical.
+    /// Build from per-row edge lists (`(column, weight)`). Rows need not be
+    /// sorted — they are sorted by column here so solve order is canonical.
     pub fn from_rows(cols: usize, rows: Vec<Vec<(u32, f64)>>) -> Self {
         let mut ptr = Vec::with_capacity(rows.len() + 1);
         let mut col = Vec::new();
         let mut w = Vec::new();
         ptr.push(0);
         for mut row in rows {
-            row.retain(|&(c, weight)| {
-                assert!((c as usize) < cols, "edge column {c} out of range");
-                weight != f64::NEG_INFINITY
-            });
             row.sort_by_key(|&(c, _)| c);
             for (c, weight) in row {
+                assert!((c as usize) < cols, "edge column {c} out of range");
                 col.push(c);
                 w.push(weight);
             }
             ptr.push(col.len());
         }
         Self { cols, ptr, col, w }
+    }
+
+    /// One edge per cell of `m` other than `f64::NEG_INFINITY` (forbidden),
+    /// the inverse of [`SparseMatrix::to_dense`].
+    pub fn from_dense(m: &CostMatrix) -> Self {
+        let rows = (0..m.rows())
+            .map(|i| {
+                (0..m.cols())
+                    .filter(|&j| m.get(i, j) != f64::NEG_INFINITY)
+                    .map(|j| (j as u32, m.get(i, j)))
+                    .collect()
+            })
+            .collect();
+        Self::from_rows(m.cols(), rows)
     }
 
     /// Number of rows.
@@ -84,15 +82,6 @@ impl SparseMatrix {
         (&self.col[lo..hi], &self.w[lo..hi])
     }
 
-    /// Largest finite edge weight, or `None` with no finite edges.
-    pub fn max_finite(&self) -> Option<f64> {
-        self.w
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
     /// Bytes held by the CSR arrays (score-state memory accounting).
     pub fn memory_bytes(&self) -> usize {
         self.ptr.len() * std::mem::size_of::<usize>()
@@ -100,8 +89,8 @@ impl SparseMatrix {
             + self.w.len() * std::mem::size_of::<f64>()
     }
 
-    /// Densify with `f64::NEG_INFINITY` in absent cells (tests, Hungarian
-    /// cross-checks).
+    /// Densify with `f64::NEG_INFINITY` in absent cells (the Hungarian and
+    /// brute-force oracles' input).
     pub fn to_dense(&self) -> CostMatrix {
         let mut m = CostMatrix::filled(self.rows(), self.cols, f64::NEG_INFINITY);
         for i in 0..self.rows() {
@@ -115,18 +104,20 @@ impl SparseMatrix {
 
     /// Maximum-weight capacitated assignment by min-cost max-flow over the
     /// stored edges: every row wants exactly one column, column `j` accepts
-    /// at most `col_caps[j]` rows. Mirrors
-    /// [`CapacitatedAssignment::solve`](crate::CapacitatedAssignment::solve)
-    /// — same node layout, same cost scaling, edges added in the same
-    /// (row-major, column-ascending) order — so a fully dense edge set
-    /// reproduces the dense solver's assignment exactly.
-    pub fn solve_capacitated(&self, col_caps: &[i64]) -> Assignment {
+    /// at most `col_caps[j]` rows. The flow maximises the number of matched
+    /// rows first, then their total weight.
+    ///
+    /// Edges enter the network row by row, columns ascending, and ties
+    /// between equal-weight optima break by that order, so equal edge sets
+    /// give equal assignments. Weight resolution is `1 / COST_SCALE`.
+    /// Refuses weights outside the kernel's exact range ([`cost_shift`]).
+    pub fn solve_capacitated(&self, col_caps: &[i64]) -> Result<Assignment, RangeError> {
         assert_eq!(self.cols, col_caps.len());
         let (r, c) = (self.rows(), self.cols);
         if r == 0 {
-            return Assignment { row_to_col: vec![], objective: 0.0 };
+            return Ok(Assignment { row_to_col: vec![], objective: 0.0 });
         }
-        let shift = self.max_finite().unwrap_or(0.0).max(0.0);
+        let shift = cost_shift(self.w.iter().copied(), r, r)?;
         // Node ids: 0 = source, 1..=r rows, r+1..=r+c columns, r+c+1 sink.
         let s = 0;
         let t = r + c + 1;
@@ -162,63 +153,14 @@ impl SparseMatrix {
                 }
             }
         }
-        Assignment { row_to_col, objective }
-    }
-
-    /// Maximum-weight capacitated assignment through the Hungarian backend:
-    /// columns with edges and capacity are compacted, expanded into
-    /// capacity-many slots, and the dense rectangular solver runs on the
-    /// reduced matrix (absent cells forbidden).
-    pub fn solve_hungarian(&self, col_caps: &[i64]) -> Assignment {
-        assert_eq!(self.cols, col_caps.len());
-        let r = self.rows();
-        if r == 0 {
-            return Assignment { row_to_col: vec![], objective: 0.0 };
-        }
-        let mut used = vec![false; self.cols];
-        for &c in &self.col {
-            used[c as usize] = true;
-        }
-        let mut slot_owner = Vec::new();
-        for (j, &u) in used.iter().enumerate() {
-            if u {
-                for _ in 0..col_caps[j] {
-                    slot_owner.push(j);
-                }
-            }
-        }
-        let expanded = CostMatrix::from_fn(r, slot_owner.len(), |i, s| {
-            let (cs, ws) = self.row(i);
-            match cs.binary_search(&(slot_owner[s] as u32)) {
-                Ok(k) => ws[k],
-                Err(_) => f64::NEG_INFINITY,
-            }
-        });
-        match hungarian_max(&expanded) {
-            Some(sol) => Assignment {
-                row_to_col: sol.row_to_col.into_iter().map(|c| c.map(|s| slot_owner[s])).collect(),
-                objective: sol.objective,
-            },
-            None => Assignment { row_to_col: vec![None; r], objective: 0.0 },
-        }
+        Ok(Assignment { row_to_col, objective })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CapacitatedAssignment;
-
-    fn dense_rows(m: &CostMatrix) -> Vec<Vec<(u32, f64)>> {
-        (0..m.rows())
-            .map(|i| {
-                (0..m.cols())
-                    .filter(|&j| m.get(i, j) != f64::NEG_INFINITY)
-                    .map(|j| (j as u32, m.get(i, j)))
-                    .collect()
-            })
-            .collect()
-    }
+    use crate::hungarian::hungarian_max;
 
     fn rng(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed | 1;
@@ -230,24 +172,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fully_dense_edges_match_dense_flow_bitwise() {
-        let mut next = rng(0xC0FFEE);
-        for n in 1..=6 {
-            let m = CostMatrix::from_fn(n, n + 1, |_, _| next() * 3.0);
-            let caps = vec![2i64; n + 1];
-            let sparse = SparseMatrix::from_rows(n + 1, dense_rows(&m));
-            let a = sparse.solve_capacitated(&caps);
-            let b = CapacitatedAssignment::new(&m, &caps).solve();
-            assert_eq!(a.row_to_col, b.row_to_col);
-            assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        }
+    /// `m` with column `j` repeated `caps[j]` times, and the column each
+    /// slot stands for: the capacitated problem as a one-to-one one.
+    fn slot_expand(m: &CostMatrix, caps: &[i64]) -> (CostMatrix, Vec<usize>) {
+        let owner: Vec<usize> =
+            (0..m.cols()).flat_map(|j| std::iter::repeat_n(j, caps[j] as usize)).collect();
+        (CostMatrix::from_fn(m.rows(), owner.len(), |i, s| m.get(i, owner[s])), owner)
     }
 
     #[test]
     fn sparse_pattern_matches_dense_with_forbidden_cells() {
+        // Column capacities 1–2: the flow uses only stored edges, keeps every
+        // capacity, and places every row at the Hungarian optimum of the
+        // slot-expanded densified matrix whenever that optimum places them.
         let mut next = rng(0xBEEF);
-        for trial in 0..15 {
+        let mut compared = 0;
+        for trial in 0..30 {
             let (r, c) = (5, 7);
             let m = CostMatrix::from_fn(r, c, |_, _| {
                 if next() < 0.5 {
@@ -257,20 +197,31 @@ mod tests {
                 }
             });
             let caps: Vec<i64> = (0..c).map(|_| 1 + (next() * 2.0) as i64).collect();
-            let sparse = SparseMatrix::from_rows(c, dense_rows(&m));
-            let a = sparse.solve_capacitated(&caps);
-            let b = CapacitatedAssignment::new(&m, &caps).solve();
-            // Same matched-row set and same optimal objective (equal-weight
-            // matchings may differ only when ties exist; the flow networks
-            // are isomorphic here, so even assignments agree).
-            assert_eq!(a.row_to_col, b.row_to_col, "trial {trial}");
-            assert!((a.objective - b.objective).abs() < 1e-9);
+            let sparse = SparseMatrix::from_dense(&m);
+            let flow = sparse.solve_capacitated(&caps).unwrap();
+            let mut load = vec![0i64; c];
+            for (i, j) in flow.pairs() {
+                assert!(m.get(i, j).is_finite(), "trial {trial}: absent cell ({i}, {j}) used");
+                load[j] += 1;
+            }
+            assert!(load.iter().zip(&caps).all(|(l, k)| l <= k), "trial {trial}: {load:?}");
+            let (expanded, owner) = slot_expand(&sparse.to_dense(), &caps);
+            if let Some(hung) = hungarian_max(&expanded) {
+                assert!(hung.pairs().all(|(i, s)| m.get(i, owner[s]).is_finite()));
+                assert_eq!(flow.matched(), r, "trial {trial}");
+                assert!((flow.objective - hung.objective).abs() < 1e-9, "trial {trial}");
+                compared += 1;
+            }
         }
+        assert!(compared >= 10, "only {compared} feasible trials");
     }
 
     #[test]
     fn hungarian_backend_agrees_on_objective() {
+        // Unit capacities: Hungarian over the densified matrix (absent cells
+        // forbidden) is the oracle for the flow's objective.
         let mut next = rng(0xABCD);
+        let mut compared = 0;
         for _ in 0..10 {
             let (r, c) = (4, 6);
             let m = CostMatrix::from_fn(r, c, |_, _| {
@@ -280,34 +231,40 @@ mod tests {
                     next() * 5.0
                 }
             });
-            let caps = vec![1i64; c];
-            let sparse = SparseMatrix::from_rows(c, dense_rows(&m));
-            let flow = sparse.solve_capacitated(&caps);
-            let hung = sparse.solve_hungarian(&caps);
-            if flow.matched() == r && hung.matched() == r {
+            let sparse = SparseMatrix::from_dense(&m);
+            let flow = sparse.solve_capacitated(&[1; 6]).unwrap();
+            if let Some(hung) = hungarian_max(&sparse.to_dense()) {
+                assert_eq!(flow.matched(), r);
                 assert!((flow.objective - hung.objective).abs() < 1e-6);
+                compared += 1;
             }
         }
+        assert!(compared >= 5, "only {compared} feasible trials");
     }
 
     #[test]
     fn rows_without_edges_stay_unmatched() {
         let sparse = SparseMatrix::from_rows(3, vec![vec![(1, 2.0)], vec![]]);
-        let caps = vec![1i64; 3];
-        let sol = sparse.solve_capacitated(&caps);
+        let sol = sparse.solve_capacitated(&[1; 3]).unwrap();
         assert_eq!(sol.row_to_col, vec![Some(1), None]);
         assert_eq!(sol.matched(), 1);
-        let sol = sparse.solve_hungarian(&caps);
-        assert_eq!(sol.row_to_col, vec![Some(1), None]);
     }
 
     #[test]
     fn capacity_exhaustion_prefers_heavier_rows() {
         let sparse =
             SparseMatrix::from_rows(1, vec![vec![(0, 1.0)], vec![(0, 3.0)], vec![(0, 2.0)]]);
-        let sol = sparse.solve_capacitated(&[2]);
+        let sol = sparse.solve_capacitated(&[2]).unwrap();
         assert_eq!(sol.matched(), 2);
         assert!((sol.objective - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn out_of_range_weights_are_refused() {
+        let huge = SparseMatrix::from_rows(2, vec![vec![(0, 5e299)], vec![(1, 1e-300)]]);
+        assert!(matches!(huge.solve_capacitated(&[1, 1]), Err(RangeError::Span { .. })));
+        let nan = SparseMatrix::from_rows(2, vec![vec![(0, f64::NAN)], vec![(1, 1.0)]]);
+        assert!(matches!(nan.solve_capacitated(&[1, 1]), Err(RangeError::NonFinite(_))));
     }
 
     #[test]
@@ -319,6 +276,7 @@ mod tests {
         assert_eq!(d.get(0, 2), 1.5);
         assert_eq!(d.get(1, 3), 2.5);
         assert_eq!(d.get(0, 1), f64::NEG_INFINITY);
+        assert_eq!(SparseMatrix::from_dense(&d), sparse);
         assert!(sparse.memory_bytes() > 0);
         // Unsorted input rows come back sorted by column.
         let (cs, _) = sparse.row(0);

@@ -193,12 +193,13 @@ impl Snapshot {
     /// The certified candidate pool for a paper that is *not* part of the
     /// instance (an ad-hoc JRA query): every reviewer with positive pair
     /// score against `paper`, as `(id, pair score)` ascending by id — the
-    /// scores are computed once here (the `raw / total` form
-    /// [`ScoreContext::pair_score`] uses), so `TopK` consumers rank without
-    /// a second scoring pass. Probes the shared topic → reviewers index, so
-    /// only overlapping reviewers are scored. `None` when the scoring is
-    /// not sparse-safe (zero-overlap reviewers can score positively, so no
-    /// index-driven pool exists — callers fall back to the dense scan).
+    /// scores are computed once here, summed over the paper's non-zero
+    /// topics exactly as [`ScoreContext::pair_score`] sums a stored paper's
+    /// CSR row, so `TopK` consumers rank without a second scoring pass.
+    /// Probes the shared topic → reviewers index, so only overlapping
+    /// reviewers are scored. `None` when the scoring is not sparse-safe
+    /// (zero-overlap reviewers can score positively, so no index-driven
+    /// pool exists — callers fall back to the dense scan).
     pub fn candidate_pool_adhoc(&self, paper: &TopicVector) -> Option<Vec<(u32, f64)>> {
         if !self.ctx.sparse() {
             return None;
@@ -208,19 +209,21 @@ impl Snapshot {
             return Some(Vec::new());
         }
         let scoring = self.ctx.scoring();
-        let weights = paper.as_slice();
-        let mut hits: Vec<u32> = weights
-            .iter()
-            .enumerate()
-            .filter(|&(_, &w)| w > 0.0)
-            .flat_map(|(t, _)| self.ctx.topic_index()[t].iter().copied())
-            .collect();
+        let support: Vec<(usize, f64)> =
+            paper.as_slice().iter().copied().enumerate().filter(|&(_, w)| w > 0.0).collect();
+        let mut hits: Vec<u32> =
+            support.iter().flat_map(|&(t, _)| self.ctx.topic_index()[t].iter().copied()).collect();
         hits.sort_unstable();
         hits.dedup();
         Some(
             hits.into_iter()
                 .filter_map(|r| {
-                    let s = scoring.raw_score(self.ctx.reviewer_row(r as usize), weights) / total;
+                    let row = self.ctx.reviewer_row(r as usize);
+                    let mut raw = 0.0;
+                    for &(t, w) in &support {
+                        raw += scoring.topic_contribution(row[t], w);
+                    }
+                    let s = raw / total;
                     (s > 0.0).then_some((r, s))
                 })
                 .collect(),
@@ -1000,22 +1003,46 @@ mod tests {
 
     #[test]
     fn adhoc_pool_matches_stored_candidates() {
-        let store = VersionedStore::new(base(), Scoring::WeightedCoverage, 0);
-        let snap = store.snapshot();
-        // Query with paper 0's exact vector: the ad-hoc pool must equal the
-        // stored paper's candidate list, score for score (the dense raw sum
-        // only adds exact 0.0 terms over the CSR sum, so bits match).
-        let paper = snap.instance().paper(0).clone();
-        let pool = snap.candidate_pool_adhoc(&paper).unwrap();
-        let (stored, scores) = snap.candidates().candidates(0);
-        assert_eq!(pool.iter().map(|&(r, _)| r).collect::<Vec<_>>(), stored);
-        for (&(_, got), want) in pool.iter().zip(scores) {
-            assert_eq!(got.to_bits(), want.to_bits());
+        // Query with each stored paper's exact vector: under every
+        // sparse-safe scoring the ad-hoc pool must equal the stored paper's
+        // candidate row, score for score, bit for bit.
+        let inst = Instance::new(
+            vec![
+                tv(&[0.5, 0.5, 0.0, 0.0, 0.0]),
+                tv(&[1.0, 0.0, 0.0, 0.0, 0.0]),
+                tv(&[0.0, 0.13, 0.0, 0.29, 0.58]),
+                tv(&[0.07, 0.0, 0.41, 0.0, 0.0]),
+                tv(&[0.0, 0.0, 0.0, 0.0, 3.0]),
+            ],
+            vec![
+                tv(&[0.3, 0.7, 0.0, 0.0, 0.0]),
+                tv(&[0.6, 0.4, 0.0, 0.2, 0.0]),
+                tv(&[0.0, 0.0, 1.0, 0.0, 0.0]),
+                tv(&[0.11, 0.0, 0.33, 0.0, 0.9]),
+                tv(&[0.0, 0.05, 0.0, 0.3, 0.0]),
+            ],
+            1,
+            2,
+        )
+        .unwrap();
+        for scoring in [Scoring::WeightedCoverage, Scoring::PaperCoverage, Scoring::DotProduct] {
+            let snap = VersionedStore::new(inst.clone(), scoring, 0).snapshot();
+            let mut compared = 0;
+            for p in 0..inst.num_papers() {
+                let pool = snap.candidate_pool_adhoc(inst.paper(p)).unwrap();
+                let (stored, scores) = snap.candidates().candidates(p);
+                compared += stored.len();
+                assert_eq!(pool.iter().map(|&(r, _)| r).collect::<Vec<_>>(), stored);
+                for (&(_, got), want) in pool.iter().zip(scores) {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{scoring:?} paper {p}");
+                }
+            }
+            assert!(compared >= 5, "{scoring:?}: {compared} candidates");
+            // Zero paper -> empty pool, not dense fallback.
+            assert!(snap.candidate_pool_adhoc(&tv(&[0.0; 5])).unwrap().is_empty());
         }
-        // Zero paper -> empty pool, not dense fallback.
-        assert!(snap.candidate_pool_adhoc(&tv(&[0.0, 0.0, 0.0])).unwrap().is_empty());
         // Non-sparse-safe scoring -> None.
-        let dense_store = VersionedStore::new(base(), Scoring::ReviewerCoverage, 0);
-        assert!(dense_store.snapshot().candidate_pool_adhoc(&paper).is_none());
+        let dense_store = VersionedStore::new(inst.clone(), Scoring::ReviewerCoverage, 0);
+        assert!(dense_store.snapshot().candidate_pool_adhoc(inst.paper(0)).is_none());
     }
 }

@@ -539,6 +539,64 @@ fn journal_reports_refusals_once() {
     );
 }
 
+/// Gains far above 1 are refused with the flow kernel's range error, on the
+/// CLI (exit 1) and over `serve` (`"ok":false`), instead of answering
+/// "infeasible" after the integer costs overflow. Reviewer coverage on a
+/// paper whose weights sum to 2e-300 scores ~5e299; dot product with a
+/// 1e200 expert scores ~5e199. Greedy (no flow) and weighted coverage
+/// (gains ≤ 1) still assign both instances.
+#[test]
+fn assign_refuses_weights_outside_the_flow_range() {
+    let wgrap = env!("CARGO_BIN_EXE_wgrap");
+    let dir = std::env::temp_dir();
+    let rc = dir.join(format!("wgrap-smoke-range-rc-{}.wgrap", std::process::id()));
+    let dot = dir.join(format!("wgrap-smoke-range-dot-{}.wgrap", std::process::id()));
+    let instance = |expert_a: &str| {
+        format!(
+            "topics 3\ndelta_p 2\ndelta_r 2\nreviewer a {expert_a} 0 0\nreviewer b 0 1 0\n\
+             reviewer c 0.5 0.5 0\nreviewer d 0 0 1\npaper p0 1e-300 1e-300 0\n\
+             paper p1 0.2 0.3 0.5\npaper p2 0.5 0.5 0\npaper p3 1e-300 0 1e-300\n"
+        )
+    };
+    std::fs::write(&rc, instance("1")).unwrap();
+    std::fs::write(&dot, instance("1e200")).unwrap();
+    let (rc, dot) = (rc.to_str().unwrap(), dot.to_str().unwrap());
+    let assign = |path: &str, scoring: &str, method: &str| {
+        let args = ["assign", path, "--scoring", scoring, "--method", method];
+        Command::new(wgrap).args(args).output().unwrap()
+    };
+    let stage = "invalid instance: stage assignment: weights span";
+    for (path, scoring, method, want) in [
+        (rc, "reviewer", "sdga", format!("{stage} 5.000e299")),
+        (rc, "reviewer", "sdga-sra", format!("{stage} 5.000e299")),
+        (rc, "reviewer", "ilp", "invalid instance: per-pair ILP: weights span 5.000e299".into()),
+        (dot, "dot", "sdga", format!("{stage} 5.000e199")),
+        (dot, "dot", "ilp", "invalid instance: per-pair ILP: weights span 5.000e199".into()),
+    ] {
+        let out = assign(path, scoring, method);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{scoring} {method}: {err}");
+        assert!(out.stdout.is_empty(), "{scoring} {method}");
+        assert!(err.starts_with(&format!("error: {want}, outside the ")), "{method}: {err}");
+    }
+    for (path, scoring, method) in
+        [(rc, "reviewer", "greedy"), (rc, "weighted", "sdga"), (dot, "weighted", "sdga")]
+    {
+        let out = assign(path, scoring, method);
+        assert!(out.status.success(), "{scoring} {method}: {:?}", out);
+        assert_eq!(String::from_utf8(out.stdout).unwrap().lines().count(), 8, "{scoring} {method}");
+    }
+    let rc_served = run_session(&["serve", rc, "--scoring", "reviewer"], "{\"op\":\"assign\"}\n");
+    let dot_served = run_session(&["serve", dot, "--scoring", "dot"], "{\"op\":\"assign\"}\n");
+    std::fs::remove_file(rc).ok();
+    std::fs::remove_file(dot).ok();
+    for (got, span) in [(rc_served, "5.000e299"), (dot_served, "5.000e199")] {
+        let want = format!("{{\"ok\":false,\"error\":\"{stage} {span}, outside the ");
+        assert!(got.starts_with(&want), "{got}");
+        assert_eq!(got.lines().count(), 1, "{got}");
+    }
+}
+
 #[test]
 fn serve_rejects_missing_instance() {
     let out = Command::new(env!("CARGO_BIN_EXE_wgrap"))
