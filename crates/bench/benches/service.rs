@@ -12,7 +12,8 @@
 //! * **Incremental update vs full rebuild** — [`VersionedStore::apply`]
 //!   latency per [`Update`] kind (copy-on-write clone + splice) against
 //!   [`Snapshot::build`] on the same final instance (re-score everything),
-//!   printed as `service_update_*` lines.
+//!   ten samples each (every apply on a fresh store), printed as
+//!   `service_update_*` lines.
 //! * **Telemetry overhead** — the cache-hit serve line (`handle_line`,
 //!   the cheapest request the server answers) with telemetry recording on
 //!   vs off (`serve_cache_hit_telemetry_*` records). The delta is a fixed
@@ -36,7 +37,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use wgrap_bench::report::BenchReport;
 use wgrap_core::engine::PruningPolicy;
 use wgrap_core::prelude::{Instance, Scoring};
@@ -51,6 +52,8 @@ const T: usize = 300;
 const PAPER_NNZ: usize = 4;
 const REVIEWER_NNZ: usize = 6;
 const DELTA_P: usize = 2;
+/// Samples per update and rebuild record: enough for p10/p90.
+const UPDATE_REPS: usize = wgrap_bench::report::SPREAD_MIN_SAMPLES;
 
 fn sparse_vectors(n: usize, t: usize, nnz: usize, rng: &mut StdRng) -> Vec<TopicVector> {
     (0..n)
@@ -150,33 +153,47 @@ fn bench_updates_vs_rebuild(report: &mut BenchReport) {
     ];
 
     // Measured summary: per-update apply latency vs a full rebuild of the
-    // same final instance.
+    // same final instance, over UPDATE_REPS samples each. Every apply
+    // sample runs on a fresh store, so each one applies the same update to
+    // the same state.
     for (label, update) in &updates {
-        let scratch = VersionedStore::new(base.instance().clone(), Scoring::WeightedCoverage, 7);
-        let start = Instant::now();
-        scratch.apply(std::slice::from_ref(update)).expect("applies");
-        let apply_t = start.elapsed();
-        let final_inst = scratch.snapshot().instance().clone();
-        let start = Instant::now();
-        let rebuilt = Snapshot::build(final_inst, Scoring::WeightedCoverage, 7);
-        let rebuild_t = start.elapsed();
-        black_box(&rebuilt);
+        let mut apply = Vec::with_capacity(UPDATE_REPS);
+        let mut rebuild = Vec::with_capacity(UPDATE_REPS);
+        for _ in 0..UPDATE_REPS {
+            let scratch =
+                VersionedStore::new(base.instance().clone(), Scoring::WeightedCoverage, 7);
+            let start = Instant::now();
+            scratch.apply(std::slice::from_ref(update)).expect("applies");
+            apply.push(start.elapsed());
+            let final_inst = scratch.snapshot().instance().clone();
+            drop(scratch);
+            let start = Instant::now();
+            let rebuilt = Snapshot::build(final_inst, Scoring::WeightedCoverage, 7);
+            rebuild.push(start.elapsed());
+            black_box(&rebuilt);
+        }
+        let median = |samples: &[Duration]| {
+            let mut sorted = samples.to_vec();
+            sorted.sort();
+            sorted[sorted.len() / 2]
+        };
+        let (apply_t, rebuild_t) = (median(&apply), median(&rebuild));
         println!(
             "service_update_p{P}_r{R}_t{T}: {label:<16} apply {apply_t:<12.2?} vs rebuild \
-             {rebuild_t:<12.2?} ({:.1}x)",
+             {rebuild_t:<12.2?} ({:.1}x, medians of {UPDATE_REPS})",
             rebuild_t.as_secs_f64() / apply_t.as_secs_f64()
         );
         let params = [("papers", P as f64), ("reviewers", R as f64), ("topics", T as f64)];
         report.record(
             &format!("update_apply_{label}"),
             &params,
-            &[apply_t],
+            &apply,
             Some(1.0 / apply_t.as_secs_f64()),
         );
         report.record(
             &format!("update_rebuild_after_{label}"),
             &params,
-            &[rebuild_t],
+            &rebuild,
             Some(1.0 / rebuild_t.as_secs_f64()),
         );
     }
@@ -460,7 +477,6 @@ fn bench_telemetry_overhead(report: &mut BenchReport) {
 /// per-config q/s and p50/p99 per-request latency
 /// (`serve_concurrent_c{N}` lines).
 fn bench_concurrent_frontend(report: &mut BenchReport) {
-    use std::time::Duration;
     use wgrap_service::{Frontend, FrontendOptions, JraOutcome};
 
     let (store, mut rng) = build_store(17);

@@ -13,6 +13,30 @@
 //! a per-paper **bound** — the largest pair score among excluded reviewers,
 //! which upper-bounds every excluded marginal gain forever.
 //!
+//! # Building a row along the topic index
+//!
+//! Under a [sparse-safe](crate::score::Scoring::sparse_safe) scoring one
+//! kernel builds every row, for [`CandidateSet::build`] and for the
+//! single-row callers ([`CandidateSet::append_paper`],
+//! [`CandidateSet::adhoc_row`]). It walks the paper's non-zero topics in
+//! ascending order over the context's topic → reviewers index
+//! ([`ScoreContext::topic_index`]) and adds each entry's
+//! `topic_contribution` into an `R`-sized accumulator. It then emits the
+//! touched reviewers in ascending id order, each with `acc / total`,
+//! keeping only positive scores. A reviewer's terms arrive in the same
+//! ascending topic order in which [`ScoreContext::pair_score`] sums them.
+//! The only terms the walk never sees are those of topics where the
+//! reviewer's expertise is `±0.0`; each of those adds a `±0.0` to a sum
+//! that is `+0.0` or positive, an exact no-op, so every score is
+//! bit-identical to `pair_score`. A full build reads each index entry's
+//! expertise from the reviewer matrix once and reuses it for every paper
+//! on that topic; so it costs one pass over the index entries each paper
+//! touches, instead of one `pair_score` (one row read per paper topic) per
+//! candidate. Under the `rayon` feature papers go in fixed chunks, each
+//! with its own accumulator, so the output stays positional. Reviewer
+//! coverage scores zero-overlap pairs positively and keeps a dense scan of
+//! all `R` reviewers per paper.
+//!
 //! # Certification rule
 //!
 //! A candidate set is **certified** when every paper's bound is exactly
@@ -48,6 +72,8 @@
 
 use super::context::ScoreContext;
 use super::par;
+use crate::score::Scoring;
+use crate::topic::TopicVector;
 use std::sync::Arc;
 
 /// How aggressively a solver may prune its reviewer scans.
@@ -183,53 +209,36 @@ impl CandidateSet {
     /// the `n` best by `(score desc, reviewer asc)` and records the best
     /// excluded score as the paper's bound.
     ///
-    /// For sparse-safe scorings the scan walks the context's topic →
-    /// reviewers index ([`ScoreContext::topic_index`]), touching only
-    /// reviewers that overlap the paper's non-zero topics; other scorings
-    /// (reviewer coverage can score zero-overlap pairs positively) scan all
-    /// reviewers. Rows build in parallel under the `rayon` feature,
-    /// bit-identically to the serial build.
+    /// Sparse-safe scorings build each row along the context's topic index
+    /// (see the module docs), reading each index entry's expertise once for
+    /// the whole build; reviewer coverage scans all reviewers per paper.
+    /// The scratch (one `R`-sized accumulator per chunk of papers, the
+    /// gathered expertise) is freed on return. Rows build in parallel under
+    /// the `rayon` feature, bit-identically to the serial build.
     pub fn build(ctx: &ScoreContext<'_>, k: Option<usize>) -> Self {
-        let by_topic = ctx.sparse().then(|| ctx.topic_index());
         let (num_p, num_r) = (ctx.num_papers(), ctx.num_reviewers());
-
-        // (candidates sorted by reviewer asc, bound, positive support).
-        type PaperRow = (Vec<(u32, f64)>, f64, u32);
-        let rows: Vec<PaperRow> = par::map_indexed(num_p, |p| {
-            let mut cands: Vec<(u32, f64)> = Vec::new();
-            match &by_topic {
-                Some(idx) => {
-                    // Dedup by sort rather than an R-sized seen-buffer: the
-                    // whole point of the inverted index is that the hit
-                    // count is far below R on sparse instances.
-                    let (topics, _) = ctx.paper_sparse(p);
-                    let mut hits: Vec<u32> =
-                        topics.iter().flat_map(|&t| idx[t as usize].iter().copied()).collect();
-                    hits.sort_unstable();
-                    hits.dedup();
-                    for r in hits {
-                        let s = ctx.pair_score(r as usize, p);
-                        if s > 0.0 {
-                            cands.push((r, s));
-                        }
-                    }
-                }
-                None => {
-                    for r in 0..num_r {
-                        let s = ctx.pair_score(r, p);
-                        if s > 0.0 {
-                            cands.push((r as u32, s));
-                        }
-                    }
-                }
-            }
-            let support = cands.len() as u32;
-            let bound = match k {
-                Some(k) => truncate_row(&mut cands, k),
-                None => 0.0,
-            };
-            (cands, bound, support)
-        });
+        let rows: Vec<PaperRow> = if ctx.sparse() {
+            let index = ctx.topic_index();
+            let values: Vec<Vec<f64>> =
+                (0..index.len()).map(|t| gather_expertise(ctx, index, t)).collect();
+            let chunk = num_p.div_ceil(BUILD_CHUNKS).max(1);
+            let chunks = par::map_indexed(num_p.div_ceil(chunk), |c| {
+                let mut kernel = RowKernel::new(num_r);
+                (c * chunk..num_p.min((c + 1) * chunk))
+                    .map(|p| {
+                        let (topics, weights) = ctx.paper_sparse(p);
+                        let lists = topics.iter().zip(weights).map(|(&t, &w)| {
+                            let t = t as usize;
+                            (w, index[t].as_slice(), values[t].as_slice())
+                        });
+                        finish_row(kernel.row(ctx.scoring(), ctx.paper_total(p), lists), k)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            chunks.into_iter().flatten().collect()
+        } else {
+            par::map_indexed(num_p, |p| finish_row(dense_row(ctx, p), k))
+        };
 
         let mut out = Vec::with_capacity(num_p);
         let mut bound = Vec::with_capacity(num_p);
@@ -241,6 +250,27 @@ impl CandidateSet {
             support.push(s);
         }
         Self { num_reviewers: num_r, rows: out, bound, support }
+    }
+
+    /// The untruncated row a paper with topic vector `paper` would get if
+    /// it were stored in `ctx`: every reviewer with positive pair score, as
+    /// `(id, score)` ascending by id, bit-identical to that stored paper's
+    /// [`build`](CandidateSet::build) row. Built by the same kernel, which
+    /// reads only the index entries of `paper`'s non-zero topics. `None`
+    /// when the scoring is not sparse-safe: zero-overlap reviewers can then
+    /// score positively, so no index-driven row exists.
+    pub fn adhoc_row(ctx: &ScoreContext<'_>, paper: &TopicVector) -> Option<Vec<(u32, f64)>> {
+        if !ctx.sparse() {
+            return None;
+        }
+        let (topics, weights): (Vec<u32>, Vec<f64>) = paper
+            .as_slice()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w > 0.0)
+            .map(|(t, &w)| (t as u32, w))
+            .unzip();
+        Some(sparse_row(ctx, &topics, &weights, paper.total()))
     }
 
     /// Number of papers.
@@ -367,21 +397,26 @@ impl CandidateSet {
         }
     }
 
-    /// Append one paper's candidate row to an **untruncated** (Auto) set:
-    /// `row` must list every reviewer with positive pair score for the new
-    /// paper, ascending by id, with the scores [`ScoreContext::pair_score`]
-    /// would produce — exactly what [`CandidateSet::build`] computes, which
-    /// is what keeps incremental maintenance bit-identical to a rebuild.
-    /// The new paper's bound is `0.0` (nothing excluded) and its support is
-    /// the row length, so the set stays certified. Existing rows stay
-    /// shared: appending is a new slab, not a rewrite.
-    pub fn append_paper(&mut self, row: &[(u32, f64)]) {
-        debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row must be ascending by id");
-        debug_assert!(row.iter().all(|&(_, s)| s > 0.0), "auto rows hold positive scores only");
-        let (reviewer, score) = row.iter().copied().unzip();
+    /// Append the row of `ctx`'s last paper to an **untruncated** (Auto)
+    /// set that covers every earlier paper: the row
+    /// [`build`](CandidateSet::build) gives that paper, from the same
+    /// kernel, which is what keeps incremental maintenance bit-identical to
+    /// a rebuild. The new paper's bound is `0.0` (nothing excluded) and its
+    /// support is the row length, so the set stays certified. Existing rows
+    /// stay shared: appending is a new slab, not a rewrite.
+    pub fn append_paper(&mut self, ctx: &ScoreContext<'_>) {
+        let p = self.num_papers();
+        assert_eq!(ctx.num_papers(), p + 1, "the context must hold exactly one more paper");
+        let row = if ctx.sparse() {
+            let (topics, weights) = ctx.paper_sparse(p);
+            sparse_row(ctx, topics, weights, ctx.paper_total(p))
+        } else {
+            dense_row(ctx, p)
+        };
+        let (reviewer, score): (Vec<u32>, Vec<f64>) = row.into_iter().unzip();
+        self.support.push(reviewer.len() as u32);
         self.rows.push(Arc::new(CandRow { reviewer, score }));
         self.bound.push(0.0);
-        self.support.push(row.len() as u32);
     }
 
     /// Patch reviewer `r` across every paper of an **untruncated** (Auto)
@@ -476,13 +511,116 @@ pub fn truncate_row(row: &mut Vec<(u32, f64)>, k: usize) -> f64 {
     bound
 }
 
+/// One paper's row of a build: `(candidates ascending by id, bound,
+/// positive support before truncation)`.
+type PaperRow = (Vec<(u32, f64)>, f64, u32);
+
+/// Papers of a [`CandidateSet::build`] go in this many chunks (fewer for
+/// small `P`), each with its own accumulator: a fixed count, so the `O(R)`
+/// scratch is paid `BUILD_CHUNKS` times whatever `P` is and the work splits
+/// the same way on any number of threads.
+const BUILD_CHUNKS: usize = 64;
+
+/// Record `row`'s support and apply the `TopK(k)` truncation, if any.
+fn finish_row(mut row: Vec<(u32, f64)>, k: Option<usize>) -> PaperRow {
+    let support = row.len() as u32;
+    let bound = k.map_or(0.0, |k| truncate_row(&mut row, k));
+    (row, bound, support)
+}
+
+/// Reviewer `index[t][i]`'s expertise on topic `t`, for every `i`.
+fn gather_expertise(ctx: &ScoreContext<'_>, index: &[Vec<u32>], t: usize) -> Vec<f64> {
+    index[t].iter().map(|&r| ctx.reviewer_row(r as usize)[t]).collect()
+}
+
+/// One row through the kernel, for a paper with non-zero `topics`
+/// (ascending) weighing `weights` and summing `total`. Reads the
+/// expertise of only the index lists it walks.
+fn sparse_row(
+    ctx: &ScoreContext<'_>,
+    topics: &[u32],
+    weights: &[f64],
+    total: f64,
+) -> Vec<(u32, f64)> {
+    let index = ctx.topic_index();
+    let values: Vec<Vec<f64>> =
+        topics.iter().map(|&t| gather_expertise(ctx, index, t as usize)).collect();
+    let lists = topics
+        .iter()
+        .zip(weights)
+        .zip(&values)
+        .map(|((&t, &w), v)| (w, index[t as usize].as_slice(), v.as_slice()));
+    RowKernel::new(ctx.num_reviewers()).row(ctx.scoring(), total, lists)
+}
+
+/// Paper `p`'s row by scoring every reviewer: the path of scorings that
+/// are not sparse-safe.
+fn dense_row(ctx: &ScoreContext<'_>, p: usize) -> Vec<(u32, f64)> {
+    (0..ctx.num_reviewers())
+        .filter_map(|r| {
+            let s = ctx.pair_score(r, p);
+            (s > 0.0).then_some((r as u32, s))
+        })
+        .collect()
+}
+
+/// The candidate-row kernel's scratch, reused across the rows of one
+/// chunk: a per-reviewer accumulator and a bit per reviewer marking the
+/// ids the current row touched. Between rows every accumulator slot is
+/// `+0.0` and every bit is clear.
+struct RowKernel {
+    acc: Vec<f64>,
+    hit: Vec<u64>,
+}
+
+impl RowKernel {
+    fn new(num_reviewers: usize) -> Self {
+        Self { acc: vec![0.0; num_reviewers], hit: vec![0; num_reviewers.div_ceil(64)] }
+    }
+
+    /// The row of a paper whose weights sum to `total`, given its non-zero
+    /// topics in ascending order as `(weight, reviewer ids, their
+    /// expertise)`: every touched reviewer whose `acc / total` is positive,
+    /// ascending by id (empty when `total <= 0`, where every pair score is
+    /// `0`). See the module docs for why this is bit-identical to
+    /// [`ScoreContext::pair_score`]. Emitting walks the marks, one word per
+    /// 64 reviewers, so a row costs its index entries plus `R / 64`.
+    fn row<'l>(
+        &mut self,
+        scoring: Scoring,
+        total: f64,
+        lists: impl Iterator<Item = (f64, &'l [u32], &'l [f64])>,
+    ) -> Vec<(u32, f64)> {
+        if total <= 0.0 {
+            return Vec::new();
+        }
+        for (w, ids, values) in lists {
+            for (&r, &e) in ids.iter().zip(values) {
+                self.hit[r as usize / 64] |= 1 << (r % 64);
+                self.acc[r as usize] += scoring.topic_contribution(e, w);
+            }
+        }
+        let mut out = Vec::new();
+        for (word, bits) in self.hit.iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                let r = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let s = std::mem::take(&mut self.acc[r]) / total;
+                if s > 0.0 {
+                    out.push((r as u32, s));
+                }
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cra::testutil::random_instance;
     use crate::problem::Instance;
-    use crate::score::Scoring;
-    use crate::topic::TopicVector;
 
     #[test]
     fn auto_set_keeps_exactly_the_positive_scores() {
@@ -558,6 +696,110 @@ mod tests {
         }
         assert!(cs.stage_loss_bound() >= 0.0);
         assert!(cs.memory_bytes() < full.memory_bytes() + 1);
+    }
+
+    /// `random_instance` rows plus the values the row kernel must
+    /// reproduce bit for bit: `-0.0`, subnormal and exactly tied expertise,
+    /// a zero-total paper, a paper on a topic no reviewer covers, and
+    /// 4000 empty reviewers, so papers on topic 4 touch 3 of `R` while the
+    /// dense papers touch 9. More papers than `BUILD_CHUNKS`, so each chunk
+    /// reuses its accumulator across rows of both kinds.
+    fn edge_instance(seed: u64) -> Instance {
+        const T: usize = 6;
+        let base = random_instance(150, 7, T, 2, seed);
+        let mut reviewers: Vec<Vec<f64>> =
+            base.reviewers().iter().map(|v| v.as_slice().to_vec()).collect();
+        for row in &mut reviewers {
+            // Topic 5 is covered by nobody, topic 4 only by the rows below.
+            row[4] = 0.0;
+            row[5] = 0.0;
+        }
+        reviewers[0][0] = -0.0;
+        reviewers[1][1] = 5e-324;
+        reviewers[3][2] = reviewers[2][2];
+        let tied = vec![0.25, 0.25, 0.0, -0.0, 5e-324, 0.0];
+        reviewers.push(tied.clone());
+        reviewers.push(tied);
+        for i in 0..4000 {
+            let mut row = vec![0.0; T];
+            if i == 1234 {
+                row[4] = 0.5;
+            }
+            reviewers.push(row);
+        }
+        let mut papers: Vec<Vec<f64>> =
+            base.papers().iter().map(|v| v.as_slice().to_vec()).collect();
+        for (p, row) in papers.iter_mut().enumerate() {
+            match p % 4 {
+                0 | 1 => *row = vec![0.0, 0.0, 0.0, 0.0, 0.2 + p as f64 / 1000.0, 0.0],
+                2 => row[3] = -0.0,
+                _ => row[1] = 5e-324,
+            }
+        }
+        papers.insert(7, vec![0.0; T]);
+        papers.insert(70, vec![0.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
+        papers.push(vec![0.25, 0.25, 0.0, 0.0, 5e-324, 0.0]);
+        let vectors = |rows: Vec<Vec<f64>>| rows.into_iter().map(TopicVector::new).collect();
+        let (num_p, num_r) = (papers.len(), reviewers.len());
+        let delta_r = Instance::minimal_delta_r(num_p, num_r, 2);
+        Instance::new(vectors(papers), vectors(reviewers), 2, delta_r).unwrap()
+    }
+
+    #[test]
+    fn rows_match_a_pair_score_scan_of_every_reviewer() {
+        let inst = edge_instance(13);
+        for scoring in Scoring::ALL {
+            let ctx = ScoreContext::new(&inst, scoring);
+            let auto = CandidateSet::build(&ctx, None);
+            for k in [None, Some(1), Some(3), Some(1000)] {
+                let cs = CandidateSet::build(&ctx, k);
+                assert_eq!(cs.num_papers(), inst.num_papers());
+                for p in 0..inst.num_papers() {
+                    let mut want: Vec<(u32, f64)> = (0..inst.num_reviewers())
+                        .filter_map(|r| {
+                            let s = ctx.pair_score(r, p);
+                            (s > 0.0).then_some((r as u32, s))
+                        })
+                        .collect();
+                    let support = want.len();
+                    let mut bound = 0.0;
+                    if let Some(k) = k.filter(|&k| want.len() > k) {
+                        want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                        bound = want[k].1;
+                        want.truncate(k);
+                        want.sort_by_key(|&(r, _)| r);
+                    }
+                    let (rs, ss) = cs.candidates(p);
+                    let what = format!("{scoring:?} k={k:?} paper {p}");
+                    assert_eq!(rs, want.iter().map(|&(r, _)| r).collect::<Vec<_>>(), "{what}");
+                    let bits = |ss: &[f64]| ss.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                    let want_scores: Vec<f64> = want.iter().map(|&(_, s)| s).collect();
+                    assert_eq!(bits(ss), bits(&want_scores), "{what}");
+                    assert_eq!(cs.bound(p).to_bits(), f64::to_bits(bound), "{what}");
+                    assert_eq!(cs.support(p), support, "{what}");
+                }
+            }
+            // The same vector sent ad hoc gets its stored paper's row.
+            for p in 0..inst.num_papers() {
+                let Some(row) = CandidateSet::adhoc_row(&ctx, inst.paper(p)) else {
+                    assert!(!ctx.sparse(), "{scoring:?}");
+                    continue;
+                };
+                let (rs, ss) = auto.candidates(p);
+                let got: Vec<(u32, u64)> = row.iter().map(|&(r, s)| (r, s.to_bits())).collect();
+                let want: Vec<(u32, u64)> =
+                    rs.iter().zip(ss).map(|(&r, s)| (r, s.to_bits())).collect();
+                assert_eq!(got, want, "{scoring:?} ad hoc paper {p}");
+            }
+            // The empty rows are the zero-total paper and the one on the
+            // uncovered topic.
+            if ctx.sparse() {
+                assert_eq!(auto.len(7), 0);
+                assert_eq!(auto.len(70), 0);
+                assert!((0..auto.num_papers()).any(|p| (1..=3).contains(&auto.len(p))));
+                assert!((0..auto.num_papers()).any(|p| auto.len(p) >= 7));
+            }
+        }
     }
 
     #[test]

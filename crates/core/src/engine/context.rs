@@ -317,7 +317,9 @@ impl<'a> ScoreContext<'a> {
     /// [`push_reviewer`](ScoreContext::push_reviewer) and
     /// [`set_reviewer_row`](ScoreContext::set_reviewer_row), so a context
     /// that outlives many updates (a service snapshot) never rebuilds it.
-    /// The other readers, the candidate probes, sort and dedup their hits.
+    /// The candidate rows ([`CandidateSet`]) are built along it too.
+    ///
+    /// [`CandidateSet`]: super::candidates::CandidateSet
     pub fn topic_index(&self) -> &[Vec<u32>] {
         self.topic_index.get_or_init(|| {
             topic_index_over(0..self.num_reviewers() as u32, self.dim, |r| self.reviewer_row(r))

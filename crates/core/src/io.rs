@@ -42,9 +42,10 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
     let mut topics: Option<usize> = None;
     let mut delta_p: Option<usize> = None;
     let mut delta_r: Option<usize> = None;
-    let mut reviewers: Vec<(String, TopicVector)> = Vec::new();
-    let mut papers: Vec<(String, TopicVector)> = Vec::new();
-    let mut cois: Vec<(String, String, usize)> = Vec::new();
+    // Names borrow `text` until the instance takes its own copies.
+    let mut reviewers: Vec<(&str, TopicVector)> = Vec::new();
+    let mut papers: Vec<(&str, TopicVector)> = Vec::new();
+    let mut cois: Vec<(&str, &str, usize)> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -77,14 +78,21 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
                     topics.ok_or_else(|| parse_err(line_no, "topics header must come first"))?;
                 let name = parts
                     .next()
-                    .ok_or_else(|| parse_err(line_no, format!("{keyword} needs a name")))?
-                    .to_string();
-                let weights: Vec<f64> = parts
-                    .map(|w| {
-                        w.parse::<f64>()
-                            .map_err(|_| parse_err(line_no, format!("bad weight '{w}'")))
-                    })
-                    .collect::<Result<_>>()?;
+                    .ok_or_else(|| parse_err(line_no, format!("{keyword} needs a name")))?;
+                // A line holds at most one weight per byte, which bounds
+                // the reservation whatever the header claims.
+                let mut weights = Vec::with_capacity(t.min(line.len()));
+                for w in parts {
+                    // Most weights of a sparse vector are a bare `0`; every
+                    // other spelling (`0.0`, `-0`, ...) goes to the float
+                    // parser, which keeps the sign of `-0`.
+                    weights.push(match w {
+                        "0" => 0.0,
+                        _ => w
+                            .parse::<f64>()
+                            .map_err(|_| parse_err(line_no, format!("bad weight '{w}'")))?,
+                    });
+                }
                 if weights.len() != t {
                     return Err(parse_err(
                         line_no,
@@ -108,7 +116,7 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
                 let p = parts
                     .next()
                     .ok_or_else(|| parse_err(line_no, "coi needs <reviewer> <paper>"))?;
-                cois.push((r.to_string(), p.to_string(), line_no));
+                cois.push((r, p, line_no));
             }
             other => return Err(parse_err(line_no, format!("unknown keyword '{other}'"))),
         }
@@ -117,39 +125,35 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
     let delta_p = delta_p.ok_or_else(|| Error::InvalidInstance("missing delta_p".into()))?;
     let delta_r = delta_r.ok_or_else(|| Error::InvalidInstance("missing delta_r".into()))?;
 
-    let index_of =
-        |items: &[(String, TopicVector)], kind: &str| -> Result<HashMap<String, usize>> {
-            let mut map = HashMap::new();
-            for (i, (name, _)) in items.iter().enumerate() {
-                if map.insert(name.clone(), i).is_some() {
-                    return Err(Error::InvalidInstance(format!("duplicate {kind} name '{name}'")));
-                }
-            }
-            Ok(map)
-        };
-    let r_index = index_of(&reviewers, "reviewer")?;
-    let p_index = index_of(&papers, "paper")?;
+    let (reviewer_names, reviewers): (Vec<&str>, Vec<TopicVector>) = reviewers.into_iter().unzip();
+    let (paper_names, papers): (Vec<&str>, Vec<TopicVector>) = papers.into_iter().unzip();
+    let r_index = name_index(&reviewer_names, "reviewer")?;
+    let p_index = name_index(&paper_names, "paper")?;
 
-    let mut inst = Instance::new(
-        papers.iter().map(|(_, v)| v.clone()).collect(),
-        reviewers.iter().map(|(_, v)| v.clone()).collect(),
-        delta_p,
-        delta_r,
-    )?
-    .with_names(
-        papers.iter().map(|(n, _)| n.clone()).collect(),
-        reviewers.iter().map(|(n, _)| n.clone()).collect(),
-    );
+    let owned = |names: &[&str]| names.iter().map(|&n| n.to_string()).collect();
+    let mut inst = Instance::new(papers, reviewers, delta_p, delta_r)?
+        .with_names(owned(&paper_names), owned(&reviewer_names));
     for (r, p, line_no) in cois {
         let ri = *r_index
-            .get(&r)
+            .get(r)
             .ok_or_else(|| parse_err(line_no, format!("unknown reviewer '{r}' in coi")))?;
         let pi = *p_index
-            .get(&p)
+            .get(p)
             .ok_or_else(|| parse_err(line_no, format!("unknown paper '{p}' in coi")))?;
         inst.add_coi(ri, pi);
     }
     Ok(inst)
+}
+
+/// Each of `names` mapped to its position; fails on a repeated name.
+fn name_index<'t>(names: &[&'t str], kind: &str) -> Result<HashMap<&'t str, usize>> {
+    let mut map = HashMap::with_capacity(names.len());
+    for (i, &name) in names.iter().enumerate() {
+        if map.insert(name, i).is_some() {
+            return Err(Error::InvalidInstance(format!("duplicate {kind} name '{name}'")));
+        }
+    }
+    Ok(map)
 }
 
 /// Serialise an instance to the text format (round-trips with
@@ -175,10 +179,9 @@ pub fn write_instance(inst: &Instance) -> String {
         out.push('\n');
     }
     for p in 0..inst.num_papers() {
-        for r in 0..inst.num_reviewers() {
-            if inst.is_coi(r, p) {
-                let _ = writeln!(out, "coi {} {}", inst.reviewer_name(r), inst.paper_name(p));
-            }
+        // `conflicts(p)` is ascending: lines come in reviewer-id order.
+        for &r in inst.conflicts(p) {
+            let _ = writeln!(out, "coi {} {}", inst.reviewer_name(r as usize), inst.paper_name(p));
         }
     }
     out
@@ -303,11 +306,84 @@ coi alice p-17
                 "topics 3\ndelta_p 1\ndelta_r 1\nreviewer a 1 0 0\npaper p 5e-324 5e-324 0\n",
                 "paper 0 weights must sum to 0 or a finite normal number",
             ),
+            ("topics 1 2\n", "line 1: trailing tokens after header"),
+            ("topics 1\nreviewer\n", "line 2: reviewer needs a name"),
+            ("topics 2\nreviewer a 0 0,5\n", "line 2: bad weight '0,5'"),
+            ("topics 2\npaper p 0 -0 0\n", "line 2: expected 2 weights, got 3"),
+            ("topics 1\nreviewer a inf\n", "line 2: weights must be finite and >= 0"),
+            ("topics 1\ndelta_p 1\ndelta_r 1\ncoi a\n", "line 4: coi needs <reviewer> <paper>"),
+            (
+                "topics 1\ndelta_p 1\ndelta_r 1\nreviewer a 1\npaper p 1\npaper p 0\n",
+                "duplicate paper name 'p'",
+            ),
+            (
+                "topics 1\ndelta_p 1\ndelta_r 1\nreviewer a 1\npaper p 1\ncoi a q\n",
+                "line 6: unknown paper 'q' in coi",
+            ),
+            ("topics 1\ndelta_r 1\nreviewer a 1\n", "missing delta_p"),
         ];
         for (text, needle) in cases {
             let err = parse_instance(text).unwrap_err().to_string();
             assert!(err.contains(needle), "'{text}' gave '{err}', wanted '{needle}'");
         }
+    }
+
+    #[test]
+    fn zero_spellings_parse_to_the_float_parsers_bits() {
+        let tokens = ["0", "0.0", "-0", "-0.0", "+0", "00", "1e-320", "0.5"];
+        let text = format!(
+            "topics {}\ndelta_p 1\ndelta_r 1\nreviewer a {}\npaper p {}\n",
+            tokens.len(),
+            tokens.join(" "),
+            tokens.join(" "),
+        );
+        let inst = parse_instance(&text).unwrap();
+        for v in [inst.reviewer(0), inst.paper(0)] {
+            for (&got, tok) in v.as_slice().iter().zip(tokens) {
+                let want: f64 = tok.parse().unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "token '{tok}'");
+            }
+        }
+        // BBA orders a topic's zero tail by sign, so `-0` must stay negative.
+        assert!(inst.reviewer(0)[2].is_sign_negative());
+        assert!(inst.reviewer(0)[0].is_sign_positive());
+    }
+
+    #[test]
+    fn negative_zero_weights_survive_a_round_trip() {
+        let text = "topics 3\ndelta_p 1\ndelta_r 1\nreviewer a -0.0 1 0\npaper p 0.5 -0 0.5\n";
+        let inst = parse_instance(text).unwrap();
+        let again = parse_instance(&write_instance(&inst)).unwrap();
+        for (a, b) in [(inst.reviewer(0), again.reviewer(0)), (inst.paper(0), again.paper(0))] {
+            let bits =
+                |v: &TopicVector| v.as_slice().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b));
+        }
+        assert!(again.reviewer(0)[0].is_sign_negative());
+        assert!(again.paper(0)[1].is_sign_negative());
+    }
+
+    #[test]
+    fn coi_lines_match_a_scan_of_every_pair() {
+        let mut inst = parse_instance(SAMPLE).unwrap();
+        inst.push_reviewer(Some("dave".into()), TopicVector::new(vec![0.3, 0.3, 0.4])).unwrap();
+        inst.push_paper(Some("p-31".into()), TopicVector::new(vec![0.2, 0.2, 0.6])).unwrap();
+        for (r, p) in [(3, 1), (0, 1), (2, 0), (3, 2), (1, 1), (0, 2), (3, 1)] {
+            inst.add_coi(r, p);
+        }
+        let out = write_instance(&inst);
+        // The reference: probe every (paper, reviewer) pair.
+        let mut want: String =
+            out.lines().filter(|l| !l.starts_with("coi ")).map(|l| format!("{l}\n")).collect();
+        for p in 0..inst.num_papers() {
+            for r in 0..inst.num_reviewers() {
+                if inst.is_coi(r, p) {
+                    let _ = writeln!(want, "coi {} {}", inst.reviewer_name(r), inst.paper_name(p));
+                }
+            }
+        }
+        assert_eq!(out, want);
+        assert_eq!(out.lines().filter(|l| l.starts_with("coi ")).count(), 7);
     }
 
     #[test]

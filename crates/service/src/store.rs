@@ -133,6 +133,18 @@ pub struct Snapshot {
 impl Snapshot {
     /// Build epoch-0 state from scratch — also the reference the
     /// incremental path is proptested bit-identical against.
+    ///
+    /// This is what `wgrap serve` waits on before it listens, and what
+    /// durable recovery runs on a checkpoint. Its cost: the flat context
+    /// (one copy of the `(R + P)·T` weights), the topic index (one scan of
+    /// the reviewer rows and a sort of their positive entries), and the
+    /// Auto candidate set, which under a sparse-safe scoring is one pass
+    /// over the index entries of each paper's non-zero topics (see
+    /// [`CandidateSet::build`]); reviewer coverage scores all `P·R` pairs.
+    /// At perfbench's `hot` shape (P=5000, R=10000, T=300, 4 topics per
+    /// paper, 6 per reviewer; ~3.8M candidates) on a 2-vCPU host, serial,
+    /// that read ~30 ms context, ~10 ms index and 57–112 ms candidates
+    /// (`candidate_set_auto_p5000_r10000_t300` in `BENCH_engine.json`).
     pub fn build(inst: Instance, scoring: Scoring, seed: u64) -> Self {
         let mut ctx = ScoreContext::from_owned(inst, scoring).with_seed(seed);
         // The context's one topic index serves the candidate build, every
@@ -192,42 +204,15 @@ impl Snapshot {
 
     /// The certified candidate pool for a paper that is *not* part of the
     /// instance (an ad-hoc JRA query): every reviewer with positive pair
-    /// score against `paper`, as `(id, pair score)` ascending by id — the
-    /// scores are computed once here, summed over the paper's non-zero
-    /// topics exactly as [`ScoreContext::pair_score`] sums a stored paper's
-    /// CSR row, so `TopK` consumers rank without a second scoring pass.
-    /// Probes the shared topic → reviewers index, so only overlapping
-    /// reviewers are scored. `None` when the scoring is not sparse-safe
-    /// (zero-overlap reviewers can score positively, so no index-driven
-    /// pool exists — callers fall back to the dense scan).
+    /// score against `paper`, as `(id, pair score)` ascending by id, so
+    /// `TopK` consumers rank without a second scoring pass. Built by the
+    /// candidate-row kernel over the shared topic → reviewers index
+    /// ([`CandidateSet::adhoc_row`]), bit-identical to the row the same
+    /// vector gets as a stored paper. `None` when the scoring is not
+    /// sparse-safe (zero-overlap reviewers can score positively, so no
+    /// index-driven pool exists — callers fall back to the dense scan).
     pub fn candidate_pool_adhoc(&self, paper: &TopicVector) -> Option<Vec<(u32, f64)>> {
-        if !self.ctx.sparse() {
-            return None;
-        }
-        let total = paper.total();
-        if total <= 0.0 {
-            return Some(Vec::new());
-        }
-        let scoring = self.ctx.scoring();
-        let support: Vec<(usize, f64)> =
-            paper.as_slice().iter().copied().enumerate().filter(|&(_, w)| w > 0.0).collect();
-        let mut hits: Vec<u32> =
-            support.iter().flat_map(|&(t, _)| self.ctx.topic_index()[t].iter().copied()).collect();
-        hits.sort_unstable();
-        hits.dedup();
-        Some(
-            hits.into_iter()
-                .filter_map(|r| {
-                    let row = self.ctx.reviewer_row(r as usize);
-                    let mut raw = 0.0;
-                    for &(t, w) in &support {
-                        raw += scoring.topic_contribution(row[t], w);
-                    }
-                    let s = raw / total;
-                    (s > 0.0).then_some((r, s))
-                })
-                .collect(),
-        )
+        CandidateSet::adhoc_row(&self.ctx, paper)
     }
 
     /// Content bytes this snapshot holds: paged matrices, CSR, candidate
@@ -634,34 +619,8 @@ fn apply_one(
                 }
             }
             let p = ctx.push_paper(name.clone(), topics.clone())?;
-            // The new candidate row, probed through topic → reviewers for
-            // sparse-safe scorings — bit-identical to what a full
-            // `CandidateSet::build` computes for this paper.
-            let mut row: Vec<(u32, f64)> = Vec::new();
-            if ctx.sparse() {
-                let (tidx, _) = ctx.paper_sparse(p);
-                let topic_reviewers = ctx.topic_index();
-                let mut hits: Vec<u32> = tidx
-                    .iter()
-                    .flat_map(|&t| topic_reviewers[t as usize].iter().copied())
-                    .collect();
-                hits.sort_unstable();
-                hits.dedup();
-                for r in hits {
-                    let s = ctx.pair_score(r as usize, p);
-                    if s > 0.0 {
-                        row.push((r, s));
-                    }
-                }
-            } else {
-                for r in 0..ctx.num_reviewers() {
-                    let s = ctx.pair_score(r, p);
-                    if s > 0.0 {
-                        row.push((r as u32, s));
-                    }
-                }
-            }
-            cands.append_paper(&row);
+            // The new row, from the kernel `CandidateSet::build` runs.
+            cands.append_paper(ctx);
             let (tidx, _) = ctx.paper_sparse(p);
             for &t in tidx {
                 topic_papers[t as usize].push(p as u32);
@@ -1013,6 +972,7 @@ mod tests {
                 tv(&[0.0, 0.13, 0.0, 0.29, 0.58]),
                 tv(&[0.07, 0.0, 0.41, 0.0, 0.0]),
                 tv(&[0.0, 0.0, 0.0, 0.0, 3.0]),
+                tv(&[-0.0, 0.4, 5e-324, 0.3, 0.0]),
             ],
             vec![
                 tv(&[0.3, 0.7, 0.0, 0.0, 0.0]),
@@ -1020,6 +980,7 @@ mod tests {
                 tv(&[0.0, 0.0, 1.0, 0.0, 0.0]),
                 tv(&[0.11, 0.0, 0.33, 0.0, 0.9]),
                 tv(&[0.0, 0.05, 0.0, 0.3, 0.0]),
+                tv(&[0.6, 0.4, 5e-324, 0.2, -0.0]),
             ],
             1,
             2,
